@@ -16,7 +16,6 @@ from .winograd import (
 from .strassen import strassen_multiply
 from .parallel import (
     parallel_multiply,
-    ParallelScratch,
     TaskScratch,
     build_winograd_graph,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "resolve_memory",
     "strassen_multiply",
     "parallel_multiply",
-    "ParallelScratch",
     "TaskScratch",
     "build_winograd_graph",
     "Schedule",

@@ -1,8 +1,9 @@
-"""Recursion backends: one Winograd control structure, many interpretations.
+"""Recursion backends: one step-table executor, many interpretations.
 
-The Strassen-Winograd recursion in :mod:`repro.core.winograd` is written
-against this small operation vocabulary over Morton matrices.  Two backends
-implement it:
+Every schedule in :mod:`repro.core.winograd` and :mod:`repro.core.strassen`
+is a step table whose rows name operations of this small vocabulary over
+Morton matrices; one executor dispatches each row to a backend method.
+Two backends implement it:
 
 * :class:`NumpyOps` — performs the arithmetic.  Because every Morton
   quadrant is a contiguous buffer, all 15 Winograd additions are single
@@ -12,7 +13,7 @@ implement it:
   address trace of exactly the same computation for the cache simulator,
   replacing ATOM in the paper's methodology.
 
-Keeping a single recursion ensures the simulated cache behaviour belongs to
+Keeping a single executor ensures the simulated cache behaviour belongs to
 the very code being timed, not to a drifting re-implementation.
 """
 
@@ -40,13 +41,13 @@ FUSE_CHUNK_ELEMS = 1 << 14
 
 
 class WinogradOps(Protocol):
-    """Operations the recursion needs; all operands are Morton matrices.
+    """Operations the step tables name; all operands are Morton matrices.
 
     ``add``/``sub``/``iadd``/``leaf_mult`` are the classic vocabulary every
-    backend implements (including the cache-simulator trace emitter).  The
-    low-memory schedules (:mod:`repro.core.winograd`, ``memory=`` other
-    than ``"classic"``) additionally require the fused passes ``add3`` and
-    ``sub_into``.
+    backend implements (including the cache-simulator trace emitter).  A
+    backend needs exactly the ops of the tables it runs: the low-memory
+    schedules (:mod:`repro.core.winograd`, ``memory=`` other than
+    ``"classic"``) additionally name the fused pass ``add3``.
     """
 
     def add(self, dst: MortonMatrix, x: MortonMatrix, y: MortonMatrix) -> None:
@@ -62,9 +63,6 @@ class WinogradOps(Protocol):
         self, dst: MortonMatrix, x: MortonMatrix, y: MortonMatrix, z: MortonMatrix
     ) -> None:
         """``dst = (x + y) + z`` in one fused pass (dst may alias any operand)."""
-
-    def sub_into(self, dst: MortonMatrix, x: MortonMatrix) -> None:
-        """``dst = x - dst`` (reversed in-place subtraction)."""
 
     def leaf_mult(self, a: MortonMatrix, b: MortonMatrix, dst: MortonMatrix) -> None:
         """``dst = a . b`` on leaf tiles (depth 0)."""
@@ -107,13 +105,14 @@ class NumpyOps:
     """The arithmetic backend.
 
     ``kernel`` selects the leaf multiply (see :mod:`repro.blas.kernels`).
-    ``fused_adds`` counts :meth:`add3` passes (best-effort under concurrent
-    task-graph use: the increment is not atomic, so a parallel run may
-    undercount; sequential schedules are exact).
+    ``fused_adds`` counts fused three-operand passes, :meth:`add3` and its
+    alpha-scaled form :meth:`add3_scale` alike (best-effort under
+    concurrent task-graph use: the increment is not atomic, so a parallel
+    run may undercount; sequential schedules are exact).
 
     ``trace`` is an optional :class:`repro.observe.Tracer`: when set and
-    enabled, every addition pass emits an ``"add"`` event and every leaf
-    product a ``"leaf"`` event.  The disabled cost is one predicate check
+    enabled, every addition pass emits exactly one ``"add"`` event and
+    every leaf product a ``"leaf"`` event.  The disabled cost is one predicate check
     per operation — neither timestamps nor events are produced.
     ``validate=True`` (debug mode) wraps both leaf kernels with the
     NaN/Inf guard of :func:`repro.blas.kernels.guarded_kernel`; the
@@ -175,34 +174,39 @@ class NumpyOps:
         ``dst`` may alias any operand: each chunk is staged before the
         destination slice is written.
         """
+        self._fused3(dst, x, y, z, None, "add3")
+
+    def _fused3(self, dst, x, y, z, alpha, label: str) -> None:
+        """The chunked ``(x + y) + z`` pass, scaled unless ``alpha`` is None."""
         _same_size(dst, x, y, z)
-        d, xb, yb, zb = dst.buf, x.buf, y.buf, z.buf
-        if d.ndim == 2:
-            # Batched form: chunk along the element axis so every pass
-            # covers the whole batch — chunk boundaries never change the
-            # elementwise arithmetic, only its staging granularity.
-            bsz, elems = d.shape
-            step = max(1, FUSE_CHUNK_ELEMS // bsz)
-            tmp = _fuse_chunk(d.dtype, bsz * step)
-            for i in range(0, elems, step):
-                j = min(i + step, elems)
-                t = tmp[: bsz * (j - i)].reshape(bsz, j - i)
-                np.add(xb[:, i:j], yb[:, i:j], out=t)
+        # Chunk along the element axis (a flat buffer is a batch of one) so
+        # every pass covers the whole batch — chunk boundaries never change
+        # the elementwise arithmetic, only its staging granularity.
+        d, xb, yb, zb = (np.atleast_2d(m.buf) for m in (dst, x, y, z))
+        bsz, elems = d.shape
+        step = max(1, FUSE_CHUNK_ELEMS // bsz)
+        tmp = _fuse_chunk(d.dtype, bsz * step)
+        for i in range(0, elems, step):
+            j = min(i + step, elems)
+            t = tmp[: bsz * (j - i)].reshape(bsz, j - i)
+            np.add(xb[:, i:j], yb[:, i:j], out=t)
+            if alpha is None:
                 np.add(t, zb[:, i:j], out=d[:, i:j])
-            self.fused_adds += 1
-            return
-        tmp = _fuse_chunk(d.dtype)
-        for i in range(0, d.size, FUSE_CHUNK_ELEMS):
-            j = min(i + FUSE_CHUNK_ELEMS, d.size)
-            t = tmp[: j - i]
-            np.add(xb[i:j], yb[i:j], out=t)
-            np.add(t, zb[i:j], out=d[i:j])
+            else:
+                np.add(t, zb[:, i:j], out=t)
+                np.multiply(t, alpha, out=d[:, i:j])
         self.fused_adds += 1
+        tr = self.trace
+        if tr is not None and tr.enabled:
+            self._emit(label, dst)
 
     def sub_into(self, dst: MortonMatrix, x: MortonMatrix) -> None:
         """``dst = x - dst`` as one in-place reversed vector subtraction."""
         _same_size(dst, x)
         np.subtract(x.buf, dst.buf, out=dst.buf)
+        tr = self.trace
+        if tr is not None and tr.enabled:
+            self._emit("sub_into", dst)
 
     # ------------------------------------------------ alpha/beta folding
 
@@ -247,30 +251,11 @@ class NumpyOps:
 
         Same staging discipline as :meth:`add3` (dst may alias any
         operand; chunk boundaries never perturb bits), with the scale
-        applied to each staged chunk before it lands in ``dst``.  Not
-        counted in ``fused_adds`` — that counter pins the *schedule's*
-        fusion structure, which is identical whatever alpha is.
+        applied to each staged chunk before it lands in ``dst``.  Counted
+        in ``fused_adds`` like :meth:`add3` — that counter pins the
+        schedule's fusion structure, which is identical whatever alpha is.
         """
-        _same_size(dst, x, y, z)
-        d, xb, yb, zb = dst.buf, x.buf, y.buf, z.buf
-        if d.ndim == 2:
-            bsz, elems = d.shape
-            step = max(1, FUSE_CHUNK_ELEMS // bsz)
-            tmp = _fuse_chunk(d.dtype, bsz * step)
-            for i in range(0, elems, step):
-                j = min(i + step, elems)
-                t = tmp[: bsz * (j - i)].reshape(bsz, j - i)
-                np.add(xb[:, i:j], yb[:, i:j], out=t)
-                np.add(t, zb[:, i:j], out=t)
-                np.multiply(t, alpha, out=d[:, i:j])
-            return
-        tmp = _fuse_chunk(d.dtype)
-        for i in range(0, d.size, FUSE_CHUNK_ELEMS):
-            j = min(i + FUSE_CHUNK_ELEMS, d.size)
-            t = tmp[: j - i]
-            np.add(xb[i:j], yb[i:j], out=t)
-            np.add(t, zb[i:j], out=t)
-            np.multiply(t, alpha, out=d[i:j])
+        self._fused3(dst, x, y, z, alpha, "add3_scale")
 
     def accumulate(self, dst: MortonMatrix, x: MortonMatrix, beta: float) -> None:
         """``dst = x + beta * dst``: fold a freshly computed product ``x``

@@ -47,12 +47,16 @@ from ..layout.relabel import relabel_scratch
 from .ops import NumpyOps, WinogradOps
 from .scheduler import TaskGraph, WorkerPool, stripe_ranges
 from ..observe.validate import POISON
-from .winograd import _check_conformable, _recurse, _recurse_two_temp, resolve_memory
+from .winograd import (
+    SCHEDULE_TABLES,
+    _check_conformable,
+    bind_pass,
+    resolve_memory,
+)
 from .workspace import Workspace
 
 __all__ = [
     "TaskScratch",
-    "ParallelScratch",
     "build_winograd_graph",
     "run_batch_stripes",
     "parallel_multiply",
@@ -145,6 +149,10 @@ class _WorkspacePool:
         # Stable: workspaces in flight return before anyone reads stats.
         return sum(ws.total_bytes for ws in self._free)
 
+    @property
+    def buffer_count(self) -> int:
+        return sum(ws.buffer_count for ws in self._free)
+
 
 class TaskScratch:
     """Pooled intermediates for the task-DAG schedule at one geometry.
@@ -182,9 +190,10 @@ class TaskScratch:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         memory = resolve_memory(memory)
-        if memory == "ip_overwrite":
+        self.table = SCHEDULE_TABLES[memory]
+        if self.table.in_place:
             raise ValueError(
-                "memory='ip_overwrite' cannot run under the task scheduler: "
+                f"memory={memory!r} cannot run under the task scheduler: "
                 "leaf recursions would clobber operand quadrants shared "
                 "with concurrent tasks; use 'classic' or 'two_temp'"
             )
@@ -197,22 +206,10 @@ class TaskScratch:
         )
         leaf_depth = depth - self.parallel_depth
         n_ws = min(workers, 7**self.parallel_depth) if leaf_depth > 0 else 0
-        if memory == "two_temp":
-            leaf_ws = [
-                Workspace(
-                    leaf_depth, tile_m, tile_k, tile_n,
-                    schedule="two_temp", dtype=dtype,
-                )
-                for _ in range(n_ws)
-            ]
-        else:
-            leaf_ws = [
-                Workspace(
-                    leaf_depth, tile_m, tile_k, tile_n, with_q=True, dtype=dtype
-                )
-                for _ in range(n_ws)
-            ]
-        self.workspace_pool = _WorkspacePool(leaf_ws)
+        self.workspace_pool = _WorkspacePool([
+            self.table.workspace(leaf_depth, tile_m, tile_k, tile_n, dtype=dtype)
+            for _ in range(n_ws)
+        ])
 
     def matches(self, a: MortonMatrix, b: MortonMatrix) -> bool:
         """True when this scratch serves the given operand pair."""
@@ -258,24 +255,7 @@ class TaskScratch:
     @property
     def buffer_count(self) -> int:
         """Morton scratch buffers held (for session allocation counters)."""
-        leaf_depth = self.depth - self.parallel_depth
-        per_level = 2 if self.memory == "two_temp" else 4
-        return (
-            self.root.buffer_count
-            + per_level * leaf_depth * self.workspace_pool.size
-        )
-
-
-class ParallelScratch(TaskScratch):
-    """Deprecated alias of :class:`TaskScratch` at expansion depth 1.
-
-    Kept for callers of the historical ``parallel_multiply(scratch=...)``
-    form; new code should let a :class:`repro.engine.GemmSession` pool a
-    :class:`TaskScratch` inside its compiled plans.
-    """
-
-    def __init__(self, tile_m: int, tile_k: int, tile_n: int, depth: int) -> None:
-        super().__init__(tile_m, tile_k, tile_n, depth, parallel_depth=1, workers=7)
+        return self.root.buffer_count + self.workspace_pool.buffer_count
 
 
 def build_winograd_graph(
@@ -358,21 +338,16 @@ def _expand(
     """
     if levels == 0 or a.depth == 0:
         ws_pool = scratch.workspace_pool
-        recurse = (
-            _recurse_two_temp if scratch.memory == "two_temp" else _recurse
-        )
+        table = scratch.table
 
         if a.depth == 0:
             def leaf(x=a, y=b, out=c):
-                if alpha == 1.0:
-                    ops.leaf_mult(x, y, out)
-                else:
-                    ops.leaf_mult(x, y, out, alpha)
+                table.run(x, y, out, ops, alpha=alpha)
         else:
             def leaf(x=a, y=b, out=c):
                 ws = ws_pool.acquire()
                 try:
-                    recurse(x, y, out, ops, ws, alpha)
+                    table.run(x, y, out, ops, ws, alpha)
                 finally:
                     ws_pool.release(ws)
 
@@ -455,39 +430,15 @@ def _expand(
     u2 = graph.add(op2(ops.add, c12, p[0], p[3]), deps=(*p1, *p4), label="U2")
     u3 = graph.add(op2(ops.add, c21, c12, p[4]), deps=(u2, *p5), label="U3")
     u7a = graph.add(lambda: ops.iadd(c12, p[5]), deps=(u3, *p6), label="U7a")
-    if alpha == 1.0:
-        u1 = graph.add(
-            op2(ops.add, c11, p[0], p[1]), deps=(*p1, *p2), label="U1"
-        )
-        u5 = graph.add(
-            op2(ops.add, c22, c21, p[2]), deps=(u3, *p3), label="U5"
-        )
-        u7b = graph.add(
-            lambda: ops.iadd(c12, p[2]), deps=(u7a, *p3), label="U7b"
-        )
-        u4 = graph.add(
-            lambda: ops.iadd(c21, p[6]), deps=(u5, *p7), label="U4"
-        )
-    else:
-        # Each quadrant's *final* U-add carries alpha; every final reads
-        # only staged (unscaled) values — the (u5, *p7) edge on u4 already
-        # orders u5's read of C21 before u4 scales it in place.
-        u1 = graph.add(
-            lambda: ops.add_scale(c11, p[0], p[1], alpha),
-            deps=(*p1, *p2), label="U1",
-        )
-        u5 = graph.add(
-            lambda: ops.add_scale(c22, c21, p[2], alpha),
-            deps=(u3, *p3), label="U5",
-        )
-        u7b = graph.add(
-            lambda: ops.iadd_scale(c12, p[2], alpha),
-            deps=(u7a, *p3), label="U7b",
-        )
-        u4 = graph.add(
-            lambda: ops.iadd_scale(c21, p[6], alpha),
-            deps=(u5, *p7), label="U4",
-        )
+    # Each quadrant's *final* U-add carries alpha; every final reads only
+    # staged (unscaled) values — the (u5, *p7) edge on u4 already orders
+    # u5's read of C21 before u4 scales it in place.
+    add_final = bind_pass(ops, "add", alpha)
+    iadd_final = bind_pass(ops, "iadd", alpha)
+    u1 = graph.add(op2(add_final, c11, p[0], p[1]), deps=(*p1, *p2), label="U1")
+    u5 = graph.add(op2(add_final, c22, c21, p[2]), deps=(u3, *p3), label="U5")
+    u7b = graph.add(lambda: iadd_final(c12, p[2]), deps=(u7a, *p3), label="U7b")
+    u4 = graph.add(lambda: iadd_final(c21, p[6]), deps=(u5, *p7), label="U4")
     return [u1, u7b, u4, u5]
 
 

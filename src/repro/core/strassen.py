@@ -12,18 +12,51 @@ in isolation on identical Morton machinery::
     C11 = P1 + P4 - P5 + P7    C12 = P3 + P5
     C21 = P2 + P4              C22 = P1 + P3 - P2 + P6
 
-Needs one more scratch buffer (Q) than the Winograd schedule because P1 is
-consumed by two distant C quadrants.
+The schedule is one :class:`~repro.core.winograd.StepTable` run by the
+same executor as the Winograd schedules, so alpha, the ops a backend must
+provide and the scratch layout are derived from its rows in the same way.
+It needs one more scratch buffer (Q) than the Winograd schedule because
+P1 is consumed by two distant C quadrants.
 """
 
 from __future__ import annotations
 
 from ..layout.matrix import MortonMatrix
 from .ops import NumpyOps, WinogradOps
-from .winograd import _check_conformable
+from .winograd import StepTable, _check_conformable
 from .workspace import Workspace
 
-__all__ = ["strassen_multiply"]
+__all__ = ["strassen_multiply", "STRASSEN_TABLE"]
+
+#: The schedule as step rows over the classic S/T/P/Q scratch layout.
+STRASSEN_TABLE = StepTable("strassen", "classic", (
+    ("add", "S", "A11", "A22"),
+    ("add", "T", "B11", "B22"),
+    ("mul", "P", "S", "T"),              # P = P1
+    ("add", "S", "A21", "A22"),
+    ("mul", "C21", "S", "B11"),          # C21 = P2
+    ("sub", "T", "B12", "B22"),
+    ("mul", "C12", "A11", "T"),          # C12 = P3
+    ("sub", "T", "B21", "B11"),
+    ("mul", "Q", "A22", "T"),            # Q = P4
+    # C11 = P1 + P4 (P5 and P7 folded in below); C22 = P1 + P3 - P2.
+    ("add", "C11", "P", "Q"),
+    ("add", "C22", "P", "C12"),
+    ("sub", "C22", "C22", "C21"),
+    ("iadd", "C21", "Q"),                # C21 = P2 + P4 (final)
+    ("add", "S", "A11", "A12"),
+    ("mul", "Q", "S", "B22"),            # Q = P5
+    ("sub", "C11", "C11", "Q"),          # C11 -= P5
+    ("iadd", "C12", "Q"),                # C12 = P3 + P5 (final)
+    ("sub", "S", "A21", "A11"),
+    ("add", "T", "B11", "B12"),
+    ("mul", "Q", "S", "T"),              # Q = P6
+    ("iadd", "C22", "Q"),                # C22 final
+    ("sub", "S", "A12", "A22"),
+    ("add", "T", "B21", "B22"),
+    ("mul", "Q", "S", "T"),              # Q = P7
+    ("iadd", "C11", "Q"),                # C11 final
+))
 
 
 def strassen_multiply(
@@ -39,84 +72,11 @@ def strassen_multiply(
     ``alpha`` is folded into each C quadrant's final addition, mirroring
     :func:`repro.core.winograd.winograd_multiply`; transposes and beta
     stay the caller's concern (the engine serves them through relabeled
-    conversion and staged accumulation respectively).
+    conversion and staged accumulation respectively).  Without a
+    ``workspace``, scratch is allocated in the operands' dtype.
     """
     _check_conformable(a, b, c)
     if ops is None:
         ops = NumpyOps()
-    if workspace is None:
-        workspace = Workspace(
-            a.depth, a.tile_r, a.tile_c, b.tile_c, with_q=True
-        )
-    elif a.depth > 0 and workspace.at(a.depth - 1).q is None:
-        raise ValueError("strassen_multiply needs a workspace built with with_q=True")
-    _recurse(a, b, c, ops, workspace, alpha)
+    STRASSEN_TABLE.run(a, b, c, ops, workspace, alpha)
     return c
-
-
-def _recurse(
-    a: MortonMatrix,
-    b: MortonMatrix,
-    c: MortonMatrix,
-    ops: WinogradOps,
-    ws: Workspace,
-    alpha: float = 1.0,
-) -> None:
-    if a.depth == 0:
-        if alpha == 1.0:
-            ops.leaf_mult(a, b, c)
-        else:
-            ops.leaf_mult(a, b, c, alpha)
-        return
-
-    a11, a12, a21, a22 = a.quadrants()
-    b11, b12, b21, b22 = b.quadrants()
-    c11, c12, c21, c22 = c.quadrants()
-    lv = ws.at(a11.depth)
-    s, t, p, q = lv.s, lv.t, lv.p, lv.q
-    assert q is not None
-
-    ops.add(s, a11, a22)
-    ops.add(t, b11, b22)
-    _recurse(s, t, p, ops, ws)      # P = P1
-    ops.add(s, a21, a22)
-    _recurse(s, b11, c21, ops, ws)  # C21 = P2
-    ops.sub(t, b12, b22)
-    _recurse(a11, t, c12, ops, ws)  # C12 = P3
-    ops.sub(t, b21, b11)
-    _recurse(a22, t, q, ops, ws)    # Q = P4
-
-    # C11 = P1 + P4 (P5 and P7 folded in below); C22 = P1 + P3 - P2.
-    ops.add(c11, p, q)
-    ops.add(c22, p, c12)
-    ops.sub(c22, c22, c21)
-    if alpha == 1.0:
-        ops.iadd(c21, q)            # C21 = P2 + P4 (final)
-    else:
-        # each quadrant's final addition carries alpha; every final reads
-        # only staged (unscaled) values, so the scales never interact.
-        ops.iadd_scale(c21, q, alpha)
-
-    ops.add(s, a11, a12)
-    _recurse(s, b22, q, ops, ws)    # Q = P5
-    ops.sub(c11, c11, q)            # C11 -= P5
-    if alpha == 1.0:
-        ops.iadd(c12, q)            # C12 = P3 + P5 (final)
-    else:
-        ops.iadd_scale(c12, q, alpha)
-
-    ops.sub(s, a21, a11)
-    ops.add(t, b11, b12)
-    _recurse(s, t, q, ops, ws)      # Q = P6
-    if alpha == 1.0:
-        ops.iadd(c22, q)            # C22 final
-    else:
-        ops.iadd_scale(c22, q, alpha)
-
-    ops.sub(s, a12, a22)
-    ops.add(t, b21, b22)
-    _recurse(s, t, q, ops, ws)      # Q = P7
-    if alpha == 1.0:
-        ops.iadd(c11, q)            # C11 final
-    else:
-        ops.iadd_scale(c11, q, alpha)

@@ -15,28 +15,48 @@ variant with 7 recursive products and the minimum 15 matrix additions::
     C21 = U4 = U3 + P7          C22 = U5 = U3 + P3
     U6 = U2 + P3                C12 = U7 = U6 + P6
 
-The concrete schedule below linearises those equations so that each level
-needs only four scratch quarter-matrices besides the C quadrants — S
-(A-shaped sums), T (B-shaped sums), and P/Q (C-shaped products) — with
-every intermediate written exactly once and every addition an in-place
-whole-buffer vector operation.  The sequencing was verified
-symbolically (each C quadrant expands to exactly the four conventional
-product terms) and is enforced by the property-based tests.
-
 The recursion never descends below the Morton leaf tiles: by construction
 (dynamic truncation, Section 3.4) the operands' depth *is* the recursion
 depth, and leaves are multiplied by the conventional kernel.
 
+Step tables
+-----------
+Each memory schedule linearises those equations once, as a
+:class:`StepTable`: one row ``(op, dst, *srcs)`` per operation over one
+level's slots — the quadrants ``A11`` .. ``C22`` and the scratch ``S``
+(A-shaped sums), ``T`` (B-shaped sums), ``P``/``Q`` (C-shaped products).
+``mul`` rows recurse (``dst = srcs[0] . srcs[1]``); any other op is the
+backend pass ``ops.<op>(dst, *srcs)``.  One executor
+(:meth:`StepTable.run`) runs every table, deriving from the rows:
+
+* **alpha** — each C quadrant's last write runs in its scaled form
+  (``add_scale``, ``iadd_scale``, ``add3_scale``); a depth-0 product
+  scales its leaf.  Sub-products are never scaled.
+* **prepacked** — the four top-level rows forming S1/S3/T1/T3 from
+  unmodified quadrants are dropped and later rows read the pack slots:
+  the never-converted A21/B12 quadrants for S1/T1, the dropped rows'
+  destinations for S3/T3 (:attr:`StepTable.pack_slots`).
+* **relabeling** — for a transposed operand, the scratch of its kind
+  (``S`` for A, ``T`` for B) is read through
+  :func:`~repro.layout.relabel.relabel_scratch`, since sums of relabeled
+  quadrants keep the operand's native permutation; products stay plain.
+* **requirements** — the backend must implement the ops the rows name,
+  and each level allocates the scratch slots they touch
+  (:meth:`StepTable.workspace`).
+
+The tests run every table on a symbolic backend and check that each C
+quadrant comes out as exactly its two product terms, in all variants.
+
 Memory schedules
 ----------------
-Three linearisations of the same equation set are provided, selected by
-``memory=``:
+``memory=`` selects one of three tables:
 
-* ``classic`` — the schedule above: S/T/P (+Q) scratch per level.
+* ``classic`` — S/T/P/Q scratch per level; every addition is an in-place
+  whole-buffer vector operation.
 * ``two_temp`` — Boyer, Dumas, Pernet & Zhou's two-temporary schedule:
-  the C quadrants receive the products directly and only an A-shaped X
-  and a B-shaped Y temporary remain per level (X doubles as the C-shaped
-  slot for P1; see :mod:`repro.core.workspace`).
+  the C quadrants receive the products directly; only an A-shaped X
+  (``S``, which doubles as the C-shaped ``P`` staging P1) and a B-shaped
+  Y (``T``) remain per level (see :mod:`repro.core.workspace`).
 * ``ip_overwrite`` — the fully in-place variant: **A and B are
   clobbered** and no scratch at all is allocated.  Requires uniform tile
   geometry (``tile_m == tile_k == tile_n``) because A-, B- and C-shaped
@@ -52,6 +72,8 @@ into a single :meth:`~repro.core.ops.NumpyOps.add3` pass.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..layout.matrix import MortonMatrix
@@ -63,6 +85,9 @@ __all__ = [
     "winograd_multiply",
     "multiply_morton",
     "MEMORY_SCHEDULES",
+    "SCHEDULE_TABLES",
+    "StepTable",
+    "bind_pass",
     "resolve_memory",
     "FUSED_PACKS_A",
     "FUSED_PACKS_B",
@@ -81,8 +106,8 @@ MEMORY_SCHEDULES = ("classic", "two_temp", "ip_overwrite")
 #: buffer slot and ``T1 = B12 - B11`` in the B12 slot — those quadrants
 #: are never consumed as plain Morton operands at the top level (they
 #: appear only inside S/T sums), so no extra memory is needed; ``S3`` /
-#: ``T3`` land in schedule-specific scratch (level scratch, or the
-#: C11/C12 slots for ``ip_overwrite``).
+#: ``T3`` land wherever the schedule's own row writes them
+#: (:attr:`StepTable.pack_slots`).
 FUSED_PACKS_A = (("S1", "+", (1, 0), (1, 1)), ("S3", "-", (0, 0), (1, 0)))
 FUSED_PACKS_B = (("T1", "-", (0, 1), (0, 0)), ("T3", "-", (1, 1), (0, 1)))
 #: The skipped (never-converted) quadrant per operand side, and the
@@ -91,6 +116,337 @@ FUSED_SKIP_A = (1, 0)
 FUSED_SKIP_B = (0, 1)
 CONVERT_QUADS_A = ((0, 0), (0, 1), (1, 1))
 CONVERT_QUADS_B = ((0, 0), (1, 0), (1, 1))
+
+#: Slots of one recursion level in executor order: the operand and
+#: product quadrants, then the scratch slots — a workspace level's
+#: ``s``/``t``/``p``/``q``, mapped to the operand whose shape each holds.
+QUADRANT_SLOTS = tuple(f"{m}{i}{j}" for m in "ABC" for i in (1, 2) for j in (1, 2))
+SCRATCH_SLOTS = {"S": "A", "T": "B", "P": "C", "Q": "C"}
+#: The alpha-carrying form of each pass that can write a C quadrant last
+#: (a leaf product takes ``alpha`` itself).
+_SCALED = {
+    "add": "add_scale", "iadd": "iadd_scale", "add3": "add3_scale",
+    "leaf_mult": "leaf_mult",
+}
+
+
+def _quadrant_slot(side: str, q: tuple[int, int]) -> str:
+    return f"{side}{q[0] + 1}{q[1] + 1}"
+
+
+#: Each fused pack as the table row it replaces: ``(op, *srcs) -> label``.
+_PACK_ROWS = {
+    ("add" if sign == "+" else "sub", _quadrant_slot(side, q0),
+     _quadrant_slot(side, q1)): label
+    for side, packs in (("A", FUSED_PACKS_A), ("B", FUSED_PACKS_B))
+    for label, sign, q0, q1 in packs
+}
+#: Packs the conversion leaves in a skipped quadrant slot; the others land
+#: in the destination of the row they replace.
+_PACK_HOMES = {
+    "S1": _quadrant_slot("A", FUSED_SKIP_A),
+    "T1": _quadrant_slot("B", FUSED_SKIP_B),
+}
+
+
+def _prepack(rows: tuple) -> "tuple[tuple, dict[str, str] | None]":
+    """The rows left once the fused conversion has formed the packs.
+
+    Returns ``(rows, pack_slots)``.  The first row computing each packed
+    sum from unmodified quadrants is dropped, and later reads of its
+    destination (until that slot is next written) go to the pack's slot.
+    ``pack_slots`` is ``None`` when the rows do not form all four sums.
+    """
+    out, slots, moved, written = [], {}, {}, set()
+    for op, dst, *srcs in rows:
+        label = _PACK_ROWS.get((op, *srcs))
+        fresh = written.isdisjoint(srcs)
+        srcs = [moved.get(s, s) for s in srcs]
+        moved = {k: v for k, v in moved.items() if dst not in (k, v)}
+        written.add(dst)
+        if label is not None and fresh and label not in slots:
+            slots[label] = home = _PACK_HOMES.get(label, dst)
+            if home != dst:
+                moved[dst] = home
+            continue
+        out.append((op, dst, *srcs))
+    return tuple(out), (slots if len(slots) == len(_PACK_ROWS) else None)
+
+
+def _compile(rows: tuple, index: dict[str, int]) -> tuple:
+    """``(op, final, i, j, k, l)`` per row: ``final`` marks a C quadrant's
+    last write, and ``i..l`` index the call's arguments in a level's slot
+    tuple (``mul`` rows as ``(x, y, dst)``; ``None`` pads short rows)."""
+    last = {row[1]: i for i, row in enumerate(rows) if row[1][0] == "C"}
+    finals = set(last.values())
+    out = []
+    for n, (op, dst, *srcs) in enumerate(rows):
+        args = [index[s] for s in ((*srcs, dst) if op == "mul" else (dst, *srcs))]
+        out.append((op, n in finals, *args, *[None] * (4 - len(args))))
+    return tuple(out)
+
+
+def bind_pass(ops: WinogradOps, op: str, alpha: float = 1.0):
+    """The backend method that runs ``op``.
+
+    ``alpha != 1`` selects the pass's scaled form with ``alpha`` bound:
+    that is how a C quadrant's final write, or a depth-0 leaf product,
+    carries the scale.  Raises ``ValueError`` naming the pass when the
+    backend lacks it.
+    """
+    scaled = alpha != 1.0
+    name = _SCALED[op] if scaled else op
+    fn = getattr(ops, name, None)
+    if fn is None:
+        raise ValueError(
+            f"ops backend {type(ops).__name__} lacks the {name!r} pass "
+            "this schedule needs"
+        )
+    return partial(fn, alpha=alpha) if scaled else fn
+
+
+class StepTable:
+    """One schedule of the 7-product recursion, written once as data.
+
+    ``rows`` are ``(op, dst, *srcs)`` tuples over :data:`QUADRANT_SLOTS`
+    and :data:`SCRATCH_SLOTS` (see the module docstring); ``layout`` is
+    the :class:`~repro.core.workspace.Workspace` schedule whose levels
+    hold the table's scratch slots.
+    """
+
+    def __init__(self, name: str, layout: str, rows) -> None:
+        self.name = name
+        self.layout = layout
+        self.rows = tuple(rows)
+        used = {slot for row in self.rows for slot in row[1:]}
+        #: Scratch slots the rows touch, in executor order.
+        self.scratch = tuple(s for s in SCRATCH_SLOTS if s in used)
+        #: Whether rows overwrite operand quadrants.  Such a table
+        #: clobbers A and B, reuses slots across operand shapes (so needs
+        #: uniform tiles) and cannot write through relabeled operands.
+        self.in_place = any(row[1][0] in "AB" for row in self.rows)
+        #: Backend passes the rows name (``mul`` is the recursion itself).
+        self.ops = tuple(dict.fromkeys(r[0] for r in self.rows if r[0] != "mul"))
+        packed, self.pack_slots = _prepack(self.rows)
+        index = {s: i for i, s in enumerate(QUADRANT_SLOTS + self.scratch)}
+        self._programs = {False: _compile(self.rows, index)}
+        if self.pack_slots is not None:
+            self._programs[True] = _compile(packed, index)
+
+    # -------------------------------------------------------------- scratch
+
+    def workspace(
+        self, depth: int, tile_m: int, tile_k: int, tile_n: int,
+        dtype=np.float64, cap: "int | None" = None, stagger: int = 0,
+    ) -> "Workspace | BatchWorkspace":
+        """Scratch for this table over a depth-``depth`` recursion.
+
+        Every level holds the table's scratch slots in its ``layout``
+        (``two_temp`` backs S and P with one buffer).  ``cap`` stacks
+        ``cap`` rows of it for the batched path, as a
+        :class:`~repro.core.workspace.BatchWorkspace` whose buffers
+        continue the ``stagger`` sequence.
+        """
+        kw = dict(with_q="Q" in self.scratch, schedule=self.layout, dtype=dtype)
+        if cap is None:
+            return Workspace(depth, tile_m, tile_k, tile_n, **kw)
+        return BatchWorkspace(
+            cap, depth, tile_m, tile_k, tile_n, stagger=stagger, **kw
+        )
+
+    def _level_slots(self, workspace, depth: int, flip=frozenset()) -> tuple:
+        """The scratch views of one level, relabeled for ``flip`` kinds."""
+        if not self.scratch:
+            return ()
+        lv = workspace.at(depth)
+        views = [getattr(lv, s.lower()) for s in self.scratch]
+        return tuple(
+            relabel_scratch(m) if SCRATCH_SLOTS[s] in flip else m
+            for s, m in zip(self.scratch, views)
+        )
+
+    def pack_buffers(self, a, b, c, workspace) -> dict[str, np.ndarray]:
+        """Flat buffers the fused conversion writes each packed sum into.
+
+        Resolves :attr:`pack_slots` against the top level of the given
+        operands and workspace (plain or batch-stacked).
+        """
+        views = dict(zip(
+            QUADRANT_SLOTS + self.scratch,
+            a.quadrants() + b.quadrants() + c.quadrants()
+            + self._level_slots(workspace, a.depth - 1),
+        ))
+        return {label: views[slot].buf for label, slot in self.pack_slots.items()}
+
+    # ------------------------------------------------------------- executor
+
+    def run(
+        self,
+        a,
+        b,
+        c,
+        ops: WinogradOps,
+        workspace=None,
+        alpha: float = 1.0,
+        prepacked: bool = False,
+    ) -> None:
+        """Execute ``c = alpha . a . b`` with this table at every level.
+
+        Sub-products run the plain rows; only the top level reads the
+        fused packs (``prepacked``) and scales its final writes.  Without
+        a ``workspace``, scratch is allocated in the operands' dtype.
+        Raises ``ValueError`` naming any op the backend lacks, or when the
+        workspace was built for another layout.
+        """
+        if a.depth == 0:
+            bind_pass(ops, "leaf_mult", alpha)(a, b, c)
+            return
+        if self.scratch and workspace is None:
+            batch = getattr(a, "batch", None)
+            workspace = self.workspace(
+                a.depth, a.tile_r, a.tile_c, b.tile_c,
+                dtype=np.result_type(a.buf.dtype, b.buf.dtype), cap=batch,
+            )
+            if batch is not None:
+                workspace = workspace.view(0, batch)
+        flip = {
+            kind for kind, m in (("A", a), ("B", b))
+            if getattr(m, "transposed", False)
+        }
+        levels = [
+            self._level_slots(workspace, d, flip) for d in range(a.depth)
+        ]
+        if self.scratch and (
+            workspace.schedule != self.layout or None in levels[-1]
+        ):
+            q = ", with_q=True" if "Q" in self.scratch else ""
+            raise ValueError(
+                f"the {self.name!r} schedule needs a workspace built with "
+                f"schedule={self.layout!r}{q}"
+            )
+        leaf = bind_pass(ops, "leaf_mult")
+        passes = {op: bind_pass(ops, op) for op in self.ops}
+        program = self._programs[prepacked]
+        finals = {
+            op: bind_pass(ops, op, alpha) for op, final, *_ in program if final
+        }
+
+        def execute(program, v) -> None:
+            for fn, i, j, k, l in program:
+                if l is not None:
+                    fn(v[i], v[j], v[k], v[l])
+                elif k is not None:
+                    fn(v[i], v[j], v[k])
+                else:
+                    fn(v[i], v[j])
+
+        def rec(x, y, z) -> None:
+            d = x.depth
+            execute(
+                inner if d > 1 else last,
+                (*x.quadrants(), *y.quadrants(), *z.quadrants(), *levels[d - 1]),
+            )
+
+        def bind(program, mul, finals) -> list:
+            # Products of a depth-1 node are leaves: ``mul`` is then the
+            # leaf kernel itself, saving a frame per leaf.
+            return [
+                (mul if op == "mul" else (finals if final else passes)[op], *args)
+                for op, final, *args in program
+            ]
+
+        if a.depth > 1:
+            inner = bind(self._programs[False], rec, passes)
+            last = bind(self._programs[False], leaf, passes)
+        top = bind(program, rec if a.depth > 1 else leaf, finals)
+        execute(top, (*a.quadrants(), *b.quadrants(), *c.quadrants(), *levels[-1]))
+
+
+CLASSIC = StepTable("classic", "classic", (
+    # Phase 1: the five products that consume the S/T chains.  Each S_i/T_i
+    # is formed in place the moment its predecessors are dead — the
+    # common-subexpression reuse that gives Winograd its 15 additions.
+    ("sub", "S", "A11", "A21"),          # S3
+    ("sub", "T", "B22", "B12"),          # T3
+    ("mul", "P", "S", "T"),              # P <- P5 = S3.T3
+    ("add", "S", "A21", "A22"),          # S1
+    ("sub", "T", "B12", "B11"),          # T1
+    ("mul", "C22", "S", "T"),            # C22 <- P3 = S1.T1
+    ("sub", "S", "S", "A11"),            # S2 = S1 - A11
+    ("sub", "T", "B22", "T"),            # T2 = B22 - T1
+    ("mul", "C11", "S", "T"),            # C11 <- P4 = S2.T2
+    ("sub", "S", "A12", "S"),            # S4 = A12 - S2
+    ("sub", "T", "B21", "T"),            # T4 = B21 - T2
+    ("mul", "C12", "S", "B22"),          # C12 <- P6 = S4.B22
+    ("mul", "C21", "A22", "T"),          # C21 <- P7 = A22.T4
+    # Phase 2: the plain products and the U-chain.  P1 stages in Q; P2
+    # reuses P once U3 has been consumed.  U7 reads P3 before U5 makes
+    # C22 final.
+    ("mul", "Q", "A11", "B11"),          # Q <- P1
+    ("iadd", "C11", "Q"),                # C11 = U2 = P1 + P4
+    ("iadd", "P", "C11"),                # P   = U3 = U2 + P5
+    ("iadd", "C12", "C11"),              # C12 = U6 = P6 + U2
+    ("iadd", "C12", "C22"),              # C12 = U7 = U6 + P3
+    ("iadd", "C21", "P"),                # C21 = U4 = U3 + P7
+    ("iadd", "C22", "P"),                # C22 = U5 = U3 + P3
+    ("mul", "P", "A12", "B21"),          # P <- P2
+    ("add", "C11", "Q", "P"),            # C11 = U1 = P1 + P2
+))
+
+TWO_TEMP = StepTable("two_temp", "two_temp", (
+    # Boyer et al.'s two temporaries: X is slot S (and, once the S-chain
+    # is dead, the C-shaped slot P over the same buffer), Y is slot T.
+    # A and B are never written.
+    ("sub", "S", "A11", "A21"),          # X = S3
+    ("sub", "T", "B22", "B12"),          # Y = T3
+    ("mul", "C21", "S", "T"),            # C21 <- P5 = S3.T3
+    ("add", "S", "A21", "A22"),          # X = S1
+    ("sub", "T", "B12", "B11"),          # Y = T1
+    ("mul", "C22", "S", "T"),            # C22 <- P3 = S1.T1
+    ("sub", "S", "S", "A11"),            # X = S2 = S1 - A11
+    ("sub", "T", "B22", "T"),            # Y = T2 = B22 - T1
+    ("mul", "C12", "S", "T"),            # C12 <- P4 = S2.T2
+    ("sub", "S", "A12", "S"),            # X = S4 = A12 - S2
+    ("mul", "C11", "S", "B22"),          # C11 <- P6 = S4.B22
+    ("mul", "P", "A11", "B11"),          # X <- P1 (S-chain is dead)
+    ("iadd", "C12", "P"),                # C12 = U2 = P4 + P1
+    ("iadd", "C21", "C12"),              # C21 = U3 = P5 + U2
+    ("add3", "C12", "C11", "C12", "C22"),  # C12 = U7 = (P6 + U2) + P3
+    ("iadd", "C22", "C21"),              # C22 = U5 = P3 + U3
+    ("sub", "T", "B21", "T"),            # Y = T4 = B21 - T2
+    ("mul", "C11", "A22", "T"),          # C11 <- P7 (P6 consumed)
+    ("iadd", "C21", "C11"),              # C21 = U4 = U3 + P7
+    ("mul", "C11", "A12", "B21"),        # C11 <- P2 (P7 consumed)
+    ("add", "C11", "P", "C11"),          # C11 = U1 = P1 + P2
+))
+
+IP_OVERWRITE = StepTable("ip_overwrite", "ip_overwrite", (
+    # Each intermediate lands in a quadrant slot whose value is dead.
+    ("sub", "C11", "A11", "A21"),        # C11 <- S3
+    ("sub", "C12", "B22", "B12"),        # C12 <- T3
+    ("mul", "C21", "C11", "C12"),        # C21 <- P5 (consumes S3, T3)
+    ("add", "A21", "A21", "A22"),        # A21 <- S1
+    ("sub", "B12", "B12", "B11"),        # B12 <- T1
+    ("sub", "C12", "A21", "A11"),        # C12 <- S2 = S1 - A11
+    ("mul", "C11", "A11", "B11"),        # C11 <- P1 (A11, B11 die)
+    ("sub", "B11", "B22", "B12"),        # B11 <- T2 = B22 - T1
+    ("mul", "C22", "A21", "B12"),        # C22 <- P3 (S1, T1 die)
+    ("sub", "A21", "A12", "C12"),        # A21 <- S4 = A12 - S2
+    ("sub", "B12", "B21", "B11"),        # B12 <- T4 = B21 - T2
+    ("mul", "A11", "C12", "B11"),        # A11 <- P4 (S2, T2 die)
+    ("mul", "C12", "A21", "B22"),        # C12 <- P6 (S4, B22 die)
+    ("mul", "B22", "A22", "B12"),        # B22 <- P7 (A22, T4 die)
+    ("mul", "A22", "A12", "B21"),        # A22 <- P2 (A12, B21 die)
+    ("iadd", "A11", "C11"),              # A11 = U2 = P4 + P1
+    ("iadd", "C21", "A11"),              # C21 = U3 = P5 + U2
+    ("add3", "C12", "C12", "A11", "C22"),  # C12 = U7 = (P6 + U2) + P3
+    ("iadd", "C22", "C21"),              # C22 = U5 = P3 + U3
+    ("iadd", "C21", "B22"),              # C21 = U4 = U3 + P7
+    ("iadd", "C11", "A22"),              # C11 = U1 = P1 + P2
+))
+
+#: The step table of each memory schedule.
+SCHEDULE_TABLES = {t.name: t for t in (CLASSIC, TWO_TEMP, IP_OVERWRITE)}
 
 
 def resolve_memory(memory: "str | None") -> str:
@@ -142,14 +498,15 @@ def winograd_multiply(
     """Compute ``C = alpha . op(A) . op(B) + beta . C`` over Morton operands.
 
     ``prepacked=True`` declares that the caller already performed the
-    top level's fused convert-and-add packing: ``S3``/``T3`` sit in the
-    outermost level's S/T scratch (the C11/C12 slots for
-    ``ip_overwrite``), and ``S1``/``T1`` occupy the A21/B12 quadrant
-    slots (see :data:`FUSED_PACKS_A`).  The top recursion level then
-    skips its four standalone S1/S3/T1/T3 addition passes and reads the
-    packed buffers instead — every remaining floating-point operation is
-    unchanged, so results are bit-identical to the two-pass path.
-    Requires ``depth >= 1`` and plain (non-relabeled) operands.
+    top level's fused convert-and-add packing: ``S1``/``T1`` occupy the
+    A21/B12 quadrant slots and ``S3``/``T3`` sit in the slots the
+    schedule's table names (:attr:`StepTable.pack_slots`: the outermost
+    level's S/T scratch, or the C11/C12 slots for ``ip_overwrite``).  The
+    top recursion level then skips its four standalone S1/S3/T1/T3
+    addition passes and reads the packed buffers instead — every
+    remaining floating-point operation is unchanged, so results are
+    bit-identical to the two-pass path.  Requires ``depth >= 1`` and
+    plain (non-relabeled) operands.
 
     With the default spec (``alpha=1, beta=0``, no transposes) ``c``'s
     buffer is overwritten entirely (including its pad).  ``alpha`` is
@@ -164,13 +521,14 @@ def winograd_multiply(
 
     ``ops`` selects the backend (arithmetic or trace emission);
     ``workspace`` may be shared across calls of the same geometry and
-    must have been built for the requested ``memory`` schedule.  With
+    must have been built for the requested ``memory`` schedule (without
+    one, scratch is allocated in the operands' dtype).  With
     ``memory="ip_overwrite"`` **the contents of** ``a`` **and** ``b``
     **are destroyed** and no workspace is used.
 
     The operands may equally be same-shape
     :class:`~repro.layout.matrix.BatchMortonMatrix` stacks (with a
-    batch-stacked workspace view): the recursion is written against the
+    batch-stacked workspace view): the executor is written against the
     duck-typed quadrant/ops vocabulary, so one call then multiplies the
     whole batch — every addition a single ufunc over ``(B, elems)`` slabs,
     every leaf product one batched ``matmul`` — with per-item results
@@ -179,15 +537,15 @@ def winograd_multiply(
     clobbers operands).
     """
     memory = resolve_memory(memory)
+    table = SCHEDULE_TABLES[memory]
     if trans_a:
         a = transposed_view(a)
     if trans_b:
         b = transposed_view(b)
-    if memory == "ip_overwrite" and (
-        getattr(a, "transposed", False) or getattr(b, "transposed", False)
-    ):
+    relabeled = getattr(a, "transposed", False) or getattr(b, "transposed", False)
+    if table.in_place and relabeled:
         raise ValueError(
-            "memory='ip_overwrite' cannot consume relabeled (transposed) "
+            f"memory={memory!r} cannot consume relabeled (transposed) "
             "operands: the in-place schedule writes products into A/B "
             "quadrant slots, which live in the plain Morton permutation; "
             "fold the transpose into the conversion instead"
@@ -196,80 +554,42 @@ def winograd_multiply(
     if prepacked:
         if a.depth < 1:
             raise ValueError("prepacked=True needs depth >= 1")
-        if getattr(a, "transposed", False) or getattr(b, "transposed", False):
+        if relabeled:
             raise ValueError(
                 "prepacked=True cannot consume relabeled (transposed) "
                 "operands: the pack layout lives in the plain Morton "
                 "permutation"
             )
+        if beta != 0.0 and any(s[0] == "C" for s in table.pack_slots.values()):
+            raise ValueError(
+                f"prepacked=True with beta != 0 is unsupported for "
+                f"{memory!r}: its packs live in C quadrant slots, but beta "
+                "stages the product in a private temporary"
+            )
     if ops is None:
         ops = NumpyOps()
-    if memory != "classic" and a.depth > 0 and not hasattr(ops, "add3"):
-        raise ValueError(
-            f"ops backend {type(ops).__name__} lacks the fused add3/sub_into "
-            f"passes required by the {memory!r} schedule; use memory='classic'"
-        )
     if beta != 0.0 and not hasattr(ops, "accumulate"):
         raise ValueError(
             f"ops backend {type(ops).__name__} lacks the accumulate pass "
             "required by beta != 0"
         )
-    batch = getattr(a, "batch", None)
-    if batch is not None:
-        if memory == "ip_overwrite":
+    if table.in_place:
+        if getattr(a, "batch", None) is not None:
             raise ValueError(
-                "memory='ip_overwrite' is not supported for batched operands"
+                f"memory={memory!r} is not supported for batched operands"
             )
-        if workspace is None:
-            ws = BatchWorkspace(
-                batch, a.depth, a.tile_r, a.tile_c, b.tile_c,
-                with_q=memory == "classic", schedule=memory,
-                dtype=a.buf.dtype,
+        if a.depth > 0 and not (a.tile_r == a.tile_c == b.tile_c):
+            raise ValueError(
+                f"{memory} needs uniform tile geometry (tile_m == tile_k "
+                f"== tile_n); got {a.tile_r}x{a.tile_c} . {b.tile_r}x{b.tile_c}"
             )
-            workspace = ws.view(0, batch)
 
     # beta: the recursion always produces a *fresh* product, so a live C
     # is preserved by computing alpha.op(A).op(B) into a same-geometry
     # staging matrix and folding it in with one streaming accumulate pass
     # (elementwise identical to the reference ``c *= beta; c += d``).
     target = c if beta == 0.0 else _staging_like(c)
-
-    if memory == "ip_overwrite":
-        if prepacked and beta != 0.0:
-            raise ValueError(
-                "prepacked=True with beta != 0 is unsupported for "
-                "ip_overwrite: the S3/T3 packs live in C quadrant slots, "
-                "but beta stages the product in a private temporary"
-            )
-        if a.depth > 0 and not (a.tile_r == a.tile_c == b.tile_c):
-            raise ValueError(
-                "ip_overwrite needs uniform tile geometry (tile_m == tile_k "
-                f"== tile_n); got {a.tile_r}x{a.tile_c} . {b.tile_r}x{b.tile_c}"
-            )
-        _recurse_ip(a, b, target, ops, alpha, prepacked=prepacked)
-    elif memory == "two_temp":
-        if workspace is None:
-            workspace = Workspace(
-                a.depth, a.tile_r, a.tile_c, b.tile_c, schedule="two_temp"
-            )
-        elif getattr(workspace, "schedule", "classic") != "two_temp":
-            raise ValueError(
-                "winograd_multiply(memory='two_temp') needs a workspace "
-                "built with schedule='two_temp'"
-            )
-        _recurse_two_temp(a, b, target, ops, workspace, alpha,
-                          prepacked=prepacked)
-    else:
-        if workspace is None:
-            workspace = Workspace(
-                a.depth, a.tile_r, a.tile_c, b.tile_c, with_q=True
-            )
-        elif a.depth > 0 and workspace.at(a.depth - 1).q is None:
-            raise ValueError(
-                "winograd_multiply needs a workspace built with with_q=True"
-            )
-        _recurse(a, b, target, ops, workspace, alpha, prepacked=prepacked)
-
+    table.run(a, b, target, ops, workspace, alpha, prepacked)
     if beta != 0.0:
         ops.accumulate(c, target, beta)
     return c
@@ -287,238 +607,6 @@ def _staging_like(c):
     )
 
 
-def _recurse(
-    a: MortonMatrix,
-    b: MortonMatrix,
-    c: MortonMatrix,
-    ops: WinogradOps,
-    ws: Workspace,
-    alpha: float = 1.0,
-    prepacked: bool = False,
-) -> None:
-    if a.depth == 0:
-        if alpha == 1.0:
-            ops.leaf_mult(a, b, c)
-        else:
-            ops.leaf_mult(a, b, c, alpha)
-        return
-
-    a11, a12, a21, a22 = a.quadrants()
-    b11, b12, b21, b22 = b.quadrants()
-    c11, c12, c21, c22 = c.quadrants()
-    lv = ws.at(a11.depth)
-    s, t, p, q = lv.s, lv.t, lv.p, lv.q
-    assert q is not None
-    # S-intermediates of a relabeled operand are written (by flat ufuncs)
-    # in that operand's *native* Morton permutation; descend the scratch
-    # holding them with the same relabel.  Products (P/Q, C quadrants)
-    # always land in the plain output permutation.
-    if getattr(a, "transposed", False):
-        s = relabel_scratch(s)
-    if getattr(b, "transposed", False):
-        t = relabel_scratch(t)
-
-    # Phase 1: the five products that consume the S/T chains.  Each S_i/T_i
-    # is formed in place in the shared scratch the moment its predecessors
-    # are no longer needed — this is the common-subexpression reuse that
-    # gives Winograd its 15-addition count.
-    if prepacked:
-        # Fused packing put S3/T3 in this level's scratch and S1/T1 in
-        # the A21/B12 quadrant slots; only S2/T2 remain to be formed.
-        _recurse(s, t, p, ops, ws)        # P  <- P5 = S3.T3
-        _recurse(a21, b12, c22, ops, ws)  # C22 <- P3 = S1.T1
-        ops.sub(s, a21, a11)              # S2 = S1 - A11
-        ops.sub(t, b22, b12)              # T2 = B22 - T1
-    else:
-        ops.sub(s, a11, a21)            # S3
-        ops.sub(t, b22, b12)            # T3
-        _recurse(s, t, p, ops, ws)      # P  <- P5 = S3.T3
-        ops.add(s, a21, a22)            # S1
-        ops.sub(t, b12, b11)            # T1
-        _recurse(s, t, c22, ops, ws)    # C22 <- P3 = S1.T1
-        ops.sub(s, s, a11)              # S2 = S1 - A11
-        ops.sub(t, b22, t)              # T2 = B22 - T1
-    _recurse(s, t, c11, ops, ws)    # C11 <- P4 = S2.T2
-    ops.sub(s, a12, s)              # S4 = A12 - S2
-    ops.sub(t, b21, t)              # T4 = B21 - T2
-    _recurse(s, b22, c12, ops, ws)  # C12 <- P6 = S4.B22
-    _recurse(a22, t, c21, ops, ws)  # C21 <- P7 = A22.T4
-
-    # Phase 2: the two plain products and the U-chain combinations.  P1 and
-    # P2 are C-shaped, so they stage in the C-shaped scratch: P1 in Q, and
-    # P2 reuses P once U3 has been consumed.
-    _recurse(a11, b11, q, ops, ws)  # Q <- P1
-    ops.iadd(c11, q)                # C11 = U2 = P1 + P4
-    ops.iadd(p, c11)                # P   = U3 = U2 + P5
-    ops.iadd(c12, c11)              # C12 = P6 + U2
-    if alpha == 1.0:
-        ops.iadd(c12, c22)              # C12 = U7 = U6 + P3
-        ops.iadd(c21, p)                # C21 = U4 = U3 + P7
-        ops.iadd(c22, p)                # C22 = U5 = U3 + P3
-        _recurse(a12, b21, p, ops, ws)  # P <- P2
-        ops.add(c11, q, p)              # C11 = U1 = P1 + P2
-    else:
-        # alpha rides the four final U-adds (each C quadrant's last
-        # write); the ordering above guarantees no scaled quadrant is
-        # read again (U7 consumes P3 before U5 scales C22).
-        ops.iadd_scale(c12, c22, alpha)
-        ops.iadd_scale(c21, p, alpha)
-        ops.iadd_scale(c22, p, alpha)
-        _recurse(a12, b21, p, ops, ws)  # P <- P2
-        ops.add_scale(c11, q, p, alpha)
-
-
-def _recurse_two_temp(
-    a: MortonMatrix,
-    b: MortonMatrix,
-    c: MortonMatrix,
-    ops: WinogradOps,
-    ws: Workspace,
-    alpha: float = 1.0,
-    prepacked: bool = False,
-) -> None:
-    """Boyer et al.'s two-temporary schedule: C quadrants double as scratch.
-
-    Per level only X (A-shaped, ``lv.s``) and Y (B-shaped, ``lv.t``)
-    temporaries exist; ``lv.p`` is a C-shaped *view of X's buffer* used to
-    stage P1 once the S-chain is dead.  Every floating-point operation
-    matches :func:`_recurse` exactly except U4 and U1/U2 staging, whose
-    additions are merely commuted — hence bit-identical results.  A and B
-    are never written.
-    """
-    if a.depth == 0:
-        if alpha == 1.0:
-            ops.leaf_mult(a, b, c)
-        else:
-            ops.leaf_mult(a, b, c, alpha)
-        return
-
-    a11, a12, a21, a22 = a.quadrants()
-    b11, b12, b21, b22 = b.quadrants()
-    c11, c12, c21, c22 = c.quadrants()
-    lv = ws.at(a11.depth)
-    x, y, xc = lv.s, lv.t, lv.p  # xc aliases x's buffer (C-shaped view)
-    # Relabel the temporary that mirrors a transposed operand (see
-    # _recurse).  xc stays plain: it stages P1, a *product*, which always
-    # lands in the output permutation (the buffers overlap but are used
-    # at disjoint times, so the two descents never mix).
-    if getattr(a, "transposed", False):
-        x = relabel_scratch(x)
-    if getattr(b, "transposed", False):
-        y = relabel_scratch(y)
-
-    if prepacked:
-        # Fused packing: S3/T3 in X/Y, S1/T1 in the A21/B12 slots (see
-        # _recurse) — only S2/T2 remain, read from the packed slots.
-        _recurse_two_temp(x, y, c21, ops, ws)      # C21 <- P5 = S3.T3
-        _recurse_two_temp(a21, b12, c22, ops, ws)  # C22 <- P3 = S1.T1
-        ops.sub(x, a21, a11)                       # S2 = S1 - A11
-        ops.sub(y, b22, b12)                       # T2 = B22 - T1
-    else:
-        ops.sub(x, a11, a21)                     # S3
-        ops.sub(y, b22, b12)                     # T3
-        _recurse_two_temp(x, y, c21, ops, ws)    # C21 <- P5 = S3.T3
-        ops.add(x, a21, a22)                     # S1
-        ops.sub(y, b12, b11)                     # T1
-        _recurse_two_temp(x, y, c22, ops, ws)    # C22 <- P3 = S1.T1
-        ops.sub(x, x, a11)                       # S2 = S1 - A11
-        ops.sub_into(y, b22)                     # T2 = B22 - T1
-    _recurse_two_temp(x, y, c12, ops, ws)    # C12 <- P4 = S2.T2
-    ops.sub(x, a12, x)                       # S4 = A12 - S2
-    _recurse_two_temp(x, b22, c11, ops, ws)  # C11 <- P6 = S4.B22
-    _recurse_two_temp(a11, b11, xc, ops, ws)  # X <- P1 (S-chain is dead)
-
-    ops.iadd(c12, xc)            # C12 = U2 = P4 + P1
-    ops.iadd(c21, c12)           # C21 = U3 = P5 + U2
-    if alpha == 1.0:
-        ops.add3(c12, c11, c12, c22)  # C12 = U7 = (P6 + U2) + P3
-        ops.iadd(c22, c21)           # C22 = U5 = P3 + U3
-    else:
-        # the four final U-adds carry alpha; U7 reads P3 (c22) and U5
-        # reads U3 (c21) before either is scaled, and P7/P2 below are
-        # staged in c11 unscaled until their own finals.
-        ops.add3_scale(c12, c11, c12, c22, alpha)
-        ops.iadd_scale(c22, c21, alpha)
-    ops.sub_into(y, b21)         # T4 = B21 - T2
-    _recurse_two_temp(a22, y, c11, ops, ws)   # C11 <- P7 (P6 consumed)
-    if alpha == 1.0:
-        ops.iadd(c21, c11)           # C21 = U4 = U3 + P7
-        _recurse_two_temp(a12, b21, c11, ops, ws)  # C11 <- P2 (P7 consumed)
-        ops.add(c11, xc, c11)        # C11 = U1 = P1 + P2
-    else:
-        ops.iadd_scale(c21, c11, alpha)
-        _recurse_two_temp(a12, b21, c11, ops, ws)
-        ops.add_scale(c11, xc, c11, alpha)
-
-
-def _recurse_ip(
-    a: MortonMatrix,
-    b: MortonMatrix,
-    c: MortonMatrix,
-    ops: WinogradOps,
-    alpha: float = 1.0,
-    prepacked: bool = False,
-) -> None:
-    """Fully in-place schedule: zero scratch, A and B quadrants are consumed.
-
-    Each S/T intermediate and each product lands in a quadrant slot whose
-    previous value is provably dead; requires uniform tile geometry so A-,
-    B- and C-shaped values are interchangeable.  Same floating-point
-    operations as :func:`_recurse` modulo commuted additions (see
-    :func:`_recurse_two_temp`).
-    """
-    if a.depth == 0:
-        if alpha == 1.0:
-            ops.leaf_mult(a, b, c)
-        else:
-            ops.leaf_mult(a, b, c, alpha)
-        return
-
-    a11, a12, a21, a22 = a.quadrants()
-    b11, b12, b21, b22 = b.quadrants()
-    c11, c12, c21, c22 = c.quadrants()
-
-    if prepacked:
-        # Fused packing: S3/T3 already sit in the C11/C12 slots, S1/T1
-        # in the A21/B12 slots — the four slot-filling passes are gone.
-        _recurse_ip(c11, c12, c21, ops)  # C21 <- P5 (consumes S3, T3)
-        ops.sub(c12, a21, a11)        # C12 <- S2 = S1 - A11
-        _recurse_ip(a11, b11, c11, ops)  # C11 <- P1 (A11, B11 die)
-        ops.sub(b11, b22, b12)        # B11 <- T2 = B22 - T1
-        _recurse_ip(a21, b12, c22, ops)  # C22 <- P3 (S1, T1 die)
-    else:
-        ops.sub(c11, a11, a21)        # C11 <- S3
-        ops.sub(c12, b22, b12)        # C12 <- T3
-        _recurse_ip(c11, c12, c21, ops)  # C21 <- P5 (consumes S3, T3 copies)
-        ops.add(a21, a21, a22)        # A21 <- S1
-        ops.sub(b12, b12, b11)        # B12 <- T1
-        ops.sub(c12, a21, a11)        # C12 <- S2 = S1 - A11
-        _recurse_ip(a11, b11, c11, ops)  # C11 <- P1 (A11, B11 die)
-        ops.sub(b11, b22, b12)        # B11 <- T2 = B22 - T1
-        _recurse_ip(a21, b12, c22, ops)  # C22 <- P3 (S1, T1 die)
-    ops.sub(a21, a12, c12)        # A21 <- S4 = A12 - S2
-    ops.sub(b12, b21, b11)        # B12 <- T4 = B21 - T2
-    _recurse_ip(c12, b11, a11, ops)  # A11 <- P4 (S2, T2 die)
-    _recurse_ip(a21, b22, c12, ops)  # C12 <- P6 (S4, B22 die)
-    _recurse_ip(a22, b12, b22, ops)  # B22 <- P7 (A22, T4 die)
-    _recurse_ip(a12, b21, a22, ops)  # A22 <- P2 (A12, B21 die)
-
-    ops.iadd(a11, c11)            # A11 = U2 = P4 + P1
-    ops.iadd(c21, a11)            # C21 = U3 = P5 + U2
-    if alpha == 1.0:
-        ops.add3(c12, c12, a11, c22)  # C12 = U7 = (P6 + U2) + P3
-        ops.iadd(c22, c21)            # C22 = U5 = P3 + U3
-        ops.iadd(c21, b22)            # C21 = U4 = U3 + P7
-        ops.iadd(c11, a22)            # C11 = U1 = P1 + P2
-    else:
-        # alpha on the four finals; each reads only unscaled values (U7
-        # consumes P3 before U5 scales it, U5 consumes U3 before U4).
-        ops.add3_scale(c12, c12, a11, c22, alpha)
-        ops.iadd_scale(c22, c21, alpha)
-        ops.iadd_scale(c21, b22, alpha)
-        ops.iadd_scale(c11, a22, alpha)
-
-
 def multiply_morton(
     a: MortonMatrix,
     b: MortonMatrix,
@@ -533,6 +621,7 @@ def multiply_morton(
     until the next same-geometry call, so copy it to keep results across
     calls.  A custom ``ops`` backend (e.g. the trace emitter) cannot
     share pooled numeric scratch and keeps the direct allocating path.
+    Either way C has the operands' dtype.
     """
     if ops is None:
         from ..engine.session import default_session  # avoid import cycle
@@ -540,7 +629,8 @@ def multiply_morton(
         return default_session().multiply_morton(a, b)
     c = MortonMatrix(
         buf=np.empty(
-            (a.tile_r << a.depth) * (b.tile_c << b.depth), dtype=np.float64
+            (a.tile_r << a.depth) * (b.tile_c << b.depth),
+            dtype=np.result_type(a.buf.dtype, b.buf.dtype),
         ),
         rows=a.rows,
         cols=b.cols,

@@ -1,23 +1,27 @@
 """Preallocated scratch buffers for the Strassen recursions.
 
-Each level of the classic Winograd recursion needs three quarter-size
-scratch matrices (S for A-shaped sums, T for B-shaped sums, P for one
-C-shaped product); the original Strassen variant needs a fourth (Q,
-C-shaped).  Because the seven recursive products at a level execute
-sequentially, the deeper levels can all share one set of buffers — so
-total scratch is a geometric series bounded by ~1/3 of the operand sizes
-per shape, allocated once up front rather than churned per recursive call.
+Each recursion level owns quarter-size scratch Morton matrices: ``s``
+(A-shaped sums), ``t`` (B-shaped sums) and ``p``/``q`` (C-shaped
+products).  Which of them a schedule needs is read off its step table
+(:meth:`repro.core.winograd.StepTable.workspace` builds the matching
+workspace); this module lays them out.  Because the seven recursive
+products at a level execute sequentially, the deeper levels can all share
+one set of buffers — so total scratch is a geometric series bounded by
+~1/3 of the operand sizes per shape, allocated once up front rather than
+churned per recursive call.
 
-The low-memory schedules of Boyer, Dumas, Pernet & Zhou shrink the per
-level footprint further:
+The layouts (``schedule=``):
 
-* ``two_temp`` keeps only two temporaries per level — one A-shaped X and
-  one B-shaped Y — and lets the C quadrants hold the products directly.
-  X also has to hold one C-shaped product (P1), so its backing buffer is
-  sized ``max(|A quarter|, |C quarter|)`` and exposed through two aliased
+* ``classic`` — ``s``/``t``/``p`` (and ``q`` with ``with_q``) are
+  independent buffers; the classic Winograd and the Strassen tables both
+  use all four.
+* ``two_temp`` — Boyer, Dumas, Pernet & Zhou's two temporaries: one
+  A-shaped X and one B-shaped Y per level.  X also has to hold one
+  C-shaped product (P1), so its backing buffer is sized
+  ``max(|A quarter|, |C quarter|)`` and exposed through two aliased
   Morton views (``s`` A-shaped, ``p`` C-shaped).
-* ``ip_overwrite`` needs **no** scratch at all: the recursion clobbers the
-  A and B quadrants themselves.
+* ``ip_overwrite`` — **no** scratch at all: the schedule clobbers the A
+  and B quadrants themselves.
 
 ``Workspace.nbytes`` reports the true allocation (aliased views counted
 once); ``total_bytes`` is kept as a backwards-compatible alias.
@@ -36,10 +40,33 @@ __all__ = ["Workspace", "BatchWorkspace", "WORKSPACE_SCHEDULES"]
 WORKSPACE_SCHEDULES = ("classic", "two_temp", "ip_overwrite")
 
 
-def _view(buf: np.ndarray, depth: int, tile_r: int, tile_c: int) -> MortonMatrix:
+def _layout(
+    schedule: str, with_q: bool, depth: int, tile_m: int, tile_k: int, tile_n: int
+) -> tuple:
+    """One level's backing buffers as ``(elems, ((slot, tiles), ...))``.
+
+    Every schedule (see the module docstring) draws ``s`` A-shaped, ``t``
+    B-shaped and ``p``/``q`` C-shaped views from these buffers.
+    """
+    a, b, c = (tile_m, tile_k), (tile_k, tile_n), (tile_m, tile_n)
+
+    def elems(tiles: tuple[int, int]) -> int:
+        return (tiles[0] << depth) * (tiles[1] << depth)
+
+    if schedule == "two_temp":
+        return (
+            (max(elems(a), elems(c)), (("s", a), ("p", c))),  # p aliases s
+            (elems(b), (("t", b),)),
+        )
+    slots = (("s", a), ("t", b), ("p", c)) + ((("q", c),) if with_q else ())
+    return tuple((elems(t), ((name, t),)) for name, t in slots)
+
+
+def _view(buf: np.ndarray, depth: int, tile_r: int, tile_c: int):
+    """Morton view of ``buf``'s leading elements (per row of a 2-D stack)."""
     n = (tile_r << depth) * (tile_c << depth)
-    return MortonMatrix(
-        buf=buf[:n],
+    return (MortonMatrix if buf.ndim == 1 else BatchMortonMatrix)(
+        buf=buf[..., :n],
         rows=tile_r << depth,
         cols=tile_c << depth,
         tile_r=tile_r,
@@ -51,47 +78,27 @@ def _view(buf: np.ndarray, depth: int, tile_r: int, tile_c: int) -> MortonMatrix
 class _Level:
     """Scratch Morton matrices for one recursion level.
 
-    ``classic``: ``s``/``t``/``p`` (and ``q`` when ``with_q``) are four
-    independent buffers.  ``two_temp``: ``s`` and ``p`` are two views of
-    the *same* buffer (the schedule never needs both shapes live at once);
-    ``q`` is ``None``.  ``ip_overwrite`` levels are never built.
+    ``s``/``t``/``p``/``q`` are views over ``bufs``, the level's distinct
+    backing arrays (1-D, or batch-stacked rows).  ``classic``: four
+    independent buffers (``q`` only with ``with_q``).  ``two_temp``: ``s``
+    and ``p`` view the *same* buffer (the schedule never needs both shapes
+    live at once) and ``q`` is ``None``.  ``ip_overwrite`` levels are
+    never built.
     """
 
-    __slots__ = ("s", "t", "p", "q", "nbytes")
+    __slots__ = ("s", "t", "p", "q", "bufs")
 
-    def __init__(
-        self,
-        depth: int,
-        tiles_a: tuple[int, int],
-        tiles_b: tuple[int, int],
-        tiles_c: tuple[int, int],
-        with_q: bool,
-        schedule: str,
-        dtype=np.float64,
-    ) -> None:
-        def elems(tile_r: int, tile_c: int) -> int:
-            return (tile_r << depth) * (tile_c << depth)
+    def __init__(self, depth: int, layout: tuple, bufs) -> None:
+        self.bufs = tuple(bufs)
+        self.q = None
+        for buf, (_, slots) in zip(self.bufs, layout):
+            for name, tiles in slots:
+                setattr(self, name, _view(buf, depth, *tiles))
 
-        if schedule == "two_temp":
-            x = np.empty(max(elems(*tiles_a), elems(*tiles_c)), dtype=dtype)
-            y = np.empty(elems(*tiles_b), dtype=dtype)
-            self.s = _view(x, depth, *tiles_a)
-            self.t = _view(y, depth, *tiles_b)
-            self.p = _view(x, depth, *tiles_c)  # aliases s — by design
-            self.q = None
-            self.nbytes = x.nbytes + y.nbytes
-        else:
-            self.s = _view(np.empty(elems(*tiles_a), dtype=dtype), depth, *tiles_a)
-            self.t = _view(np.empty(elems(*tiles_b), dtype=dtype), depth, *tiles_b)
-            self.p = _view(np.empty(elems(*tiles_c), dtype=dtype), depth, *tiles_c)
-            self.q = (
-                _view(np.empty(elems(*tiles_c), dtype=dtype), depth, *tiles_c)
-                if with_q
-                else None
-            )
-            self.nbytes = self.s.buf.nbytes + self.t.buf.nbytes + self.p.buf.nbytes
-            if self.q is not None:
-                self.nbytes += self.q.buf.nbytes
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the level's distinct backing arrays."""
+        return sum(buf.nbytes for buf in self.bufs)
 
 
 class Workspace:
@@ -127,21 +134,12 @@ class Workspace:
             )
         self.depth = depth
         self.schedule = schedule
-        if schedule == "ip_overwrite":
-            self.levels = []
-        else:
-            self.levels = [
-                _Level(
-                    d,
-                    tiles_a=(tile_m, tile_k),
-                    tiles_b=(tile_k, tile_n),
-                    tiles_c=(tile_m, tile_n),
-                    with_q=with_q,
-                    schedule=schedule,
-                    dtype=dtype,
-                )
-                for d in range(depth - 1, -1, -1)
-            ]
+        self.levels = []
+        if schedule != "ip_overwrite":
+            for d in range(depth - 1, -1, -1):
+                layout = _layout(schedule, with_q, d, tile_m, tile_k, tile_n)
+                bufs = [np.empty(n, dtype=dtype) for n, _ in layout]
+                self.levels.append(_Level(d, layout, bufs))
 
     def at(self, child_depth: int) -> _Level:
         """Scratch whose matrices have the given (child) depth."""
@@ -157,18 +155,21 @@ class Workspace:
         """Backwards-compatible alias for :attr:`nbytes`."""
         return self.nbytes
 
+    @property
+    def buffer_count(self) -> int:
+        """Distinct scratch arrays allocated (aliased views counted once)."""
+        return sum(len(lv.bufs) for lv in self.levels)
+
     def _buffers(self):
         for lv in self.levels:
-            for mm in (lv.s, lv.t, lv.p, lv.q):
-                if mm is not None:
-                    yield mm.buf
+            yield from lv.bufs
 
     def poison(self, value: float = POISON) -> None:
         """Fill every scratch buffer with the quiescence sentinel.
 
         Debug mode calls this after each execution; every buffer is
         write-before-read within an execution, so the fill never changes
-        results.  Aliased ``two_temp`` views are filled twice, harmlessly.
+        results.
         """
         for buf in self._buffers():
             buf.fill(value)
@@ -176,15 +177,6 @@ class Workspace:
     def poison_intact(self, value: float = POISON) -> bool:
         """True iff no scratch element changed since :meth:`poison`."""
         return all(bool((buf == value).all()) for buf in self._buffers())
-
-
-class _BatchLevel:
-    """Stacked scratch views for one recursion level of a batch stripe."""
-
-    __slots__ = ("s", "t", "p", "q")
-
-    def __init__(self, s, t, p, q) -> None:
-        self.s, self.t, self.p, self.q = s, t, p, q
 
 
 class _BatchWorkspaceView:
@@ -202,7 +194,7 @@ class _BatchWorkspaceView:
         self.depth = depth
         self.levels = levels
 
-    def at(self, child_depth: int) -> _BatchLevel:
+    def at(self, child_depth: int) -> _Level:
         return self.levels[self.depth - 1 - child_depth]
 
 
@@ -239,8 +231,7 @@ class BatchWorkspace:
         self.depth = depth
         self.schedule = schedule
         self.dtype = np.dtype(dtype)
-        self._tiles = (tile_m, tile_k, tile_n)
-        self._raw: list[dict] = []  # per level, outermost first
+        self._raw: list[tuple] = []  # per level, outermost first
         self._views: dict[tuple[int, int], _BatchWorkspaceView] = {}
         # Stack rows are large power-of-two-multiple allocations, so give
         # every buffer a distinct stagger index (continuing from the
@@ -252,35 +243,8 @@ class BatchWorkspace:
             return buf
 
         for d in range(depth - 1, -1, -1):
-            ea = (tile_m << d) * (tile_k << d)
-            eb = (tile_k << d) * (tile_n << d)
-            ec = (tile_m << d) * (tile_n << d)
-            if schedule == "two_temp":
-                raw = {
-                    "x": alloc(max(ea, ec)),
-                    "y": alloc(eb),
-                }
-            else:
-                raw = {
-                    "s": alloc(ea),
-                    "t": alloc(eb),
-                    "p": alloc(ec),
-                }
-                if with_q:
-                    raw["q"] = alloc(ec)
-            raw["_depth"] = d
-            self._raw.append(raw)
-
-    def _bmm(self, buf2d, depth: int, tile_r: int, tile_c: int) -> BatchMortonMatrix:
-        elems = (tile_r << depth) * (tile_c << depth)
-        return BatchMortonMatrix(
-            buf=buf2d[:, :elems],
-            rows=tile_r << depth,
-            cols=tile_c << depth,
-            tile_r=tile_r,
-            tile_c=tile_c,
-            depth=depth,
-        )
+            layout = _layout(schedule, with_q, d, tile_m, tile_k, tile_n)
+            self._raw.append((d, layout, [alloc(n) for n, _ in layout]))
 
     def view(self, lo: int, hi: int) -> _BatchWorkspaceView:
         """Workspace adapter over batch rows ``[lo, hi)`` (cached)."""
@@ -290,31 +254,10 @@ class BatchWorkspace:
         cached = self._views.get(key)
         if cached is not None:
             return cached
-        tile_m, tile_k, tile_n = self._tiles
-        levels = []
-        for raw in self._raw:
-            d = raw["_depth"]
-            if self.schedule == "two_temp":
-                x, y = raw["x"][lo:hi], raw["y"][lo:hi]
-                levels.append(
-                    _BatchLevel(
-                        s=self._bmm(x, d, tile_m, tile_k),
-                        t=self._bmm(y, d, tile_k, tile_n),
-                        p=self._bmm(x, d, tile_m, tile_n),  # aliases s
-                        q=None,
-                    )
-                )
-            else:
-                levels.append(
-                    _BatchLevel(
-                        s=self._bmm(raw["s"][lo:hi], d, tile_m, tile_k),
-                        t=self._bmm(raw["t"][lo:hi], d, tile_k, tile_n),
-                        p=self._bmm(raw["p"][lo:hi], d, tile_m, tile_n),
-                        q=self._bmm(raw["q"][lo:hi], d, tile_m, tile_n)
-                        if "q" in raw
-                        else None,
-                    )
-                )
+        levels = [
+            _Level(d, layout, [buf[lo:hi] for buf in bufs])
+            for d, layout, bufs in self._raw
+        ]
         view = _BatchWorkspaceView(self.schedule, self.depth, levels)
         self._views[key] = view
         return view
@@ -322,22 +265,20 @@ class BatchWorkspace:
     @property
     def nbytes(self) -> int:
         """Bytes actually allocated (aliased two_temp views counted once)."""
-        return sum(
-            arr.nbytes
-            for raw in self._raw
-            for name, arr in raw.items()
-            if name != "_depth"
-        )
+        return sum(arr.nbytes for arr in self._buffers())
 
     @property
     def total_bytes(self) -> int:
         return self.nbytes
 
+    @property
+    def buffer_count(self) -> int:
+        """Distinct stacked scratch arrays allocated."""
+        return sum(1 for _ in self._buffers())
+
     def _buffers(self):
-        for raw in self._raw:
-            for name, arr in raw.items():
-                if name != "_depth":
-                    yield arr
+        for _, _, bufs in self._raw:
+            yield from bufs
 
     def poison(self, value: float = POISON) -> None:
         """Fill every stacked scratch row with the quiescence sentinel."""

@@ -41,17 +41,19 @@ from ..core.ops import NumpyOps
 from ..core.parallel import TaskScratch, build_winograd_graph, run_batch_stripes
 from ..core.rectangular import plan_panels
 from ..core.scheduler import Schedule, TaskGraph
-from ..core.strassen import strassen_multiply
+from ..core.strassen import STRASSEN_TABLE, strassen_multiply
 from ..core.truncation import TruncationPolicy
 from ..core.winograd import (
     CONVERT_QUADS_A,
     CONVERT_QUADS_B,
     FUSED_PACKS_A,
     FUSED_PACKS_B,
+    SCHEDULE_TABLES,
+    StepTable,
     resolve_memory,
     winograd_multiply,
 )
-from ..core.workspace import BatchWorkspace, Workspace
+from ..core.workspace import Workspace
 from ..errors import BatchItemError, InvariantError, KernelError, PlanError, ShapeError
 from ..layout.convert import (
     ConversionTable,
@@ -75,6 +77,12 @@ __all__ = [
     "PlanKey", "CompiledPlan", "BatchPlan", "batch_size_class",
     "resolve_variant", "VARIANTS", "BATCH_CAP_MAX",
 ]
+
+
+def _step_table(variant: str, memory: str) -> StepTable:
+    """The step table a plan of this variant and memory schedule runs."""
+    return STRASSEN_TABLE if variant == "strassen" else SCHEDULE_TABLES[memory]
+
 
 #: Largest stacked-batch capacity class; bigger batches execute in chunks
 #: of this size, so one cached :class:`BatchPlan` serves any batch length
@@ -322,11 +330,12 @@ class CompiledPlan:
         tm, tk, tn = self.tilings
         key = self.key
         memory = resolve_memory(key.memory)
-        if memory == "ip_overwrite" and tm.depth > 0 and not (
+        table = _step_table(key.variant, memory)
+        if table.in_place and tm.depth > 0 and not (
             tm.tile == tk.tile == tn.tile
         ):
             raise PlanError(
-                "memory='ip_overwrite' needs uniform tile geometry; the "
+                f"memory={memory!r} needs uniform tile geometry; the "
                 f"policy chose tiles {tm.tile}/{tk.tile}/{tn.tile} for "
                 f"{key.m}x{key.k}x{key.n}"
             )
@@ -341,7 +350,7 @@ class CompiledPlan:
         # and ip_overwrite plans are not relabel-threaded; they keep the
         # legacy transpose-fused conversion.
         dt = key.np_dtype
-        relabel_ok = key.variant == "winograd" and memory != "ip_overwrite"
+        relabel_ok = key.variant == "winograd" and not table.in_place
         self._relabel_a = bool(key.trans_a and relabel_ok)
         self._relabel_b = bool(key.trans_b and relabel_ok)
         if self._relabel_a:
@@ -360,7 +369,7 @@ class CompiledPlan:
         self.buffers_allocated += 3
         # ip_overwrite leaves garbage in the operand pads after every
         # execution; such plans must re-zero A/B before each conversion.
-        self._rezero_operands = memory == "ip_overwrite" and (
+        self._rezero_operands = table.in_place and (
             self._a_mm.size > key.m * key.k or self._b_mm.size > key.k * key.n
         )
         depth = tm.depth
@@ -406,17 +415,11 @@ class CompiledPlan:
                 pack_a=self._graph_pack_a if self._fused else None,
                 pack_b=self._graph_pack_b if self._fused else None,
             )
-        elif memory == "two_temp":
-            self._workspace = Workspace(
-                depth, tm.tile, tk.tile, tn.tile, schedule="two_temp", dtype=dt
+        else:
+            self._workspace = table.workspace(
+                depth, tm.tile, tk.tile, tn.tile, dtype=dt
             )
-            self.buffers_allocated += 2 * depth
-        elif memory == "classic":
-            self._workspace = Workspace(
-                depth, tm.tile, tk.tile, tn.tile, with_q=True, dtype=dt
-            )
-            self.buffers_allocated += 4 * depth
-        # ip_overwrite: no workspace at all.
+            self.buffers_allocated += self._workspace.buffer_count
         if self._fused:
             # Fused conversion always gathers through a table (the shared
             # module-level cache — several plans of one geometry reuse
@@ -425,7 +428,7 @@ class CompiledPlan:
                 self._ftables[name] = conversion_table(
                     mm.rows, mm.cols, mm.tile_r, mm.tile_c, mm.depth
                 )
-            self._fdsts = self._pack_destinations(memory)
+            self._fdsts = self._pack_destinations(table)
         if depth >= CONVERT_TABLE_MIN_DEPTH:
             # A plan store, when the session has one, replays persisted
             # loop-vs-indexed verdicts: a "loop" record skips building the
@@ -470,36 +473,24 @@ class CompiledPlan:
                 else:
                     self._sites[name] = _ConvertSite(table)
 
-    def _pack_destinations(self, memory: str) -> dict[str, np.ndarray]:
+    def _pack_destinations(self, table: StepTable) -> dict[str, np.ndarray]:
         """Flat quarter buffers receiving the four top-level packed sums.
 
-        ``S1``/``T1`` land in the A21/B12 quadrant slots of the pooled
-        operand buffers — those quadrants are never consumed as plain
-        Morton operands at the top level, so the slots are free.
-        ``S3``/``T3`` go where the selected schedule's top recursion
-        level reads them: the outermost workspace level's S/T scratch
-        (classic/two_temp), the C11/C12 quadrant slots (ip_overwrite —
-        the product P5 is computed from them before either is
-        overwritten), or the task graph's root ``s[2]``/``t[2]`` buffers.
+        The schedule's table places them (:meth:`StepTable.pack_buffers`).
+        The task graph keeps its own layout: S1/T1 in the A21/B12 quadrant
+        slots, S3/T3 in its root ``s[2]``/``t[2]`` buffers.
         """
-        qa = self._a_mm.size // 4
-        qb = self._b_mm.size // 4
-        dsts = {
-            "S1": self._a_mm.buf[2 * qa : 3 * qa],
-            "T1": self._b_mm.buf[1 * qb : 2 * qb],
+        if self._tscratch is None:
+            return table.pack_buffers(
+                self._a_mm, self._b_mm, self._c_mm, self._workspace
+            )
+        root = self._tscratch.root
+        return {
+            "S1": self._a_mm.quadrant(1, 0).buf,
+            "T1": self._b_mm.quadrant(0, 1).buf,
+            "S3": root.s[2].buf,
+            "T3": root.t[2].buf,
         }
-        if self._tscratch is not None:
-            dsts["S3"] = self._tscratch.root.s[2].buf
-            dsts["T3"] = self._tscratch.root.t[2].buf
-        elif memory == "ip_overwrite":
-            qc = self._c_mm.size // 4
-            dsts["S3"] = self._c_mm.buf[0:qc]
-            dsts["T3"] = self._c_mm.buf[qc : 2 * qc]
-        else:
-            lv = self._workspace.at(self.tilings[0].depth - 1)
-            dsts["S3"] = lv.s.buf
-            dsts["T3"] = lv.t.buf
-        return dsts
 
     def _fused_convert_side(
         self, name: str, dense, mm, quads, packs, transpose: bool,
@@ -1009,9 +1000,10 @@ class BatchPlan:
         self._lock = threading.Lock()
         self._cache_hit = False
         memory = resolve_memory(key.memory)
-        if memory == "ip_overwrite":
+        table = _step_table(key.variant, memory)
+        if table.in_place:
             raise PlanError(
-                "the batched path cannot use memory='ip_overwrite' "
+                f"the batched path cannot use memory={memory!r} "
                 "(it would clobber the pooled operand stacks)"
             )
         self.tilings = key.policy.plan(key.m, key.k, key.n)
@@ -1061,12 +1053,10 @@ class BatchPlan:
             cap, key.m, key.n, tm, tn, dtype=dt, stagger=3
         )
         self.buffers_allocated = 3
-        self._ws = BatchWorkspace(
-            cap, tm.depth, tm.tile, tk.tile, tn.tile,
-            with_q=memory == "classic", schedule=memory, dtype=dt, stagger=4,
+        self._ws = table.workspace(
+            tm.depth, tm.tile, tk.tile, tn.tile, dtype=dt, cap=cap, stagger=4
         )
-        per_level = 2 if memory == "two_temp" else 4
-        self.buffers_allocated += per_level * tm.depth
+        self.buffers_allocated += self._ws.buffer_count
         # One shared table per side, broadcast over the batch axis.  The
         # per-item engine calibrates loop-vs-table per plan; here the
         # B-fold Python-overhead amortisation makes the table the static
@@ -1097,20 +1087,11 @@ class BatchPlan:
         )
         self._fdsts: dict[str, np.ndarray] = {}
         if self._fused:
-            qa = self._a.buf.shape[1] // 4
-            qb = self._b.buf.shape[1] // 4
-            lv = self._ws.view(0, cap).at(tm.depth - 1)
-            self._fdsts = {
-                # Row-stacked analogues of CompiledPlan._pack_destinations:
-                # quadrant column slices of the operand stacks for S1/T1,
-                # the outermost batch-workspace level's S/T stacks for
-                # S3/T3 (stripe views slice the same raw arrays, so every
-                # stripe reads its own packed rows).
-                "S1": self._a.buf[:, 2 * qa : 3 * qa],
-                "T1": self._b.buf[:, qb : 2 * qb],
-                "S3": lv.s.buf,
-                "T3": lv.t.buf,
-            }
+            # Row-stacked pack destinations: stripe views slice the same
+            # raw arrays, so every stripe reads its own packed rows.
+            self._fdsts = table.pack_buffers(
+                self._a, self._b, self._c, self._ws.view(0, cap)
+            )
         # Stripe views are pure geometry; reuse them (and their memoised
         # quadrant/leaf caches) across executions.
         self._stripes: dict = {}

@@ -46,7 +46,7 @@ from ..core.ops import NumpyOps
 from ..core.scheduler import Schedule, WorkerPool
 from ..core.strassen import strassen_multiply
 from ..core.truncation import TruncationPolicy
-from ..core.winograd import resolve_memory, winograd_multiply
+from ..core.winograd import StepTable, resolve_memory, winograd_multiply
 from ..core.workspace import Workspace
 from ..errors import BatchItemError, PlanError
 from ..layout.matrix import MortonMatrix
@@ -57,6 +57,7 @@ from .plan import (
     BatchPlan,
     CompiledPlan,
     PlanKey,
+    _step_table,
     batch_size_class,
     resolve_variant,
 )
@@ -909,6 +910,7 @@ class GemmSession:
         bn, btn = (
             (b_mm.rows, b_mm.tile_r) if trans_b else (b_mm.cols, b_mm.tile_c)
         )
+        dtype = np.result_type(a_mm.buf.dtype, b_mm.buf.dtype)
 
         def run(c: MortonMatrix, ws: Workspace | None) -> None:
             if variant == "winograd":
@@ -925,8 +927,7 @@ class GemmSession:
         def fresh_c() -> MortonMatrix:
             return MortonMatrix(
                 buf=np.empty(
-                    (atr << a_mm.depth) * (btn << b_mm.depth),
-                    dtype=np.float64,
+                    (atr << a_mm.depth) * (btn << b_mm.depth), dtype=dtype
                 ),
                 rows=ar,
                 cols=bn,
@@ -942,7 +943,7 @@ class GemmSession:
             self._fold_fused(ops)
             return c_mm
         ws, ws_lock, c_buf = self._pooled_workspace(
-            a_mm.depth, atr, atk, btn, mem
+            a_mm.depth, atr, atk, btn, _step_table(variant, mem), dtype
         )
         with ws_lock:
             if c_mm is None:
@@ -1025,9 +1026,10 @@ class GemmSession:
         tile_m: int,
         tile_k: int,
         tile_n: int,
-        memory: str = "classic",
-    ) -> tuple["Workspace | None", threading.Lock, np.ndarray]:
-        geom = (depth, tile_m, tile_k, tile_n, memory)
+        table: StepTable,
+        dtype,
+    ) -> tuple[Workspace, threading.Lock, np.ndarray]:
+        geom = (depth, tile_m, tile_k, tile_n, table.name, np.dtype(dtype).str)
         with self._lock:
             entry = self._workspaces.get(geom)
             if entry is not None:
@@ -1036,25 +1038,15 @@ class GemmSession:
                 self._buffers_reused += 1
                 return entry
             self._misses += 1
-            if memory == "two_temp":
-                ws = Workspace(depth, tile_m, tile_k, tile_n, schedule="two_temp")
-                self._buffers_allocated += 2 * depth
-            elif memory == "ip_overwrite":
-                ws = None
-            else:
-                ws = Workspace(depth, tile_m, tile_k, tile_n, with_q=True)
-                self._buffers_allocated += 4 * depth
-            c_buf = np.empty(
-                (tile_m << depth) * (tile_n << depth), dtype=np.float64
-            )
-            self._buffers_allocated += 1
-            self._track_scratch_alloc(ws.nbytes if ws is not None else 0)
+            ws = table.workspace(depth, tile_m, tile_k, tile_n, dtype=dtype)
+            c_buf = np.empty((tile_m << depth) * (tile_n << depth), dtype=dtype)
+            self._buffers_allocated += ws.buffer_count + 1
+            self._track_scratch_alloc(ws.nbytes)
             entry = (ws, threading.Lock(), c_buf)
             self._workspaces[geom] = entry
             while len(self._workspaces) > self.capacity:
                 _, (old_ws, _, _) = self._workspaces.popitem(last=False)
-                if old_ws is not None:
-                    self._scratch_live -= old_ws.nbytes
+                self._scratch_live -= old_ws.nbytes
                 self._evictions += 1
             return entry
 
@@ -1125,9 +1117,7 @@ class GemmSession:
             pooled = sum(p.pooled_bytes for p in self._plans.values())
             pooled += sum(bp.pooled_bytes for bp in self._batch_plans.values())
             for ws, _, c_buf in self._workspaces.values():
-                pooled += c_buf.nbytes
-                if ws is not None:
-                    pooled += ws.nbytes
+                pooled += c_buf.nbytes + ws.nbytes
             agg = PhaseTimings(
                 to_morton=self._timings.to_morton,
                 compute=self._timings.compute,

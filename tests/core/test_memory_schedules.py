@@ -80,12 +80,15 @@ class TestTwoTemp:
 
     def test_uses_fused_passes(self, rng):
         _, _, amm, bmm = operands(rng, 16, 16, 16, 2, 2, 2, 3)
-        ops = NumpyOps()
-        winograd_multiply(
-            amm, bmm, morton(16, 16, 2, 2, 3), ops=ops, memory="two_temp"
-        )
-        # One add3 per internal recursion node: 1 + 7 + 49 at depth 3.
-        assert ops.fused_adds == 57
+        # One add3 per internal recursion node: 1 + 7 + 49 at depth 3;
+        # alpha scales the top node's add3 without changing the count.
+        for alpha in (1.0, 0.5):
+            ops = NumpyOps()
+            winograd_multiply(
+                amm, bmm, morton(16, 16, 2, 2, 3), ops=ops, memory="two_temp",
+                alpha=alpha,
+            )
+            assert ops.fused_adds == 57
 
     def test_classic_workspace_rejected(self, rng):
         _, _, amm, bmm = operands(rng, 8, 8, 8, 2, 2, 2, 2)
@@ -152,6 +155,71 @@ class TestIpOverwrite:
         c = morton(8, 8, 2, 2, 2)
         winograd_multiply(amm, bmm, c, workspace=ws, memory="ip_overwrite")
         assert np.isfinite(c.buf).all()
+
+
+ADD_PASSES = (
+    "add", "sub", "iadd", "add3", "sub_into",
+    "add_scale", "iadd_scale", "add3_scale",
+)
+
+
+class _PassCountingOps(NumpyOps):
+    """NumpyOps that also counts every addition pass it executes."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.passes = 0
+
+
+def _counted(name):
+    def method(self, *args, **kwargs):
+        self.passes += 1
+        return getattr(NumpyOps, name)(self, *args, **kwargs)
+
+    return method
+
+
+for _name in ADD_PASSES:
+    setattr(_PassCountingOps, _name, _counted(_name))
+
+
+class TestTraceCoverage:
+    @pytest.mark.parametrize("memory", [*MEMORY_SCHEDULES, "strassen"])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_one_add_event_per_pass(self, rng, memory, alpha):
+        from repro.core.strassen import strassen_multiply
+        from repro.observe import Tracer
+
+        _, _, amm, bmm = operands(rng, 16, 16, 16, 2, 2, 2, 3)
+        tracer = Tracer(capacity=1 << 12, enabled=True)
+        ops = _PassCountingOps(trace=tracer)
+        c = morton(16, 16, 2, 2, 3)
+        if memory == "strassen":
+            strassen_multiply(amm, bmm, c, ops=ops, alpha=alpha)
+        else:
+            winograd_multiply(amm, bmm, c, ops=ops, memory=memory, alpha=alpha)
+        adds = sum(ev.kind == "add" for ev in tracer.events())
+        per_node = {"classic": 15, "strassen": 18}.get(memory, 14)
+        assert adds == ops.passes == 57 * per_node
+
+
+class TestScratchDtype:
+    @pytest.mark.parametrize("memory", ["classic", "two_temp"])
+    def test_default_scratch_follows_operands(self, rng, memory):
+        _, _, amm, bmm = operands(rng, 64, 64, 64, 8, 8, 8, 3)
+        amm.buf = amm.buf.astype(np.float32)
+        bmm.buf = bmm.buf.astype(np.float32)
+        c1 = morton(64, 64, 8, 8, 3)
+        c1.buf = c1.buf.astype(np.float32)
+        c2 = morton(64, 64, 8, 8, 3)
+        c2.buf = c2.buf.astype(np.float32)
+        winograd_multiply(amm, bmm, c1, memory=memory)
+        ws = Workspace(
+            3, 8, 8, 8, with_q=memory == "classic",
+            schedule=memory, dtype=np.float32,
+        )
+        winograd_multiply(amm, bmm, c2, workspace=ws, memory=memory)
+        assert np.array_equal(c1.buf, c2.buf)
 
 
 class TestTaskScratchMemory:

@@ -102,6 +102,23 @@ class TestFusedOps:
         assert np.all(d.buf == 5.0)
         assert ops.fused_adds == 0  # sub_into is a plain pass, not a fusion
 
+    @pytest.mark.parametrize("name,operands,fused", [
+        ("add", 3, 0), ("sub", 3, 0), ("iadd", 2, 0), ("sub_into", 2, 0),
+        ("add3", 4, 1), ("add_scale", 3, 0), ("iadd_scale", 2, 0),
+        ("add3_scale", 4, 1),
+    ])
+    def test_every_pass_traces_one_add_event(self, name, operands, fused):
+        from repro.observe import Tracer
+
+        tracer = Tracer(enabled=True)
+        ops = NumpyOps(trace=tracer)
+        args = [leaf(4, 4, 1.0) for _ in range(operands)]
+        if name.endswith("_scale"):
+            args.append(0.5)
+        getattr(ops, name)(*args)
+        assert [ev.kind for ev in tracer.events()] == ["add"]
+        assert ops.fused_adds == fused
+
 
 class TestLeafMult:
     def test_matches_numpy(self, rng):

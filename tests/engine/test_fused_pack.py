@@ -106,12 +106,11 @@ class TestBitIdentity:
         assert _bits(c1) == _bits(c0)
 
 
-# Top-level "add" events each path loses to fusion.  two_temp loses one
-# fewer: its original T2 was a non-emitting in-place subtraction, while
-# the fused residual T2 is an ordinary emitting subtract.
+# Top-level "add" events each path loses to fusion: the four S1/S3/T1/T3
+# passes, since every addition pass emits exactly one event.
 ADD_DELTAS = [
     ("classic", None, 4),
-    ("two_temp", None, 3),
+    ("two_temp", None, 4),
     ("ip_overwrite", None, 4),
     ("classic", "tasks:1", 4),
 ]

@@ -160,6 +160,31 @@ class TestMortonPooledOutput:
             assert np.shares_memory(out1.buf, out2.buf)
             assert s.stats().buffers_allocated == before
 
+    def test_output_follows_operand_dtype(self, rng):
+        from repro.core.truncation import TruncationPolicy
+        from repro.layout.convert import dense_to_morton
+        from repro.layout.matrix import MortonMatrix
+
+        tm, tk, tn = TruncationPolicy.coerce(None).plan(64, 64, 64)
+        a, b = square(rng, 64)
+        amm = MortonMatrix.zeros(64, 64, tm, tk, dtype=np.float32)
+        bmm = MortonMatrix.zeros(64, 64, tk, tn, dtype=np.float32)
+        dense_to_morton(a, amm)
+        dense_to_morton(b, bmm)
+        with GemmSession() as s:
+            out = s.multiply_morton(amm, bmm)
+            assert out.buf.dtype == np.float32
+            assert np.allclose(out.to_dense(), a @ b, rtol=1e-4, atol=1e-3)
+            # float64 operands of the same geometry get their own pool entry.
+            out64 = s.multiply_morton(
+                MortonMatrix(amm.buf.astype(np.float64), 64, 64, tm.tile,
+                             tk.tile, tm.depth),
+                MortonMatrix(bmm.buf.astype(np.float64), 64, 64, tk.tile,
+                             tn.tile, tk.depth),
+            )
+            assert out64.buf.dtype == np.float64
+            assert out.buf.dtype == np.float32
+
     def test_core_multiply_morton_uses_pool(self, rng):
         from repro.core.truncation import TruncationPolicy
         from repro.core.winograd import multiply_morton
