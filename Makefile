@@ -8,7 +8,7 @@ PYTHON ?= python
 TIMEOUT_FLAGS := $(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null \
 	&& echo "--timeout=120 --timeout-method=thread")
 
-.PHONY: install test lint bench bench-smoke tune-smoke trace-demo figures quick-figures clean
+.PHONY: install test lint bench bench-ab bench-smoke tune-smoke trace-demo figures quick-figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -21,6 +21,14 @@ lint:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# A/B test of the working tree against BASE (a git ref) with bench/:
+# PAIRS alternating seed pairs over all four workloads, then compare.py's
+# table and each side's quartiles.  About 4 minutes per pair.
+PAIRS ?= 10
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<git-ref> [PAIRS=10]" >&2; exit 2; }
+	$(PYTHON) tools/bench_ab.py --base "$(BASE)" --pairs $(PAIRS)
 
 # Tiny-size run of the scheduler/conversion scaling, memory-schedule,
 # stacked-batch, GEMM-semantics and plan-store/autotune benchmarks, then

@@ -232,9 +232,9 @@ def leaf_matmul_batch(
 ) -> None:
     """Batched BLAS kernel over stacks of *transposed* leaf tiles.
 
-    Operands are the ``(batch, tile_c, tile_r)`` views that
-    ``BatchMortonMatrix.leaf_view`` exposes: slice ``i`` of each stack is
-    item ``i``'s tile transposed, in C order.  ``matmul(b, a)`` therefore
+    Operands are the ``(batch, tile_c, tile_r)`` views the step-table
+    executor takes of a batch stack's leaf tiles: slice ``i`` of each
+    stack is item ``i``'s tile transposed, in C order.  ``matmul(b, a)`` therefore
     computes ``(B_i.T @ A_i.T) = (A_i @ B_i).T`` slice-wise into the
     transposed destination — the batched form of :func:`leaf_matmul`'s
     contiguity trick, and (empirically and by BLAS dispatch) bit-identical

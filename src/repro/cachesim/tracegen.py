@@ -282,9 +282,10 @@ def conversion_trace(
 class TraceOps:
     """Trace-emitting backend for the real Winograd/Strassen recursion.
 
-    Implements the :class:`repro.core.ops.WinogradOps` protocol; every
-    operation records the address stream it would perform, and tallies the
-    floating-point operations for the timing model.
+    Implements the :class:`repro.core.ops.WinogradOps` protocol over the
+    executor's raw buffers; every operation records the address stream it
+    would perform, and tallies the floating-point operations for the
+    timing model.
     """
 
     def __init__(self, sink: TraceSink, kernel_model: str = "jki") -> None:
@@ -304,32 +305,32 @@ class TraceOps:
             m, k, n, base_a, ld_a, base_b, ld_b, base_c, ld_c, self.sink
         )
 
-    def add(self, dst: MortonMatrix, x: MortonMatrix, y: MortonMatrix) -> None:
+    def add(self, dst: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         """Record the 3-stream trace of ``dst = x + y`` (or ``x - y``)."""
         self.accesses += vec3_trace(
-            dst.size, _addr_of(x.buf), _addr_of(y.buf), _addr_of(dst.buf), self.sink
+            dst.size, _addr_of(x), _addr_of(y), _addr_of(dst), self.sink
         )
         self.flops += dst.size
 
     sub = add  # identical traffic and flop count
 
-    def iadd(self, dst: MortonMatrix, x: MortonMatrix) -> None:
+    def iadd(self, dst: np.ndarray, x: np.ndarray) -> None:
         """Record the trace of ``dst += x``."""
         # dst += x reads dst and x, writes dst: same 3-stream pattern with
         # dst appearing as both an input stream and the destination.
         self.accesses += vec3_trace(
-            dst.size, _addr_of(dst.buf), _addr_of(x.buf), _addr_of(dst.buf), self.sink
+            dst.size, _addr_of(dst), _addr_of(x), _addr_of(dst), self.sink
         )
         self.flops += dst.size
 
-    def leaf_mult(self, a: MortonMatrix, b: MortonMatrix, dst: MortonMatrix) -> None:
-        """Record the leaf-kernel trace for one tile product."""
-        m, k, n = a.tile_r, a.tile_c, b.tile_c
+    def leaf_mult(self, a: np.ndarray, b: np.ndarray, dst: np.ndarray) -> None:
+        """Record the leaf-kernel trace for one ``(m, k) . (k, n)`` tile product."""
+        (m, k), n = a.shape, b.shape[1]
         self.accesses += self._mult_trace(
             m, k, n,
-            _addr_of(a.buf), m,
-            _addr_of(b.buf), k,
-            _addr_of(dst.buf), m,
+            _addr_of(a), m,
+            _addr_of(b), k,
+            _addr_of(dst), m,
         )
         self.flops += 2 * m * k * n
 

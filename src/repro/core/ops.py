@@ -1,9 +1,10 @@
 """Recursion backends: one step-table executor, many interpretations.
 
 Every schedule in :mod:`repro.core.winograd` and :mod:`repro.core.strassen`
-is a step table whose rows name operations of this small vocabulary over
-Morton matrices; one executor dispatches each row to a backend method.
-Two backends implement it:
+is a step table whose rows name operations of this small vocabulary; the
+one executor (:meth:`repro.core.winograd.StepTable.execute`) lowers the
+operands to raw buffers and dispatches each row to a backend method with
+plain ndarrays.  Two backends implement it:
 
 * :class:`NumpyOps` — performs the arithmetic.  Because every Morton
   quadrant is a contiguous buffer, all 15 Winograd additions are single
@@ -30,7 +31,6 @@ from ..blas.kernels import (
     get_kernel,
     guarded_kernel,
 )
-from ..layout.matrix import MortonMatrix
 
 __all__ = ["WinogradOps", "NumpyOps", "FUSE_CHUNK_ELEMS"]
 
@@ -41,7 +41,13 @@ FUSE_CHUNK_ELEMS = 1 << 14
 
 
 class WinogradOps(Protocol):
-    """Operations the step tables name; all operands are Morton matrices.
+    """Operations the step tables name, over raw ndarrays.
+
+    The addition passes take same-shape flat quadrant buffers: 1-D for
+    one product, ``(B, elems)`` for a stacked batch.  ``leaf_mult`` takes
+    leaf-kernel tile views: 2-D ``(m, k)``/``(k, n)``/``(m, n)`` tiles,
+    or ``(B, k, m)``/``(B, n, k)``/``(B, n, m)`` stacks of transposed
+    tiles for a batch (see :mod:`repro.blas.kernels`).
 
     ``add``/``sub``/``iadd``/``leaf_mult`` are the classic vocabulary every
     backend implements (including the cache-simulator trace emitter).  A
@@ -50,22 +56,22 @@ class WinogradOps(Protocol):
     ``"classic"``) additionally name the fused pass ``add3``.
     """
 
-    def add(self, dst: MortonMatrix, x: MortonMatrix, y: MortonMatrix) -> None:
+    def add(self, dst: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         """``dst = x + y`` (dst may alias x or y)."""
 
-    def sub(self, dst: MortonMatrix, x: MortonMatrix, y: MortonMatrix) -> None:
+    def sub(self, dst: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         """``dst = x - y`` (dst may alias x or y)."""
 
-    def iadd(self, dst: MortonMatrix, x: MortonMatrix) -> None:
+    def iadd(self, dst: np.ndarray, x: np.ndarray) -> None:
         """``dst += x``."""
 
     def add3(
-        self, dst: MortonMatrix, x: MortonMatrix, y: MortonMatrix, z: MortonMatrix
+        self, dst: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
     ) -> None:
         """``dst = (x + y) + z`` in one fused pass (dst may alias any operand)."""
 
-    def leaf_mult(self, a: MortonMatrix, b: MortonMatrix, dst: MortonMatrix) -> None:
-        """``dst = a . b`` on leaf tiles (depth 0)."""
+    def leaf_mult(self, a: np.ndarray, b: np.ndarray, dst: np.ndarray) -> None:
+        """``dst = a . b`` on leaf tile views."""
 
     # The alpha/beta-folding vocabulary (``add_scale``, ``iadd_scale``,
     # ``add3_scale``, ``accumulate``) is NumpyOps-only: the engine invokes
@@ -92,15 +98,6 @@ def _fuse_chunk(dtype: np.dtype, elems: int = FUSE_CHUNK_ELEMS) -> np.ndarray:
     return buf
 
 
-def _same_size(dst: MortonMatrix, *rest: MortonMatrix) -> None:
-    for m in rest:
-        if m.size != dst.size:
-            raise ValueError(
-                f"buffer size mismatch: {dst.size} vs {m.size} "
-                "(operands of a Winograd addition must be congruent)"
-            )
-
-
 class NumpyOps:
     """The arithmetic backend.
 
@@ -111,12 +108,18 @@ class NumpyOps:
     run may undercount; sequential schedules are exact).
 
     ``trace`` is an optional :class:`repro.observe.Tracer`: when set and
-    enabled, every addition pass emits exactly one ``"add"`` event and
-    every leaf product a ``"leaf"`` event.  The disabled cost is one predicate check
-    per operation — neither timestamps nor events are produced.
+    enabled, every addition pass emits exactly one ``"add"`` event (its
+    ``elems`` is the per-item element count, also for a batch slab) and
+    every leaf product one ``"leaf"`` event (a batched stack is one event
+    carrying ``items``).  The disabled cost is one predicate check per
+    operation — neither timestamps nor events are produced.
     ``validate=True`` (debug mode) wraps both leaf kernels with the
     NaN/Inf guard of :func:`repro.blas.kernels.guarded_kernel`; the
     arithmetic is untouched either way.
+
+    The passes trust the executor's one conformability check per call:
+    operand shapes are not re-checked per pass (numpy still rejects
+    mismatched shapes of the plain ufunc passes).
     """
 
     def __init__(
@@ -133,36 +136,33 @@ class NumpyOps:
         self.trace = trace
         self.fused_adds = 0
 
-    def _emit(self, label: str, dst: MortonMatrix) -> None:
+    def _emit(self, label: str, dst: np.ndarray) -> None:
         """Trace one addition pass (callers pre-check ``trace.enabled``)."""
-        self.trace.emit("add", label=label, elems=int(dst.size))
+        self.trace.emit("add", label=label, elems=dst.shape[-1])
 
-    def add(self, dst: MortonMatrix, x: MortonMatrix, y: MortonMatrix) -> None:
+    def add(self, dst: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         """``dst = x + y`` as one flat vector operation."""
-        _same_size(dst, x, y)
-        np.add(x.buf, y.buf, out=dst.buf)
+        np.add(x, y, out=dst)
         tr = self.trace
         if tr is not None and tr.enabled:
             self._emit("add", dst)
 
-    def sub(self, dst: MortonMatrix, x: MortonMatrix, y: MortonMatrix) -> None:
+    def sub(self, dst: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         """``dst = x - y`` as one flat vector operation."""
-        _same_size(dst, x, y)
-        np.subtract(x.buf, y.buf, out=dst.buf)
+        np.subtract(x, y, out=dst)
         tr = self.trace
         if tr is not None and tr.enabled:
             self._emit("sub", dst)
 
-    def iadd(self, dst: MortonMatrix, x: MortonMatrix) -> None:
+    def iadd(self, dst: np.ndarray, x: np.ndarray) -> None:
         """``dst += x`` in place."""
-        _same_size(dst, x)
-        dst.buf += x.buf
+        dst += x
         tr = self.trace
         if tr is not None and tr.enabled:
             self._emit("iadd", dst)
 
     def add3(
-        self, dst: MortonMatrix, x: MortonMatrix, y: MortonMatrix, z: MortonMatrix
+        self, dst: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
     ) -> None:
         """``dst = (x + y) + z`` streaming each operand once.
 
@@ -178,11 +178,16 @@ class NumpyOps:
 
     def _fused3(self, dst, x, y, z, alpha, label: str) -> None:
         """The chunked ``(x + y) + z`` pass, scaled unless ``alpha`` is None."""
-        _same_size(dst, x, y, z)
+        if not dst.shape == x.shape == y.shape == z.shape:
+            # Chunked slices would silently truncate a longer operand.
+            raise ValueError(
+                f"operand shapes {dst.shape}, {x.shape}, {y.shape}, "
+                f"{z.shape} of a fused addition differ"
+            )
         # Chunk along the element axis (a flat buffer is a batch of one) so
         # every pass covers the whole batch — chunk boundaries never change
         # the elementwise arithmetic, only its staging granularity.
-        d, xb, yb, zb = (np.atleast_2d(m.buf) for m in (dst, x, y, z))
+        d, xb, yb, zb = (np.atleast_2d(m) for m in (dst, x, y, z))
         bsz, elems = d.shape
         step = max(1, FUSE_CHUNK_ELEMS // bsz)
         tmp = _fuse_chunk(d.dtype, bsz * step)
@@ -200,18 +205,10 @@ class NumpyOps:
         if tr is not None and tr.enabled:
             self._emit(label, dst)
 
-    def sub_into(self, dst: MortonMatrix, x: MortonMatrix) -> None:
-        """``dst = x - dst`` as one in-place reversed vector subtraction."""
-        _same_size(dst, x)
-        np.subtract(x.buf, dst.buf, out=dst.buf)
-        tr = self.trace
-        if tr is not None and tr.enabled:
-            self._emit("sub_into", dst)
-
     # ------------------------------------------------ alpha/beta folding
 
     def add_scale(
-        self, dst: MortonMatrix, x: MortonMatrix, y: MortonMatrix, alpha: float
+        self, dst: np.ndarray, x: np.ndarray, y: np.ndarray, alpha: float
     ) -> None:
         """``dst = alpha * (x + y)`` in one streamed pass.
 
@@ -221,30 +218,26 @@ class NumpyOps:
         full-matrix traffic.  Elementwise this is ``(x + y) * alpha``,
         bit-identical to computing the plain product and scaling after.
         """
-        _same_size(dst, x, y)
-        d, xb, yb = dst.buf, x.buf, y.buf
-        np.add(xb, yb, out=d)
-        np.multiply(d, alpha, out=d)
+        np.add(x, y, out=dst)
+        np.multiply(dst, alpha, out=dst)
         tr = self.trace
         if tr is not None and tr.enabled:
             self._emit("add_scale", dst)
 
-    def iadd_scale(self, dst: MortonMatrix, x: MortonMatrix, alpha: float) -> None:
+    def iadd_scale(self, dst: np.ndarray, x: np.ndarray, alpha: float) -> None:
         """``dst = alpha * (dst + x)`` in place (a scaled final U-add)."""
-        _same_size(dst, x)
-        d = dst.buf
-        np.add(d, x.buf, out=d)
-        np.multiply(d, alpha, out=d)
+        np.add(dst, x, out=dst)
+        np.multiply(dst, alpha, out=dst)
         tr = self.trace
         if tr is not None and tr.enabled:
             self._emit("iadd_scale", dst)
 
     def add3_scale(
         self,
-        dst: MortonMatrix,
-        x: MortonMatrix,
-        y: MortonMatrix,
-        z: MortonMatrix,
+        dst: np.ndarray,
+        x: np.ndarray,
+        y: np.ndarray,
+        z: np.ndarray,
         alpha: float,
     ) -> None:
         """``dst = alpha * ((x + y) + z)``, fused and chunked like ``add3``.
@@ -257,7 +250,7 @@ class NumpyOps:
         """
         self._fused3(dst, x, y, z, alpha, "add3_scale")
 
-    def accumulate(self, dst: MortonMatrix, x: MortonMatrix, beta: float) -> None:
+    def accumulate(self, dst: np.ndarray, x: np.ndarray, beta: float) -> None:
         """``dst = x + beta * dst``: fold a freshly computed product ``x``
         into a live C (the BLAS beta contract) in Morton space.
 
@@ -265,38 +258,36 @@ class NumpyOps:
         (multiply first, then add), so results stay bit-compatible with
         the epilogue it replaces.
         """
-        _same_size(dst, x)
-        d = dst.buf
-        np.multiply(d, beta, out=d)
-        np.add(d, x.buf, out=d)
+        np.multiply(dst, beta, out=dst)
+        np.add(dst, x, out=dst)
         tr = self.trace
         if tr is not None and tr.enabled:
-            tr.emit("accumulate", label="morton", elems=int(dst.size))
+            tr.emit("accumulate", label="morton", elems=dst.shape[-1])
 
     # ----------------------------------------------------- leaf products
 
     def leaf_mult(
         self,
-        a: MortonMatrix,
-        b: MortonMatrix,
-        dst: MortonMatrix,
+        a: np.ndarray,
+        b: np.ndarray,
+        dst: np.ndarray,
         alpha: float = 1.0,
     ) -> None:
-        """Multiply two leaf tiles (or stacked batches) with the kernel.
+        """Multiply two leaf tile views (or stacked batches) with the kernel.
 
-        Batched operands (anything exposing a ``batch`` axis) route to the
-        batched kernel so an entire ``(B, T, T)`` leaf site is one call.
-        ``alpha`` scales the freshly written tile in place — only a
-        depth-0 recursion (the whole product is one leaf) pays this,
-        deeper plans fold alpha into the final U-adds instead.
+        3-D stacks route to the batched kernel, so an entire
+        ``(B, T, T)`` leaf site is one call.  ``alpha`` scales the freshly
+        written tile in place — only a depth-0 recursion (the whole
+        product is one leaf) pays this, deeper plans fold alpha into the
+        final U-adds instead.
         """
-        if getattr(a, "batch", None) is not None:
-            self.batch_kernel(
-                a.leaf_view(), b.leaf_view(), dst.leaf_view(), accumulate=False
-            )
-            if alpha != 1.0:
-                dst.buf *= alpha
-            return
-        self.kernel(a.leaf_view(), b.leaf_view(), dst.leaf_view(), accumulate=False)
+        batched = dst.ndim == 3
+        (self.batch_kernel if batched else self.kernel)(a, b, dst)
         if alpha != 1.0:
-            dst.buf *= alpha
+            dst *= alpha
+        tr = self.trace
+        if tr is not None and tr.enabled:
+            if batched:
+                tr.emit("leaf", label="batch", items=dst.shape[0])
+            else:
+                tr.emit("leaf", label="tile")

@@ -43,7 +43,7 @@ import numpy as np
 
 from ..blas.kernels import LeafKernel
 from ..layout.matrix import MortonMatrix
-from ..layout.relabel import relabel_scratch
+from ..layout.relabel import quadrant_slices
 from .ops import NumpyOps, WinogradOps
 from .scheduler import TaskGraph, WorkerPool, stripe_ranges
 from ..observe.validate import POISON
@@ -276,7 +276,9 @@ def build_winograd_graph(
     (a plan's spec is frozen, so this costs nothing per run).  Requires
     ``a.depth >= 1`` (use the sequential path for leaf-only operands).
     The operands may be :class:`~repro.layout.relabel.TransposedView`
-    wrappers; the expansion relabels its per-node scratch to match.
+    wrappers: tasks then read their quadrants in relabeled order, and the
+    leaf recursions descend them (and the S/T sums built from them) the
+    same way.
 
     ``pack_a``/``pack_b`` (both or neither) are fused convert-and-pack
     closures that become the graph's two root tasks: each converts its
@@ -295,9 +297,8 @@ def build_winograd_graph(
     if (pack_a is None) != (pack_b is None):
         raise ValueError("pack_a and pack_b must be given together")
     prepacked = pack_a is not None
-    if prepacked and (
-        getattr(a, "transposed", False) or getattr(b, "transposed", False)
-    ):
+    relabeled = (getattr(a, "transposed", False), getattr(b, "transposed", False))
+    if prepacked and any(relabeled):
         raise ValueError(
             "fused packing cannot consume relabeled (transposed) operands"
         )
@@ -310,8 +311,9 @@ def build_winograd_graph(
     if prepacked:
         deps_a = (graph.add(pack_a, label="pack_a"),)
         deps_b = (graph.add(pack_b, label="pack_b"),)
-    _expand(graph, ops, scratch, a, b, c, scratch.root,
-            scratch.parallel_depth, deps_a, deps_b, alpha,
+    geo = ((a.tile_r, a.tile_c, b.tile_c), relabeled)
+    _expand(graph, ops, scratch, geo, a.buf, b.buf, c.buf, a.depth,
+            scratch.root, scratch.parallel_depth, deps_a, deps_b, alpha,
             prepacked=prepacked)
     return graph
 
@@ -320,9 +322,11 @@ def _expand(
     graph: TaskGraph,
     ops: WinogradOps,
     scratch: TaskScratch,
-    a: MortonMatrix,
-    b: MortonMatrix,
-    c: MortonMatrix,
+    geo: tuple,
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    depth: int,
     node: _NodeScratch | None,
     levels: int,
     deps_a: tuple,
@@ -332,40 +336,42 @@ def _expand(
 ) -> list:
     """Emit tasks computing ``c = alpha . a . b``; return c's final tasks.
 
+    ``a``/``b``/``c`` are raw depth-``depth`` buffers and ``geo`` is
+    ``(tiles, relabeled)`` as :meth:`StepTable.execute` takes them.
     Sub-products recurse with ``alpha=1``: only the outermost expansion's
     final U-adds (or its leaf closure, if the whole product is one task)
     carry the scale, mirroring the sequential schedules.
     """
-    if levels == 0 or a.depth == 0:
+    if levels == 0 or depth == 0:
         ws_pool = scratch.workspace_pool
         table = scratch.table
+        tiles, relabeled = geo
 
-        if a.depth == 0:
+        if depth == 0:
             def leaf(x=a, y=b, out=c):
-                table.run(x, y, out, ops, alpha=alpha)
+                table.execute(x, y, out, tiles, 0, ops, alpha=alpha,
+                              relabeled=relabeled)
         else:
             def leaf(x=a, y=b, out=c):
                 ws = ws_pool.acquire()
                 try:
-                    table.run(x, y, out, ops, ws, alpha)
+                    table.execute(x, y, out, tiles, depth, ops, ws, alpha,
+                                  relabeled=relabeled)
                 finally:
                     ws_pool.release(ws)
 
         return [graph.add(leaf, deps=(*deps_a, *deps_b), label="product")]
 
-    a11, a12, a21, a22 = a.quadrants()
-    b11, b12, b21, b22 = b.quadrants()
-    c11, c12, c21, c22 = c.quadrants()
-    s1, s2, s3, s4 = node.s
-    t1, t2, t3, t4 = node.t
-    p = node.p
-    # Mirror the sequential recursions: S/T sums of a relabeled operand
-    # carry its native Morton permutation, so the node scratch receiving
-    # them is descended through the same relabel (products stay plain).
-    if getattr(a, "transposed", False):
-        s1, s2, s3, s4 = (relabel_scratch(m) for m in node.s)
-    if getattr(b, "transposed", False):
-        t1, t2, t3, t4 = (relabel_scratch(m) for m in node.t)
+    ra, rb = geo[1]
+    a11, a12, a21, a22 = quadrant_slices(a, ra)
+    b11, b12, b21, b22 = quadrant_slices(b, rb)
+    c11, c12, c21, c22 = quadrant_slices(c)
+    # Dedicated S/T buffers hold sums in their operand's stored
+    # permutation, so the products below descend them in that
+    # operand's order (the leaf recursions key it on ``relabeled``).
+    s1, s2, s3, s4 = (m.buf for m in node.s)
+    t1, t2, t3, t4 = (m.buf for m in node.t)
+    p = [m.buf for m in node.p]
 
     def op2(fn, dst, x, y):
         return lambda: fn(dst, x, y)
@@ -377,8 +383,7 @@ def _expand(
         # The root pack tasks (in deps_a/deps_b) already materialised
         # S1/T1 in the A21/B12 quadrant slots and S3/T3 in this node's
         # s[2]/t[2] buffers; only the S2/S4 and T2/T4 chains remain.
-        s1 = a.quadrant(1, 0)
-        t1 = b.quadrant(0, 1)
+        s1, t1 = a21, b12
         ts2 = graph.add(op2(ops.sub, s2, s1, a11), deps=deps_a, label="S2")
         ts4 = graph.add(
             op2(ops.sub, s4, a12, s2), deps=(ts2, *deps_a), label="S4"
@@ -412,8 +417,8 @@ def _expand(
     kids = node.children or [None] * 7
 
     def product(i, x, y, dx, dy):
-        return _expand(graph, ops, scratch, x, y, p[i], kids[i],
-                       levels - 1, dx, dy)
+        return _expand(graph, ops, scratch, geo, x, y, p[i], depth - 1,
+                       kids[i], levels - 1, dx, dy)
 
     p1 = product(0, a11, b11, deps_a, deps_b)
     p2 = product(1, a12, b21, deps_a, deps_b)
@@ -537,7 +542,7 @@ def parallel_multiply(
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     ops = NumpyOps(kernel)
     if a.depth == 0:
-        ops.leaf_mult(a, b, c)
+        SCHEDULE_TABLES["classic"].run(a, b, c, ops)
         return c
     if scratch is None:
         scratch = TaskScratch(

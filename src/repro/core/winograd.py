@@ -27,8 +27,13 @@ level's slots — the quadrants ``A11`` .. ``C22`` and the scratch ``S``
 (A-shaped sums), ``T`` (B-shaped sums), ``P``/``Q`` (C-shaped products).
 ``mul`` rows recurse (``dst = srcs[0] . srcs[1]``); any other op is the
 backend pass ``ops.<op>(dst, *srcs)``.  One executor
-(:meth:`StepTable.run`) runs every table, deriving from the rows:
+(:meth:`StepTable.execute`) runs every table on raw buffers, deriving
+from the rows:
 
+* **lowering** — operands, products and scratch are plain ndarrays (1-D,
+  or ``(B, elems)`` for a stacked batch); a node's quadrants are slices
+  of the last axis, so the passes see flat arrays and the leaf kernel
+  sees tile views.  No per-node matrix object is built.
 * **alpha** — each C quadrant's last write runs in its scaled form
   (``add_scale``, ``iadd_scale``, ``add3_scale``); a depth-0 product
   scales its leaf.  Sub-products are never scaled.
@@ -36,10 +41,10 @@ backend pass ``ops.<op>(dst, *srcs)``.  One executor
   unmodified quadrants are dropped and later rows read the pack slots:
   the never-converted A21/B12 quadrants for S1/T1, the dropped rows'
   destinations for S3/T3 (:attr:`StepTable.pack_slots`).
-* **relabeling** — for a transposed operand, the scratch of its kind
-  (``S`` for A, ``T`` for B) is read through
-  :func:`~repro.layout.relabel.relabel_scratch`, since sums of relabeled
-  quadrants keep the operand's native permutation; products stay plain.
+* **relabeling** — a transposed operand, and the scratch of its kind
+  (``S`` for A, ``T`` for B, since sums of relabeled quadrants keep the
+  operand's native permutation), descend in quadrant order
+  :data:`~repro.layout.relabel.RELABEL_ORDER`; products stay plain.
 * **requirements** — the backend must implement the ops the rows name,
   and each level allocates the scratch slots they touch
   (:meth:`StepTable.workspace`).
@@ -77,7 +82,12 @@ from functools import partial
 import numpy as np
 
 from ..layout.matrix import MortonMatrix
-from ..layout.relabel import relabel_scratch, transposed_view
+from ..layout.relabel import (
+    PLAIN_ORDER,
+    RELABEL_ORDER,
+    quadrant_slices,
+    transposed_view,
+)
 from .ops import NumpyOps, WinogradOps
 from .workspace import BatchWorkspace, Workspace
 
@@ -254,29 +264,48 @@ class StepTable:
             cap, depth, tile_m, tile_k, tile_n, stagger=stagger, **kw
         )
 
-    def _level_slots(self, workspace, depth: int, flip=frozenset()) -> tuple:
-        """The scratch views of one level, relabeled for ``flip`` kinds."""
+    def _scratch(self, workspace, depth: int, shapes: dict) -> tuple:
+        """The raw scratch buffers whose slots have depth ``depth``.
+
+        ``shapes`` maps each operand kind to the buffer shape its slots
+        must have; a workspace of another layout or geometry is rejected.
+        """
         if not self.scratch:
             return ()
-        lv = workspace.at(depth)
-        views = [getattr(lv, s.lower()) for s in self.scratch]
-        return tuple(
-            relabel_scratch(m) if SCRATCH_SLOTS[s] in flip else m
-            for s, m in zip(self.scratch, views)
-        )
+        level = workspace.at(depth) if workspace.schedule == self.layout else None
+        views = [getattr(level, s.lower(), None) for s in self.scratch]
+        if None in views:
+            q = ", with_q=True" if "Q" in self.scratch else ""
+            raise ValueError(
+                f"the {self.name!r} schedule needs a workspace built with "
+                f"schedule={self.layout!r}{q}"
+            )
+        bufs = tuple(v.buf for v in views)
+        for slot, buf in zip(self.scratch, bufs):
+            want = shapes[SCRATCH_SLOTS[slot]]
+            if buf.shape != want:
+                raise ValueError(
+                    f"workspace slot {slot} at depth {depth} holds "
+                    f"{buf.shape} elements; the operands need {want}"
+                )
+        return bufs
 
     def pack_buffers(self, a, b, c, workspace) -> dict[str, np.ndarray]:
         """Flat buffers the fused conversion writes each packed sum into.
 
         Resolves :attr:`pack_slots` against the top level of the given
-        operands and workspace (plain or batch-stacked).
+        plain Morton operands and workspace.
         """
-        views = dict(zip(
+        shapes = _level_shapes(
+            (a.tile_r, a.tile_c, b.tile_c), a.depth - 1, a.buf.shape[:-1]
+        )
+        slots = dict(zip(
             QUADRANT_SLOTS + self.scratch,
-            a.quadrants() + b.quadrants() + c.quadrants()
-            + self._level_slots(workspace, a.depth - 1),
+            quadrant_slices(a.buf) + quadrant_slices(b.buf)
+            + quadrant_slices(c.buf)
+            + self._scratch(workspace, a.depth - 1, shapes),
         ))
-        return {label: views[slot].buf for label, slot in self.pack_slots.items()}
+        return {label: slots[slot] for label, slot in self.pack_slots.items()}
 
     # ------------------------------------------------------------- executor
 
@@ -290,48 +319,92 @@ class StepTable:
         alpha: float = 1.0,
         prepacked: bool = False,
     ) -> None:
-        """Execute ``c = alpha . a . b`` with this table at every level.
+        """Execute ``c = alpha . a . b`` over Morton operands.
 
-        Sub-products run the plain rows; only the top level reads the
-        fused packs (``prepacked``) and scales its final writes.  Without
-        a ``workspace``, scratch is allocated in the operands' dtype.
-        Raises ``ValueError`` naming any op the backend lacks, or when the
-        workspace was built for another layout.
+        ``a``/``b`` may be plain, relabeled (:class:`TransposedView`) or
+        batch-stacked; they are lowered to their raw buffers once, here,
+        and :meth:`execute` runs the recursion on those.
         """
-        if a.depth == 0:
-            bind_pass(ops, "leaf_mult", alpha)(a, b, c)
+        self.execute(
+            a.buf, b.buf, c.buf, (a.tile_r, a.tile_c, b.tile_c), a.depth,
+            ops, workspace, alpha, prepacked,
+            (getattr(a, "transposed", False), getattr(b, "transposed", False)),
+        )
+
+    def execute(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        z: np.ndarray,
+        tiles: tuple[int, int, int],
+        depth: int,
+        ops: WinogradOps,
+        workspace=None,
+        alpha: float = 1.0,
+        prepacked: bool = False,
+        relabeled: tuple[bool, bool] = (False, False),
+    ) -> None:
+        """The one executor: ``z = alpha . x . y`` with this table at every
+        level, over raw Morton buffers.
+
+        ``x``/``y``/``z`` are the A/B/C buffers — 1-D for one product,
+        ``(B, elems)`` for a stacked batch — of a depth-``depth``
+        recursion over ``tiles = (tile_m, tile_k, tile_n)`` leaves (op
+        geometry).  ``relabeled`` marks A/B stored transposed: those
+        buffers, and the S/T scratch of their kind, descend in
+        :data:`~repro.layout.relabel.RELABEL_ORDER` and yield transposed
+        leaf views.  Each node slices its buffers' last axis into
+        quadrants; a depth-1 node also views them as leaf tiles for the
+        kernel (:func:`_leaves`).  Sub-products run the plain rows; only
+        the top level reads the fused packs (``prepacked``) and scales its
+        final writes.  Without a ``workspace``, scratch is allocated in
+        the operands' dtype.  Raises ``ValueError`` naming any op the
+        backend lacks, or when the workspace was built for another layout
+        or geometry.
+        """
+        tm, tk, tn = tiles
+        geo = {"A": (tm, tk, relabeled[0]), "B": (tk, tn, relabeled[1]),
+               "C": (tm, tn, False)}
+        if depth == 0:
+            bind_pass(ops, "leaf_mult", alpha)(*(
+                _leaves(buf, *geo[kind], 1)[0]
+                for buf, kind in ((x, "A"), (y, "B"), (z, "C"))
+            ))
             return
+        lead = z.shape[:-1]
         if self.scratch and workspace is None:
-            batch = getattr(a, "batch", None)
             workspace = self.workspace(
-                a.depth, a.tile_r, a.tile_c, b.tile_c,
-                dtype=np.result_type(a.buf.dtype, b.buf.dtype), cap=batch,
+                depth, tm, tk, tn, dtype=np.result_type(x.dtype, y.dtype),
+                cap=lead[0] if lead else None,
             )
-            if batch is not None:
-                workspace = workspace.view(0, batch)
-        flip = {
-            kind for kind, m in (("A", a), ("B", b))
-            if getattr(m, "transposed", False)
-        }
+            if lead:
+                workspace = workspace.view(0, lead[0])
         levels = [
-            self._level_slots(workspace, d, flip) for d in range(a.depth)
+            self._scratch(workspace, d, _level_shapes(tiles, d, lead))
+            for d in range(depth)
         ]
-        if self.scratch and (
-            workspace.schedule != self.layout or None in levels[-1]
-        ):
-            q = ", with_q=True" if "Q" in self.scratch else ""
-            raise ValueError(
-                f"the {self.name!r} schedule needs a workspace built with "
-                f"schedule={self.layout!r}{q}"
-            )
         leaf = bind_pass(ops, "leaf_mult")
         passes = {op: bind_pass(ops, op) for op in self.ops}
         program = self._programs[prepacked]
         finals = {
             op: bind_pass(ops, op, alpha) for op, final, *_ in program if final
         }
+        kinds = [SCRATCH_SLOTS[s] for s in self.scratch]
+        n_slots = len(QUADRANT_SLOTS) + len(kinds)
+        # Relabeling, as data: the quadrant order each kind descends in.
+        order = {k: RELABEL_ORDER if g[2] else PLAIN_ORDER for k, g in geo.items()}
 
-        def execute(program, v) -> None:
+        def cuts(kind: str, d: int) -> tuple:
+            """Index of each op-geometry quadrant of a depth-``d + 1`` node."""
+            r, c, _ = geo[kind]
+            q = (r << d) * (c << d)
+            return tuple(
+                (slice(None), slice(i * q, (i + 1) * q)) if lead
+                else slice(i * q, (i + 1) * q)
+                for i in order[kind]
+            )
+
+        def run(program, v) -> None:
             for fn, i, j, k, l in program:
                 if l is not None:
                     fn(v[i], v[j], v[k], v[l])
@@ -340,26 +413,79 @@ class StepTable:
                 else:
                     fn(v[i], v[j])
 
-        def rec(x, y, z) -> None:
-            d = x.depth
-            execute(
-                inner if d > 1 else last,
-                (*x.quadrants(), *y.quadrants(), *z.quadrants(), *levels[d - 1]),
+        def node(d: int, program):
+            """The function running one depth-``d`` node's rows."""
+            (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (
+                cuts(kind, d - 1) for kind in "ABC"
+            )
+            scratch = levels[d - 1]
+            if d > 1:
+                def rec(x, y, z) -> None:
+                    run(program, (
+                        x[a0], x[a1], x[a2], x[a3], y[b0], y[b1], y[b2], y[b3],
+                        z[c0], z[c1], z[c2], z[c3], *scratch,
+                    ))
+                return rec
+            # Children are leaves: the slot tuple carries every slot twice,
+            # flat for the addition passes and then as a kernel view.
+            ga, gb, gc = geo["A"], geo["B"], geo["C"]
+            (o0, o1, o2, o3), (p0, p1, p2, p3) = order["A"], order["B"]
+            tiles0 = tuple(
+                _leaves(buf, *geo[kind], 1)[0] for buf, kind in zip(scratch, kinds)
             )
 
-        def bind(program, mul, finals) -> list:
-            # Products of a depth-1 node are leaves: ``mul`` is then the
-            # leaf kernel itself, saving a frame per leaf.
+            def rec(x, y, z) -> None:
+                ta, tb, tc = _leaves(x, *ga), _leaves(y, *gb), _leaves(z, *gc)
+                run(program, (
+                    x[a0], x[a1], x[a2], x[a3], y[b0], y[b1], y[b2], y[b3],
+                    z[c0], z[c1], z[c2], z[c3], *scratch,
+                    ta[o0], ta[o1], ta[o2], ta[o3], tb[p0], tb[p1], tb[p2],
+                    tb[p3], tc[0], tc[1], tc[2], tc[3], *tiles0,
+                ))
+            return rec
+
+        def bind(rows, mul, finals) -> list:
+            # At a depth-1 node, products are leaves: ``mul`` is then the
+            # leaf kernel itself, reading the kernel views.
+            shift = n_slots if mul is leaf else 0
             return [
-                (mul if op == "mul" else (finals if final else passes)[op], *args)
-                for op, final, *args in program
+                (mul, args[0] + shift, args[1] + shift, args[2] + shift, None)
+                if op == "mul" else ((finals if final else passes)[op], *args)
+                for op, final, *args in rows
             ]
 
-        if a.depth > 1:
-            inner = bind(self._programs[False], rec, passes)
-            last = bind(self._programs[False], leaf, passes)
-        top = bind(program, rec if a.depth > 1 else leaf, finals)
-        execute(top, (*a.quadrants(), *b.quadrants(), *c.quadrants(), *levels[-1]))
+        rec = leaf
+        for d in range(1, depth):
+            rec = node(d, bind(self._programs[False], rec, passes))
+        node(depth, bind(program, rec, finals))(x, y, z)
+
+
+def _level_shapes(tiles: tuple[int, int, int], depth: int, lead: tuple) -> dict:
+    """Buffer shape of a depth-``depth`` slot of each operand kind."""
+    tm, tk, tn = tiles
+    return {
+        kind: (*lead, (r << depth) * (c << depth))
+        for kind, (r, c) in (("A", (tm, tk)), ("B", (tk, tn)), ("C", (tm, tn)))
+    }
+
+
+def _leaves(buf: np.ndarray, r: int, c: int, relabeled: bool, n: int = 4):
+    """The ``n`` leaf tiles a buffer holds, as kernel views on axis 0.
+
+    ``buf`` is ``n`` consecutive ``r x c`` (op geometry) Morton leaf
+    tiles.  A plain tile is stored column-major; a relabeled one is the
+    stored transpose, read row-major — either way the 2-D view is the
+    ``(r, c)`` op-geometry tile.  A ``(B, elems)`` batch stack yields
+    ``(B, c, r)`` views: each item's tile transposed, in C order, the
+    form the batched kernels take.
+    """
+    if buf.ndim == 1:
+        if relabeled:
+            return buf.reshape(n, r, c)
+        return buf.reshape(n, c, r).transpose(0, 2, 1)
+    if relabeled:
+        return buf.reshape(-1, n, r, c).transpose(1, 0, 3, 2)
+    return buf.reshape(-1, n, c, r).transpose(1, 0, 2, 3)
 
 
 CLASSIC = StepTable("classic", "classic", (
@@ -528,9 +654,9 @@ def winograd_multiply(
 
     The operands may equally be same-shape
     :class:`~repro.layout.matrix.BatchMortonMatrix` stacks (with a
-    batch-stacked workspace view): the executor is written against the
-    duck-typed quadrant/ops vocabulary, so one call then multiplies the
-    whole batch — every addition a single ufunc over ``(B, elems)`` slabs,
+    batch-stacked workspace view): the executor slices the last axis of
+    their ``(B, elems)`` buffers, so one call then multiplies the whole
+    batch — every addition a single ufunc over ``(B, elems)`` slabs,
     every leaf product one batched ``matmul`` — with per-item results
     bit-identical to the unbatched path (same addition order throughout).
     ``ip_overwrite`` is not offered for batches (the batched path never
@@ -585,26 +711,18 @@ def winograd_multiply(
             )
 
     # beta: the recursion always produces a *fresh* product, so a live C
-    # is preserved by computing alpha.op(A).op(B) into a same-geometry
-    # staging matrix and folding it in with one streaming accumulate pass
+    # is preserved by computing alpha.op(A).op(B) into a same-shape
+    # staging buffer and folding it in with one streaming accumulate pass
     # (elementwise identical to the reference ``c *= beta; c += d``).
-    target = c if beta == 0.0 else _staging_like(c)
-    table.run(a, b, target, ops, workspace, alpha, prepacked)
-    if beta != 0.0:
-        ops.accumulate(c, target, beta)
-    return c
-
-
-def _staging_like(c):
-    """A fresh Morton(-batch) matrix congruent with ``c`` (for beta staging)."""
-    return type(c)(
-        buf=np.empty_like(c.buf),
-        rows=c.rows,
-        cols=c.cols,
-        tile_r=c.tile_r,
-        tile_c=c.tile_c,
-        depth=c.depth,
+    target = c.buf if beta == 0.0 else np.empty_like(c.buf)
+    table.execute(
+        a.buf, b.buf, target, (a.tile_r, a.tile_c, b.tile_c), a.depth, ops,
+        workspace, alpha, prepacked,
+        (getattr(a, "transposed", False), getattr(b, "transposed", False)),
     )
+    if beta != 0.0:
+        ops.accumulate(c.buf, target, beta)
+    return c
 
 
 def multiply_morton(

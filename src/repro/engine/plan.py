@@ -65,11 +65,10 @@ from ..layout.convert import (
     morton_to_dense,
     morton_to_dense_batch,
     pack_morton_quarter,
-    pack_morton_quarter_batch,
 )
 from ..layout.matrix import BatchMortonMatrix, MortonMatrix
 from ..layout.padding import Tiling
-from ..layout.relabel import transposed_view
+from ..layout.relabel import quadrant_slices, transposed_view
 from ..observe.validate import check_pad_zero, check_quiescent
 from .spec import GemmSpec
 
@@ -486,8 +485,8 @@ class CompiledPlan:
             )
         root = self._tscratch.root
         return {
-            "S1": self._a_mm.quadrant(1, 0).buf,
-            "T1": self._b_mm.quadrant(0, 1).buf,
+            "S1": quadrant_slices(self._a_mm.buf)[2],
+            "T1": quadrant_slices(self._b_mm.buf)[1],
             "S3": root.s[2].buf,
             "T3": root.t[2].buf,
         }
@@ -1069,31 +1068,9 @@ class BatchPlan:
                         mm.rows, mm.cols, mm.tile_r, mm.tile_c, mm.depth
                     )
         self._baseline: dict[str, float] = {}
-        # Fused convert-and-add packing over the batch axis: each row's
-        # top-level S1/S3/T1/T3 sums are scattered during its
-        # dense->Morton gather.  Unlike the per-item path there is no
-        # depth threshold: the batched path already commits statically
-        # to table gathers whenever the recursion has depth (the B-fold
-        # amortisation), so packing three gathered quadrants plus sums
-        # strictly beats gathering four and adding separately.
-        self._fused = (
-            bool(getattr(session, "fused_pack", True))
-            and key.variant == "winograd"
-            and tm.depth >= 1
-            and not self._relabel_a
-            and not self._relabel_b
-            and "a" in self._tables
-            and "b" in self._tables
-        )
-        self._fdsts: dict[str, np.ndarray] = {}
-        if self._fused:
-            # Row-stacked pack destinations: stripe views slice the same
-            # raw arrays, so every stripe reads its own packed rows.
-            self._fdsts = table.pack_buffers(
-                self._a, self._b, self._c, self._ws.view(0, cap)
-            )
-        # Stripe views are pure geometry; reuse them (and their memoised
-        # quadrant/leaf caches) across executions.
+        # Batches never fuse their packing: one vectorised gather per side
+        # over the whole stack beats packing the sums item by item.
+        # Stripe views are pure geometry; reuse them across executions.
         self._stripes: dict = {}
 
     # ------------------------------------------------------------- execute
@@ -1131,38 +1108,6 @@ class BatchPlan:
             pool=pool, workers=workers,
         )
         return base * len(arrs) - (time.perf_counter() - t0)
-
-    def _fused_convert_in(
-        self, name: str, arrs, out: BatchMortonMatrix, transpose: bool,
-        quads, packs,
-    ) -> None:
-        """Fused fill of ``out[:len(arrs)]``: quadrant gathers plus packs."""
-        table = self._tables[name]
-        tr = self._ops.trace
-        n = len(arrs)
-        t0 = time.perf_counter()
-        for i, arr in enumerate(arrs):
-            dense_to_morton_quadrants(
-                arr, out.item(i), quads, transpose=transpose,
-                zero_pad=False, table=table,
-            )
-        if tr is not None and tr.enabled:
-            tr.emit(
-                "convert", label=f"batch-{name}",
-                seconds=time.perf_counter() - t0, items=n,
-                indexed=True, fused=True,
-            )
-        for label, op, q0, q1 in packs:
-            t0 = time.perf_counter()
-            pack_morton_quarter_batch(
-                self._fdsts[label][:n], arrs, op, q0, q1, table,
-                transpose=transpose,
-            )
-            if tr is not None and tr.enabled:
-                tr.emit(
-                    "pack", label=f"batch-{label}",
-                    seconds=time.perf_counter() - t0, items=n,
-                )
 
     def _convert_out(self, n_items: int, pool, workers: int):
         """Gather the first ``n_items`` products back to dense arrays."""
@@ -1208,7 +1153,6 @@ class BatchPlan:
             winograd_multiply(
                 a, b, c, ops=self._ops, workspace=ws,
                 memory=self.key.memory, alpha=self.key.alpha,
-                prepacked=self._fused,
             )
         else:
             strassen_multiply(
@@ -1289,38 +1233,23 @@ class BatchPlan:
                 if self._relabel_b:
                     tr.emit("relabel", label="batch-b", items=n_items)
             t0 = time.perf_counter()
-            if self._fused:
-                saved = 0.0
-                self._fused_convert_in(
-                    "a", [p.a for p in problems], self._a, transpose_a,
-                    CONVERT_QUADS_A, FUSED_PACKS_A,
-                )
-                self._fused_convert_in(
-                    "b", [p.b for p in problems], self._b, transpose_b,
-                    CONVERT_QUADS_B, FUSED_PACKS_B,
-                )
-            else:
-                saved = self._convert_in(
-                    "a", [p.a for p in problems], self._a, transpose_a,
-                    pool, workers,
-                )
-                saved += self._convert_in(
-                    "b", [p.b for p in problems], self._b, transpose_b,
-                    pool, workers,
-                )
+            saved = self._convert_in(
+                "a", [p.a for p in problems], self._a, transpose_a,
+                pool, workers,
+            )
+            saved += self._convert_in(
+                "b", [p.b for p in problems], self._b, transpose_b,
+                pool, workers,
+            )
             t1 = time.perf_counter()
-            if not self._fused and tr is not None and tr.enabled:
-                # The fused path emitted per-side convert events above
-                # (gather-only seconds, pack passes reported separately).
+            if tr is not None and tr.enabled:
                 tr.emit(
                     "convert", label="batch-in", seconds=t1 - t0,
                     items=n_items, indexed=bool(self._tables),
                 )
-            if self._debug and not self._fused:
+            if self._debug:
                 # Phase boundary: every occupied stack row's pad must be
                 # exactly zero before the shared recursion runs over it.
-                # Fused stacks skip the check — the A21/B12 column slots
-                # hold packed sums whose support extends into the pad.
                 for i in range(n_items):
                     check_pad_zero(self._a.item(i), f"a[{indices[i]}]")
                     check_pad_zero(self._b.item(i), f"b[{indices[i]}]")
@@ -1369,7 +1298,6 @@ class BatchPlan:
             timings.from_morton += rec.from_morton
         self.session._record_batch_execution(
             self, n_items, rec, saved, fused_delta,
-            fused_packs=4 * n_items if self._fused else 0,
         )
         if results is None:
             # beta == 0 epilogue: alpha is already folded into the

@@ -110,8 +110,8 @@ class SessionStats:
 
     The fused packing path adds ``fused_packs`` (quarter-matrix operand
     sums produced during a dense->Morton gather instead of by a
-    standalone add pass — 4 per fused execution, ``4 x items`` per fused
-    batch), ``convert_seconds`` (wall time spent in the conversion phases
+    standalone add pass — 4 per fused execution; stacked batches never
+    fuse, so they add 0), ``convert_seconds`` (wall time spent in the conversion phases
     — ``timings.to_morton + timings.from_morton``; a fused ``tasks:``
     plan's operand conversion runs inside its graph and lands in
     ``compute`` instead) and ``convert_fraction`` (``convert_seconds``
@@ -207,9 +207,10 @@ class GemmSession:
         the index-table gather is already the right conversion strategy
         (``depth >= CONVERT_TABLE_MIN_DEPTH``; at shallower depths the
         tile loop's large contiguous copies win and fusing would
-        regress); batch plans fuse whenever tables exist (``depth >=
-        1``).  ``"always"`` drops the per-item depth threshold to 1
-        (tests, A/B measurement); ``False`` disables fusion entirely.
+        regress); batch plans never fuse (one vectorised gather over the
+        whole stack beats packing item by item).  ``"always"`` drops the
+        per-item depth threshold to 1 (tests, A/B measurement);
+        ``False`` disables fusion entirely.
         Results are bit-identical in all modes.  Fixed at construction
         (plans bake the fused layout in at compile time).
     accumulate_cap:
@@ -1087,7 +1088,7 @@ class GemmSession:
 
     def _record_batch_execution(
         self, plan: BatchPlan, n_items: int, rec: PhaseTimings,
-        saved: float, fused_adds: int, fused_packs: int = 0,
+        saved: float, fused_adds: int,
     ) -> None:
         """Fold one stacked-batch execution into the session counters."""
         tr = self.trace
@@ -1109,7 +1110,6 @@ class GemmSession:
             self._timings.compute += rec.compute
             self._timings.from_morton += rec.from_morton
             self._fused_adds += fused_adds
-            self._fused_packs += fused_packs
 
     def stats(self) -> SessionStats:
         """A consistent snapshot of the instrumentation counters."""

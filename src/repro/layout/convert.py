@@ -42,7 +42,6 @@ __all__ = [
     "morton_to_dense_batch",
     "dense_to_morton_quadrants",
     "pack_morton_quarter",
-    "pack_morton_quarter_batch",
     "ConversionTable",
     "conversion_table",
     "calibration_key",
@@ -635,18 +634,3 @@ def pack_morton_quarter(
 
     remainder(s0, h0, w0, True)
     remainder(s1, h1, w1, False)
-
-
-def pack_morton_quarter_batch(
-    dst: np.ndarray, arrs, op: str, quad0, quad1,
-    table: ConversionTable, transpose: bool = False,
-) -> None:
-    """Per-item :func:`pack_morton_quarter` over rows of a quarter stack.
-
-    ``dst`` is a 2-D ``(cap, quarter)`` stack — an operand-stack quadrant
-    column slice or one level of batch workspace scratch; row ``i``
-    receives item ``i``'s packed quarter through the shared table.
-    """
-    for i, a in enumerate(arrs):
-        pack_morton_quarter(dst[i], a, op, quad0, quad1, table,
-                            transpose=transpose)

@@ -16,7 +16,9 @@ one ``(batch, padded_elems)`` array.  Every quadrant of the stack is then
 a ``(batch, quarter)`` column slice whose rows stay contiguous, so the
 Winograd additions remain single ufunc calls — now over the whole batch —
 and the stacked leaf tiles form a ``(batch, T, T)`` array that one batched
-``np.matmul`` multiplies in a single call.
+``np.matmul`` multiplies in a single call.  The step-table executor
+(:meth:`repro.core.winograd.StepTable.execute`) takes those slices and
+views straight from the raw buffers.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .padding import TileRange, Tiling, select_tiling
 
@@ -314,10 +315,8 @@ class BatchMortonMatrix:
     Morton image.  Because a quadrant is a contiguous element range of every
     item, the stacked quadrant is the column slice ``buf[:, lo:hi]`` — still
     a single strided array, so the Winograd additions stay single ufunc
-    calls over the whole batch.  Duck-types the subset of
-    :class:`MortonMatrix` the recursion uses (``quadrants``, ``depth``,
-    ``size``, ``leaf_view``); ``core.ops`` dispatches leaf products on the
-    ``batch`` attribute.
+    calls over the whole batch.  Shares :class:`MortonMatrix`'s geometry
+    attributes (``depth``, ``size``, tiles); the executor reads ``buf``.
     """
 
     buf: np.ndarray  # (batch, padded_elems), rows contiguous
@@ -348,8 +347,8 @@ class BatchMortonMatrix:
 
     @property
     def size(self) -> int:
-        """Per-item buffer length (padded element count, cached)."""
-        return self._size
+        """Per-item buffer length (padded element count)."""
+        return self.padded_rows * self.padded_cols
 
     @property
     def nbytes(self) -> int:
@@ -358,14 +357,7 @@ class BatchMortonMatrix:
     def __post_init__(self) -> None:
         if self.buf.ndim != 2:
             raise ValueError("BatchMortonMatrix buffer must be 2-D")
-        # Quadrant/leaf views and the padded size are pure functions of the
-        # (immutable) geometry; they sit on every recursion step's hot
-        # path, so memoise them per instance — batch plans reuse the same
-        # stack objects across executions.
-        self._size = self.padded_rows * self.padded_cols
-        self._quads: "tuple[BatchMortonMatrix, ...] | None" = None
-        self._leaf: np.ndarray | None = None
-        if self.buf.shape[1] != self._size:
+        if self.buf.shape[1] != self.size:
             raise ValueError(
                 f"buffer rows have {self.buf.shape[1]} elements; tiling "
                 f"({self.tile_r}x{self.tile_c}, depth {self.depth}) needs {self.size}"
@@ -398,63 +390,6 @@ class BatchMortonMatrix:
         )
 
     # ------------------------------------------------------------ structure
-
-    def quadrant(self, qr: int, qc: int) -> "BatchMortonMatrix":
-        """Zero-copy column-slice view of quadrant ``(qr, qc)`` for every item."""
-        if self.depth == 0:
-            raise ValueError("a leaf tile has no quadrants")
-        if qr not in (0, 1) or qc not in (0, 1):
-            raise ValueError(f"quadrant indices must be 0 or 1, got ({qr}, {qc})")
-        quarter = self.size // 4
-        z = (qr << 1) | qc  # NW, NE, SW, SE
-        sub = self.buf[:, z * quarter : (z + 1) * quarter]
-        return BatchMortonMatrix(
-            buf=sub,
-            rows=self.padded_rows // 2,
-            cols=self.padded_cols // 2,
-            tile_r=self.tile_r,
-            tile_c=self.tile_c,
-            depth=self.depth - 1,
-        )
-
-    def quadrants(self) -> tuple["BatchMortonMatrix", ...]:
-        """All four stacked quadrant views in (11, 12, 21, 22) numbering.
-
-        Memoised: repeated recursions over a pooled stack reuse the same
-        view objects (and, transitively, their cached leaf views).
-        """
-        if self._quads is None:
-            self._quads = (
-                self.quadrant(0, 0),
-                self.quadrant(0, 1),
-                self.quadrant(1, 0),
-                self.quadrant(1, 1),
-            )
-        return self._quads
-
-    def leaf_view(self) -> np.ndarray:
-        """``(batch, tile_c, tile_r)`` view: item ``i``'s slice is the
-        C-order image of that item's *transposed* leaf tile (the same
-        representation ``MortonMatrix.leaf_view().T`` exposes), which is
-        exactly what the batched kernel's ``matmul(Bt, At)`` trick wants.
-        May be a non-contiguous batch-stride view (two_temp aliasing slices
-        columns out of a wider buffer); rows themselves stay contiguous.
-        Memoised per instance (every leaf product re-requests it).
-        """
-        if self._leaf is not None:
-            return self._leaf
-        if self.depth != 0:
-            raise ValueError(f"leaf_view requires depth 0, got {self.depth}")
-        b = self.buf
-        elems = self.tile_r * self.tile_c
-        self._leaf = as_strided(
-            b,
-            shape=(b.shape[0], self.tile_c, self.tile_r),
-            strides=(b.strides[0], self.tile_r * b.strides[1], b.strides[1]),
-        ) if b.shape[1] != elems or not b.flags.c_contiguous else b.reshape(
-            b.shape[0], self.tile_c, self.tile_r
-        )
-        return self._leaf
 
     def item(self, i: int) -> MortonMatrix:
         """Per-item :class:`MortonMatrix` view of row ``i`` (zero-copy when

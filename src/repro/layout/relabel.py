@@ -7,43 +7,68 @@ the off-diagonal children swapped and every child transposed::
     (X^T)21 = (X12)^T   (X^T)22 = (X22)^T
 
 Because a Morton buffer stores each quadrant contiguously, that identity
-needs *no data movement at any level*: :class:`TransposedView` wraps a
-:class:`~repro.layout.matrix.MortonMatrix` (or a
-:class:`~repro.layout.matrix.BatchMortonMatrix`) and serves the recursion
-the (12 <-> 21)-relabeled descent, bottoming out in a transposed
-``leaf_view`` — the leaf kernel receives the same buffer through swapped
-strides and lets BLAS handle the orientation.  An ``op(A)`` operand is
-therefore one wrapper object, zero copies, and the Winograd additions
-(flat ufuncs over whole quadrant buffers) are untouched: a flat add over
-a relabeled operand adds exactly the same logical element pairs, just
-enumerated in the base matrix's Morton permutation.
+needs *no data movement at any level*: an ``op(A)`` operand keeps its
+buffer in native orientation, and the recursion descends it in quadrant
+order :data:`RELABEL_ORDER` — the stored (11, 21, 12, 22) quarters serve
+as op-geometry (11, 12, 21, 22) — bottoming out in leaf tiles read
+through swapped strides, so BLAS handles the orientation.
+:class:`TransposedView` is the one wrapper object that marks such an
+operand; the Winograd additions (flat ufuncs over whole quadrant buffers)
+are untouched, since a flat add over a relabeled operand adds exactly the
+same logical element pairs, just enumerated in the base matrix's Morton
+permutation.
 
 The one subtlety is *mixing* permutations: an S-intermediate computed
-from transposed quadrants inherits the base (native) Morton permutation,
-so the scratch that receives it must be descended with the same relabel.
-:func:`relabel_scratch` reinterprets a plain scratch matrix in the
-transposed operand's native geometry and wraps it — the recursion calls
-it per level for whichever operand side is transposed.
+from relabeled quadrants inherits the base (native) Morton permutation,
+so the scratch that receives it must be descended in the same order.
+The step-table executor (:meth:`repro.core.winograd.StepTable.execute`)
+therefore keys the order on the slot's operand kind: A quadrants and the
+A-shaped ``S`` scratch follow A's order, B quadrants and ``T`` follow
+B's, and products always descend in :data:`PLAIN_ORDER`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["TransposedView", "transposed_view", "relabel_scratch"]
+__all__ = [
+    "TransposedView",
+    "transposed_view",
+    "PLAIN_ORDER",
+    "RELABEL_ORDER",
+    "quadrant_slices",
+]
+
+#: Stored quarter of each op-geometry quadrant (11, 12, 21, 22) of a
+#: plain Morton buffer, and of a relabeled (transposed) one.
+PLAIN_ORDER = (0, 1, 2, 3)
+RELABEL_ORDER = (0, 2, 1, 3)
+
+
+def quadrant_slices(buf: np.ndarray, relabeled: bool = False) -> tuple:
+    """The four op-geometry quadrants (11, 12, 21, 22) of a Morton buffer.
+
+    Zero-copy slices of the last axis, so a ``(B, elems)`` batch stack
+    yields ``(B, elems / 4)`` column slices.  ``relabeled`` descends a
+    transposed operand in :data:`RELABEL_ORDER`.
+    """
+    q = buf.shape[-1] // 4
+    return tuple(
+        buf[..., i * q : (i + 1) * q]
+        for i in (RELABEL_ORDER if relabeled else PLAIN_ORDER)
+    )
 
 
 class TransposedView:
     """Zero-copy logical transpose of a Morton(-batch) matrix.
 
-    Presents the duck-typed surface the Winograd recursion and
-    ``core.ops`` use — swapped ``rows``/``cols``/``tile_r``/``tile_c``,
-    relabeled ``quadrants()``, transposed ``leaf_view()``, forwarded
-    ``buf``/``size``/``depth``/``batch`` — plus the ``transposed`` marker
-    the recursion keys its per-level scratch relabeling on.
+    Presents the transposed geometry — swapped ``rows``/``cols``/
+    ``tile_r``/``tile_c``, forwarded ``buf``/``size``/``depth``/``batch``
+    — plus the ``transposed`` marker the step-table executor keys its
+    relabeled descent on.
     """
 
-    __slots__ = ("base", "_leaf")
+    __slots__ = ("base",)
 
     #: Marker checked via ``getattr(x, "transposed", False)`` at sites
     #: that must not pay an isinstance import.
@@ -51,9 +76,6 @@ class TransposedView:
 
     def __init__(self, base) -> None:
         self.base = base
-        self._leaf = None
-
-    # ---------------------------------------------------------------- shape
 
     @property
     def buf(self) -> np.ndarray:
@@ -97,42 +119,8 @@ class TransposedView:
 
     @property
     def batch(self):
-        """Batch size when wrapping a batch stack, else ``None`` — keeps
-        ``getattr(x, "batch", None)`` dispatch in ``core.ops`` working."""
+        """Batch size when wrapping a batch stack, else ``None``."""
         return getattr(self.base, "batch", None)
-
-    # ------------------------------------------------------------ structure
-
-    def quadrant(self, qr: int, qc: int) -> "TransposedView":
-        """Quadrant ``(qr, qc)`` of the transpose: the base's ``(qc, qr)``
-        quadrant, transposed."""
-        return TransposedView(self.base.quadrant(qc, qr))
-
-    def quadrants(self) -> tuple["TransposedView", ...]:
-        """(11, 12, 21, 22) of the transpose — the base's quadrants in
-        (11, 21, 12, 22) order, each transposed."""
-        q11, q12, q21, q22 = self.base.quadrants()
-        return (
-            TransposedView(q11),
-            TransposedView(q21),
-            TransposedView(q12),
-            TransposedView(q22),
-        )
-
-    def leaf_view(self) -> np.ndarray:
-        """The base leaf through swapped strides (no copy).
-
-        2-D: the base's Fortran-order ``(tile_r, tile_c)`` view transposed
-        to C-order ``(tile_c, tile_r)``.  Batch: the base's
-        ``(batch, tile_c, tile_r)`` stack with the tile axes swapped, so
-        each slice keeps the "C-order image of the transposed tile"
-        convention the batched kernel expects — here the transposed tile's
-        transpose, i.e. the base tile itself.
-        """
-        if self._leaf is None:
-            lv = self.base.leaf_view()
-            self._leaf = lv.T if lv.ndim == 2 else lv.transpose(0, 2, 1)
-        return self._leaf
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TransposedView({self.base!r})"
@@ -146,25 +134,3 @@ def transposed_view(mm):
     if getattr(mm, "transposed", False):
         return mm.base
     return TransposedView(mm)
-
-
-def relabel_scratch(mm):
-    """Reinterpret a plan-geometry scratch matrix for a transposed operand.
-
-    ``mm`` is a scratch buffer allocated in the *operation* geometry
-    (``op(A)``-shaped: ``tile_r x tile_c`` tiles).  When the operand it
-    mirrors is a :class:`TransposedView`, intermediates written into the
-    scratch by flat ufuncs carry the operand's *native* Morton
-    permutation, so the scratch must be read back the same way: as a
-    native-geometry matrix (tiles swapped) seen through a transpose.
-    Same buffer, zero copies — only the descent labels change.
-    """
-    native = type(mm)(
-        buf=mm.buf,
-        rows=mm.tile_c << mm.depth,
-        cols=mm.tile_r << mm.depth,
-        tile_r=mm.tile_c,
-        tile_c=mm.tile_r,
-        depth=mm.depth,
-    )
-    return TransposedView(native)

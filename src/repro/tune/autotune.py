@@ -36,7 +36,9 @@ against the default plan does not matter.
 Entry points: :meth:`repro.engine.GemmSession.autotune` (in-process) and
 ``python -m repro.tune`` (CLI).  This module imports the engine lazily —
 ``repro.engine.session`` imports :mod:`repro.tune.store` at module
-level, and a cycle here would break both.
+level, and a cycle here would break both.  The cache-simulator ranking
+is imported inside :func:`autotune` too, so ``import repro`` never loads
+:mod:`repro.cachesim`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cachesim.rank import rank_tilings, resolve_machine
 from ..core.scheduler import Schedule
 from ..core.truncation import TruncationPolicy
 from ..layout.padding import Tiling
@@ -241,6 +242,9 @@ def autotune(
     conversion-site calibrations persist) and the tracer (so
     ``autotune_trial`` events land in the owner's timeline).
     """
+    # Imported here, not at module level: the cache simulator (and the
+    # analysis package it pulls in) costs every ``import repro`` otherwise.
+    from ..cachesim.rank import rank_tilings, resolve_machine
     from ..engine.session import GemmSession
 
     if rounds < 1:

@@ -158,7 +158,7 @@ class TestIpOverwrite:
 
 
 ADD_PASSES = (
-    "add", "sub", "iadd", "add3", "sub_into",
+    "add", "sub", "iadd", "add3",
     "add_scale", "iadd_scale", "add3_scale",
 )
 

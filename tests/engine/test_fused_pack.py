@@ -2,10 +2,10 @@
 
 The load-bearing property: a fused plan produces *bitwise identical*
 results to the two-pass plan on every execution path — sequential
-(all three memory schedules), the ``tasks:`` graph, and stacked batches —
-because packing performs the same floating-point additions on the same
-values, merely sourced from the dense operand instead of the converted
-quadrants.  The trace contract then proves the fusion actually happened:
+(all three memory schedules) and the ``tasks:`` graph — because packing
+performs the same floating-point additions on the same values, merely
+sourced from the dense operand instead of the converted quadrants.
+Stacked batches never fuse.  The trace contract then proves the fusion actually happened:
 top-level add passes disappear and four ``pack`` events take their place.
 """
 
@@ -79,15 +79,19 @@ class TestBitIdentity:
            schedule=schedules, dtype=dtypes)
     def test_batch_fused_matches_two_pass(self, n, nb, seed, memory,
                                           schedule, dtype):
+        # Stacked batches never fuse; each item still matches its fused
+        # per-item product bit for bit.
         rng = np.random.default_rng(seed)
         pairs = [_operands(rng, n, n, n, dtype) for _ in range(nb)]
-        with GemmSession(policy=POLICY, fused_pack=True, memory=memory,
+        with GemmSession(policy=POLICY, fused_pack="always", memory=memory,
                          max_workers=2) as s:
-            fused = s.multiply_many(pairs, schedule=schedule)
-        with GemmSession(policy=POLICY, fused_pack=False, memory=memory,
-                         max_workers=2) as s:
-            plain = s.multiply_many(pairs, schedule=schedule)
-        for c1, c0 in zip(fused, plain):
+            batched = s.multiply_many(pairs, schedule=schedule)
+            before = s.stats()
+            if before.batched_executes:
+                assert before.fused_packs == 0
+            fused = [s.multiply(a, b) for a, b in pairs]
+            assert s.stats().fused_packs - before.fused_packs == 4 * nb
+        for c1, c0 in zip(batched, fused):
             assert _bits(c1) == _bits(c0)
 
     @pytest.mark.parametrize("memory", ["classic", "ip_overwrite"])
@@ -149,22 +153,6 @@ class TestTraceContract:
         for side in ("a", "b"):
             assert conv[side].data and conv[side].data.get("fused") is True
 
-    def test_batch_pack_events(self, rng):
-        pairs = [_operands(rng, 16, 16, 16) for _ in range(3)]
-        with GemmSession(policy=POLICY, trace=True) as s:
-            s.multiply_many(pairs)
-            events = s.trace.events()
-            validate_trace(s.trace.dump())
-        packs = [ev for ev in events if ev.kind == "pack"]
-        assert {ev.label for ev in packs} == {
-            "batch-S1", "batch-S3", "batch-T1", "batch-T3"
-        }
-        assert all(ev.data and ev.data.get("items") == 3 for ev in packs)
-        convert_labels = {ev.label for ev in events if ev.kind == "convert"}
-        assert {"batch-a", "batch-b", "batch-out"} <= convert_labels
-        assert "batch-in" not in convert_labels
-
-
 class TestGate:
     def test_default_requires_table_depth(self):
         # Default fused_pack=True follows the table heuristic: elementwise
@@ -204,7 +192,7 @@ class TestStats:
             assert st_.convert_seconds >= 0.0
             assert 0.0 <= st_.convert_fraction <= 1.0
             s.multiply_many([_operands(rng, 16, 16, 16) for _ in range(3)])
-            assert s.stats().fused_packs == 8 + 4 * 3
+            assert s.stats().fused_packs == 8  # batches never fuse
 
     def test_unfused_counts_zero(self, rng):
         a, b = _operands(rng, 16, 16, 16)

@@ -14,7 +14,6 @@ from repro.layout.convert import (
     dense_to_morton,
     dense_to_morton_quadrants,
     pack_morton_quarter,
-    pack_morton_quarter_batch,
 )
 from repro.layout.matrix import MortonMatrix
 
@@ -163,18 +162,6 @@ class TestPackMortonQuarter:
         dst = np.empty(quarter)
         pack_morton_quarter(dst, a, "-", (0, 0), (1, 0), table)
         assert _bits(dst) == _bits(ref)
-
-    def test_batch_matches_per_item(self, rng):
-        rows, cols, tr, tc, depth = 13, 11, 4, 3, 2
-        table = ConversionTable(rows, cols, tr, tc, depth)
-        arrs = [_dense(rng, rows, cols) for _ in range(3)]
-        quarter = table.padded_size // 4
-        stack = np.empty((3, quarter))
-        pack_morton_quarter_batch(stack, arrs, "+", (1, 0), (1, 1), table)
-        for i, a in enumerate(arrs):
-            one = np.empty(quarter)
-            pack_morton_quarter(one, a, "+", (1, 0), (1, 1), table)
-            assert _bits(stack[i]) == _bits(one)
 
     def test_rejects_wrong_shape(self):
         table = ConversionTable(16, 16, 4, 4, 2)

@@ -204,6 +204,30 @@ class TestSessionTracing:
             or "batch-in" in convert_labels
         )
 
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_one_leaf_event_per_leaf_product(self, rng, depth):
+        n = 8 << depth  # tile 8 at every depth
+        a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        with GemmSession(policy=8, trace=True) as s:
+            s.multiply(a, b)
+            leaves = [ev for ev in s.trace.events() if ev.kind == "leaf"]
+            validate_trace(s.trace.dump())
+        assert len(leaves) == 7**depth
+
+    def test_batched_leaf_event_per_stacked_product(self, rng):
+        pairs = [
+            (rng.standard_normal((16, 16)), rng.standard_normal((16, 16)))
+            for _ in range(3)
+        ]
+        with GemmSession(policy=8, trace=True) as s:
+            s.multiply_many(pairs)
+            events = s.trace.events()
+        assert any(ev.kind == "exec" and ev.data.get("items") == 3
+                   for ev in events)
+        leaves = [ev for ev in events if ev.kind == "leaf"]
+        assert len(leaves) == 7  # depth 1: one stacked call per product
+        assert all(ev.data["items"] == 3 for ev in leaves)
+
     def test_enable_mid_stream(self, rng):
         a = rng.standard_normal((64, 64))
         b = rng.standard_normal((64, 64))

@@ -212,3 +212,22 @@ class TestCli:
     def test_cli_rejects_malformed_shape(self):
         proc = self._run("64x64")
         assert proc.returncode != 0
+
+
+def test_import_repro_leaves_the_cache_simulator_unloaded():
+    # The autotuner imports its ranking model when it runs, so a plain
+    # ``import repro`` never pays for repro.cachesim / repro.analysis.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(
+        os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    )
+    code = (
+        "import sys, repro; print(sorted(m for m in sys.modules "
+        "if m.startswith(('repro.cachesim', 'repro.analysis'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
