@@ -30,15 +30,12 @@ bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<git-ref> [PAIRS=10]" >&2; exit 2; }
 	$(PYTHON) tools/bench_ab.py --base "$(BASE)" --pairs $(PAIRS)
 
-# Tiny-size run of the scheduler/conversion scaling, memory-schedule,
-# stacked-batch, GEMM-semantics and plan-store/autotune benchmarks, then
-# schema + guard checks of the JSON reports they emit
-# (BENCH_parallel.json, BENCH_memory.json, BENCH_batch.json,
-# BENCH_semantics.json, BENCH_convert.json, BENCH_tune.json).
+# Tiny-size run of the memory-schedule, stacked-batch, GEMM-semantics,
+# conversion and plan-store/autotune benchmarks, then schema + guard
+# checks of the JSON reports they emit (BENCH_memory.json,
+# BENCH_batch.json, BENCH_semantics.json, BENCH_convert.json,
+# BENCH_tune.json).
 bench-smoke: tune-smoke
-	PYTHONPATH=src BENCH_PARALLEL_QUICK=1 $(PYTHON) -m pytest \
-		benchmarks/test_bench_parallel.py -q
-	$(PYTHON) benchmarks/validate_bench_parallel.py
 	PYTHONPATH=src BENCH_MEMORY_QUICK=1 $(PYTHON) -m pytest \
 		benchmarks/test_bench_memory.py -q
 	$(PYTHON) benchmarks/validate_bench_memory.py
@@ -61,7 +58,7 @@ tune-smoke:
 	$(PYTHON) benchmarks/validate_bench_tune.py
 
 # Traced 513x513 multiply end to end; validates the dumped trace
-# document against TRACE_SCHEMA and prints a per-worker summary.
+# document against TRACE_SCHEMA and prints a per-kind histogram.
 trace-demo:
 	PYTHONPATH=src $(PYTHON) examples/trace_demo.py
 

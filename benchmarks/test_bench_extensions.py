@@ -2,18 +2,12 @@
 
 * conflict-aware truncation: the miss-ratio/flop trade across the
   Figure 9 window;
-* three-C miss classification: the CProf-style diagnosis cost and result;
-* task-parallel multiply: the 7-product thread-pool variant (correctness
-  bench; speedup requires more than one CPU).
+* three-C miss classification: the CProf-style diagnosis cost and result.
 """
 
-import numpy as np
 import pytest
 
-from repro.core.parallel import parallel_multiply
-from repro.core.truncation import TruncationPolicy
 from repro.experiments import ext_conflict_aware, ext_miss_classification
-from repro.layout.matrix import MortonMatrix
 
 from conftest import emit
 
@@ -45,15 +39,3 @@ def test_miss_classification_window(benchmark):
     assert abs(rows[mid][5] - rows[mid - 1][5]) < 2.0
     emit("Three-C classification (CProf reproduction)",
          result.to_text(with_chart=False))
-
-
-def test_parallel_multiply_headline(benchmark, square_operands):
-    a, b = square_operands(513)
-    plan = TruncationPolicy.dynamic(64, 256).plan(513, 513, 513)
-    tm, tk, tn = plan
-    a_mm = MortonMatrix.from_dense(np.asarray(a), tilings=(tm, tk))
-    b_mm = MortonMatrix.from_dense(np.asarray(b), tilings=(tk, tn))
-    c = benchmark.pedantic(
-        lambda: parallel_multiply(a_mm, b_mm), rounds=3, iterations=1
-    )
-    assert np.allclose(c.to_dense(), np.asarray(a) @ np.asarray(b))

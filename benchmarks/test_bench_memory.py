@@ -1,8 +1,8 @@
 """Memory-schedule benchmark: GFLOP/s and peak bytes per schedule.
 
 Runs every memory schedule (``classic``, ``two_temp``, ``ip_overwrite``)
-over a grid of sizes and worker counts and emits ``BENCH_memory.json``
-at the repo root with, per cell:
+over a grid of sizes and emits ``BENCH_memory.json`` at the repo root
+with, per cell:
 
 * warm throughput (best-of-rounds GFLOP/s),
 * the plan's accounted scratch (``CompiledPlan.scratch_bytes``),
@@ -40,7 +40,6 @@ from repro.engine import MEMORY_SCHEDULES, GemmSession
 QUICK = os.environ.get("BENCH_MEMORY_QUICK", "") not in ("", "0")
 SIZES = [192] if QUICK else [512, 1024]
 ROUNDS = 2 if QUICK else 4
-WORKER_GRID = [1, 2] if QUICK else [1, 2, 4]
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_memory.json"
 
 
@@ -48,7 +47,7 @@ OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_memory.json"
 def report():
     data = {
         "benchmark": "memory-schedules",
-        "schema_version": 1,
+        "schema_version": 2,
         "quick": QUICK,
         "host": {"cpu_count": os.cpu_count() or 1},
         "rows": [],
@@ -67,29 +66,26 @@ def _timed(fn, rounds=ROUNDS):
     return best
 
 
-def _cell(n, a, b, ref, memory, workers):
-    """Measure one (schedule, size, workers) cell; returns a row dict."""
-    kwargs = {} if workers == 1 else {"schedule": f"tasks:1x{workers}"}
+def _cell(n, a, b, ref, memory):
+    """Measure one (schedule, size) cell; returns a row dict."""
 
     # Cold peak: fresh session, first multiply, tracemalloc-measured.
     def cold():
-        with GemmSession(max_workers=workers) as s:
-            return s.multiply(a, b, memory=memory, **kwargs)
+        with GemmSession() as s:
+            return s.multiply(a, b, memory=memory)
 
     out, cold_peak = measure_peak(cold)
     bit_identical = bool(np.array_equal(out, ref))
 
-    with GemmSession(max_workers=workers) as s:
-        plan = s.plan(n, n, n, memory=memory, **kwargs)
-        s.multiply(a, b, memory=memory, **kwargs)  # warm the pools
-        secs = _timed(lambda: s.multiply(a, b, memory=memory, **kwargs))
+    with GemmSession() as s:
+        plan = s.plan(n, n, n, memory=memory)
+        s.multiply(a, b, memory=memory)  # warm the pools
+        secs = _timed(lambda: s.multiply(a, b, memory=memory))
         st = s.stats()
         row = {
             "n": n,
             "depth": plan.tilings[0].depth if plan.tilings else 0,
             "schedule": memory,
-            "workers": workers,
-            "mode": kwargs.get("schedule", "sequential"),
             "seconds": secs,
             "gflops": 2.0 * n**3 / secs / 1e9,
             "plan_scratch_bytes": plan.scratch_bytes,
@@ -108,18 +104,13 @@ def test_memory_schedule_grid(square_operands, report, n):
         ref = s.multiply(a, b)
     assert np.allclose(ref, a @ b)
 
-    rows = []
-    for memory in MEMORY_SCHEDULES:
-        for workers in WORKER_GRID:
-            if memory == "ip_overwrite" and workers > 1:
-                continue  # ip_overwrite is sequential-only by contract
-            rows.append(_cell(n, a, b, ref, memory, workers))
+    rows = [_cell(n, a, b, ref, memory) for memory in MEMORY_SCHEDULES]
     report["rows"].extend(rows)
 
-    by = {(r["schedule"], r["workers"]): r for r in rows}
-    classic = by[("classic", 1)]
-    lean = by[("two_temp", 1)]
-    ip = by[("ip_overwrite", 1)]
+    by = {r["schedule"]: r for r in rows}
+    classic = by["classic"]
+    lean = by["two_temp"]
+    ip = by["ip_overwrite"]
 
     # Deterministic guarantees, safe on any host.
     assert all(r["bit_identical"] for r in rows)
@@ -138,12 +129,12 @@ def test_memory_schedule_grid(square_operands, report, n):
     assert classic["fused_adds"] == 0
 
     lines = [
-        f"{'sched':<13} {'wrk':>3} {'GFLOP/s':>8} {'scratch':>12} "
+        f"{'sched':<13} {'GFLOP/s':>8} {'scratch':>12} "
         f"{'peak(track)':>12} {'cold peak':>12}"
     ]
     for r in rows:
         lines.append(
-            f"{r['schedule']:<13} {r['workers']:>3} {r['gflops']:>8.2f} "
+            f"{r['schedule']:<13} {r['gflops']:>8.2f} "
             f"{r['plan_scratch_bytes']:>12} "
             f"{r['session_peak_scratch_bytes']:>12} "
             f"{r['measured_peak_bytes']:>12}"

@@ -45,9 +45,9 @@ ROUNDS = 9 if QUICK else 7
 TUNE_ROUNDS = 2 if QUICK else 3
 #: Hysteresis handed to the tuner: a challenger must beat the heuristic
 #: default by more than this to displace it.  Wider than the library's
-#: 1% default because CI hosts are noisy (often single-core, where e.g.
-#: the tasks:1 schedule can win a 1% coin-flip it cannot repeat) and a
-#: spurious winner would trip the 2% tuned-vs-default guard below.
+#: 1% default because CI hosts are noisy (often single-core, where a
+#: candidate can win a 1% coin-flip it cannot repeat) and a spurious
+#: winner would trip the 2% tuned-vs-default guard below.
 TUNE_MARGIN = 0.03
 TRACE_CAPACITY = 1 << 16
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_tune.json"
@@ -181,8 +181,7 @@ def test_tuned_never_slower_than_default(square_operands, report,
     )
     default_kwargs = dict(
         policy=default_policy, kernel=default_key.kernel,
-        variant=default_key.variant, schedule=default_key.schedule,
-        memory=default_key.memory,
+        variant=default_key.variant, memory=default_key.memory,
     )
 
     with GemmSession(plan_store=path) as sess:

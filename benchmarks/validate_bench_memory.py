@@ -11,7 +11,7 @@ violates the memory-schedule guarantees:
 * every row must be bit-identical to classic,
 * ``ip_overwrite`` must own zero scratch,
 * ``two_temp`` peak scratch must not exceed 60 % of classic for any
-  (size, workers) cell whose plan recurses to depth >= 3.
+  size whose plan recurses to depth >= 3.
 
 Run by ``make bench-smoke`` and CI after the benchmark itself.
 """
@@ -71,11 +71,10 @@ def validate(data, problems: list) -> None:
         if not _check(isinstance(row, dict), f"{where} must be an object",
                       problems):
             continue
-        for field in ("n", "workers"):
-            _check(
-                isinstance(row.get(field), int) and row[field] >= 1,
-                f"{where}.{field} must be a positive int", problems,
-            )
+        _check(
+            isinstance(row.get("n"), int) and row["n"] >= 1,
+            f"{where}.n must be a positive int", problems,
+        )
         _check(
             isinstance(row.get("depth"), int) and row["depth"] >= 0,
             f"{where}.depth must be a non-negative int", problems,
@@ -104,12 +103,11 @@ def validate(data, problems: list) -> None:
             row.get("bit_identical") is True,
             f"{where}.bit_identical must be true", problems,
         )
-        if isinstance(row.get("n"), int) and isinstance(row.get("workers"),
-                                                        int):
-            cells[(row["n"], row["workers"], row.get("schedule"))] = row
+        if isinstance(row.get("n"), int):
+            cells[(row["n"], row.get("schedule"))] = row
 
     # ---- memory guarantees -------------------------------------------
-    for (n, workers, schedule), row in sorted(
+    for (n, schedule), row in sorted(
         cells.items(), key=lambda item: str(item[0])
     ):
         if schedule == "ip_overwrite":
@@ -119,11 +117,10 @@ def validate(data, problems: list) -> None:
             )
         if schedule != "two_temp":
             continue
-        classic = cells.get((n, workers, "classic"))
+        classic = cells.get((n, "classic"))
         if not _check(
             classic is not None,
-            f"two_temp n={n} workers={workers} has no classic baseline row",
-            problems,
+            f"two_temp n={n} has no classic baseline row", problems,
         ):
             continue
         if not isinstance(row.get("depth"), int) or row["depth"] < 3:
@@ -132,23 +129,20 @@ def validate(data, problems: list) -> None:
         lean = row.get("plan_scratch_bytes")
         if not (isinstance(base, int) and isinstance(lean, int) and base > 0):
             continue  # field-level problems already reported above
-        if workers == 1:
-            # The recursion-schedule guarantee: two_temp's scratch must
-            # stay at or below 60% of classic (analytically 50%).  Task
-            # cells share schedule-independent accumulation buffers, so
-            # the guard applies to the sequential cells only.
-            _check(
-                lean <= 0.6 * base,
-                f"two_temp n={n} peak scratch {lean} exceeds 60% of "
-                f"classic's {base} at depth {row['depth']}", problems,
-            )
+        # The recursion-schedule guarantee: two_temp's scratch must stay
+        # at or below 60% of classic (analytically 50%).
+        _check(
+            lean <= 0.6 * base,
+            f"two_temp n={n} peak scratch {lean} exceeds 60% of "
+            f"classic's {base} at depth {row['depth']}", problems,
+        )
         peak_base = classic.get("session_peak_scratch_bytes")
         peak_lean = row.get("session_peak_scratch_bytes")
         if isinstance(peak_base, int) and isinstance(peak_lean, int) \
                 and peak_base > 0:
             _check(
                 peak_lean < peak_base,
-                f"two_temp n={n} workers={workers} session peak scratch "
+                f"two_temp n={n} session peak scratch "
                 f"{peak_lean} not below classic's {peak_base}", problems,
             )
 

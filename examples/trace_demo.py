@@ -1,11 +1,10 @@
 #!/usr/bin/env python
-"""Trace a parallel 513x513 multiply and inspect the event stream.
+"""Trace a 513x513 multiply and inspect the event stream.
 
 Runs a session with the structured tracer enabled, multiplies the paper's
-favourite pathological size three times on the task scheduler, validates
-the dumped trace document against the versioned schema, and prints a
-per-kind histogram plus a per-worker timeline summary (the attributable
-decomposition behind ``worker_utilization``).
+favourite pathological size three times, validates the dumped trace
+document against the versioned schema, and prints a per-kind histogram
+of the events.
 
 Run:  PYTHONPATH=src python examples/trace_demo.py
 """
@@ -24,10 +23,11 @@ def main() -> None:
     a = rng.standard_normal((n, n))
     b = rng.standard_normal((n, n))
 
-    session = repro.GemmSession(trace=True, max_workers=4)
+    # Sized to hold all three calls' events, so the histogram is complete.
+    session = repro.GemmSession(trace=True, trace_capacity=1 << 15)
     with session:
         for _ in range(3):
-            c = session.multiply(a, b, schedule="tasks:1")
+            c = session.multiply(a, b)
         assert np.allclose(c, a @ b)
 
         # The dump is plain JSON with a versioned, validated shape.
@@ -44,15 +44,6 @@ def main() -> None:
         by_kind = collections.Counter(ev["kind"] for ev in doc["events"])
         for kind, count in by_kind.most_common():
             print(f"  {kind:>13}: {count}")
-
-        # Timeline: per-worker spans, steals, busy/idle split.
-        for thread, tl in sorted(session.trace.timeline().items()):
-            stolen = sum(1 for sp in tl["spans"] if sp["stolen"])
-            print(
-                f"  worker thread {thread}: {len(tl['spans'])} spans "
-                f"({stolen} stolen), busy {tl['busy'] * 1e3:.1f} ms, "
-                f"idle {tl['idle'] * 1e3:.1f} ms, {len(tl['gaps'])} gaps"
-            )
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ import numpy as np
 from ..blas.dgemm import GemmProblem, OpKind
 from ..blas.kernels import LeafKernel, get_kernel
 from ..core.truncation import TruncationPolicy
-from .params import resolve_baseline_truncation
 
 __all__ = ["dgefmm", "peeled_multiply", "DEFAULT_TRUNCATION"]
 
@@ -48,7 +47,6 @@ def dgefmm(
     op_b: "OpKind | str" = "n",
     policy: "TruncationPolicy | int | str | None" = None,
     kernel: "str | LeafKernel" = "numpy",
-    truncation: int | None = None,
 ) -> np.ndarray:
     """BLAS-style dgemm via dynamic-peeling Strassen-Winograd.
 
@@ -56,11 +54,11 @@ def dgefmm(
     :class:`TruncationPolicy`, an int truncation point, or
     ``"dynamic"``/``"fixed"``); it maps to this scheme's single recursion
     crossover via :meth:`TruncationPolicy.truncation_point` (default 64,
-    the paper's Section 4 value).  The historical ``truncation=`` int
-    spelling still works but raises a :class:`DeprecationWarning`.
+    the paper's Section 4 value).
     """
-    point = resolve_baseline_truncation(
-        "dgefmm", policy, truncation, DEFAULT_TRUNCATION
+    point = (
+        DEFAULT_TRUNCATION if policy is None
+        else TruncationPolicy.coerce(policy).truncation_point()
     )
     p = GemmProblem.create(a, b, op_a=op_a, op_b=op_b, alpha=alpha, beta=beta, c=c)
     d = peeled_multiply(p.op_a_view, p.op_b_view, point, get_kernel(kernel))

@@ -26,7 +26,6 @@ import numpy as np
 from ..blas.dgemm import GemmProblem, OpKind
 from ..blas.kernels import LeafKernel, get_kernel
 from ..core.truncation import TruncationPolicy
-from .params import resolve_baseline_truncation
 
 __all__ = ["dgemmw", "overlap_multiply", "DEFAULT_TRUNCATION"]
 
@@ -45,17 +44,15 @@ def dgemmw(
     op_b: "OpKind | str" = "n",
     policy: "TruncationPolicy | int | str | None" = None,
     kernel: "str | LeafKernel" = "numpy",
-    truncation: int | None = None,
 ) -> np.ndarray:
     """BLAS-style dgemm via dynamic-overlap Strassen-Winograd.
 
     ``policy`` accepts the same forms as :func:`repro.modgemm`; it maps to
-    this scheme's single recursion crossover (default 64).  The historical
-    ``truncation=`` int spelling still works but raises a
-    :class:`DeprecationWarning`.
+    this scheme's single recursion crossover (default 64).
     """
-    point = resolve_baseline_truncation(
-        "dgemmw", policy, truncation, DEFAULT_TRUNCATION
+    point = (
+        DEFAULT_TRUNCATION if policy is None
+        else TruncationPolicy.coerce(policy).truncation_point()
     )
     p = GemmProblem.create(a, b, op_a=op_a, op_b=op_b, alpha=alpha, beta=beta, c=c)
     d = overlap_multiply(p.op_a_view, p.op_b_view, point, get_kernel(kernel))

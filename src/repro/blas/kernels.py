@@ -20,8 +20,8 @@ so the kernel is pluggable:
   ``kernel="numba"`` degrades to the BLAS path instead of failing.
 
 Further backends plug in through :func:`register_kernel`; ``kernel=``
-names on sessions, batches, and the task scheduler all resolve through
-the same :data:`KERNELS` registry via :func:`get_kernel`.
+names on sessions and batches all resolve through the same
+:data:`KERNELS` registry via :func:`get_kernel`.
 
 All kernels have the same signature::
 
@@ -367,10 +367,10 @@ def register_kernel(
     """Register a leaf-kernel backend under ``name``; returns ``impl``.
 
     Once registered the backend is selectable uniformly through
-    ``kernel=name`` on :class:`~repro.engine.GemmSession`, batched
-    multiplies, and the ``tasks:`` scheduler — everything funnels through
-    :func:`get_kernel`.  ``impl`` must follow the module's kernel
-    contract (``impl(a, b, out, accumulate=False)`` over 2-D views).
+    ``kernel=name`` on :class:`~repro.engine.GemmSession` and batched
+    multiplies — everything funnels through :func:`get_kernel`.  ``impl``
+    must follow the module's kernel contract
+    (``impl(a, b, out, accumulate=False)`` over 2-D views).
     ``batch_impl``, when given, handles the stacked-transposed batch form
     (see :func:`leaf_matmul_batch`); otherwise the backend batches via a
     per-item loop with identical arithmetic.  Re-registering an existing

@@ -5,9 +5,11 @@ program order, vectorised with numpy (an address chunk per loop nest, not
 per access).  The crucial generator is :class:`TraceOps`, a drop-in
 backend for the *actual* Winograd/Strassen recursion of
 :mod:`repro.core.winograd` — the simulated trace therefore belongs to
-exactly the code being benchmarked, taking its addresses from the real
+exactly the code being benchmarked, taking its offsets from the real
 numpy buffers (so quadrant adjacency, workspace reuse, and padding all
-appear in the trace as they do in memory).
+appear in the trace as they do in memory).  :func:`modgemm_trace` lays
+those buffers out on a synthetic heap in allocation order, so the trace
+does not depend on where the process's allocator happened to put them.
 
 For DGEFMM, which the paper also traces (Figure 9), the twin mirrors the
 dynamic-peeling recursion of :mod:`repro.baselines.dgefmm` over a
@@ -54,18 +56,65 @@ def _addr_of(arr: np.ndarray) -> int:
     return arr.__array_interface__["data"][0]
 
 
-def _register_quadrant_regions(regions, name: str, mm: MortonMatrix) -> None:
-    """Register a Morton matrix as four quadrant regions (or one leaf).
+class _PlacedSink:
+    """Moves real buffer addresses onto a deterministic synthetic heap.
+
+    Every traced address must lie in a buffer given to :meth:`place`.  It
+    keeps its offset within that buffer, while the buffers themselves sit
+    back to back in placement order, the way glibc's ``malloc`` lays out
+    consecutive heap chunks (16-byte alignment, a 16-byte header before
+    each).  Real bases depend on the allocator's history in the process,
+    and their congruences modulo the cache size changed one plan's
+    conflict-miss count from run to run.
+    """
+
+    HEADER = 16  #: bytes of allocator header before each placed buffer
+
+    def __init__(self, sink: TraceSink) -> None:
+        self.sink = sink
+        self._space = AddressSpace(align=16)
+        self._starts = np.zeros(0, dtype=np.int64)
+        self._ends = np.zeros(0, dtype=np.int64)
+        self._shifts = np.zeros(0, dtype=np.int64)
+
+    def place(self, buf: np.ndarray) -> None:
+        """Give ``buf`` the next synthetic base."""
+        start = _addr_of(buf)
+        i = int(np.searchsorted(self._starts, start))
+        self._starts = np.insert(self._starts, i, start)
+        self._ends = np.insert(self._ends, i, start + buf.nbytes)
+        base = self._space.alloc(self.HEADER + buf.nbytes) + self.HEADER
+        self._shifts = np.insert(self._shifts, i, base - start)
+
+    def relocate(self, addrs: np.ndarray) -> np.ndarray:
+        """Synthetic addresses for real ones inside placed buffers."""
+        idx = np.searchsorted(self._starts, addrs, "right") - 1
+        if addrs.size and (idx.min() < 0 or (addrs >= self._ends[idx]).any()):
+            raise ValueError("traced address outside every placed buffer")
+        return addrs + self._shifts[idx]
+
+    def addr(self, arr: np.ndarray) -> int:
+        """Synthetic base address of a placed buffer or a view into one."""
+        return int(self.relocate(np.array([_addr_of(arr)], dtype=np.int64))[0])
+
+    def consume(self, addrs: np.ndarray) -> None:
+        """Forward one relocated chunk to the wrapped sink."""
+        self.sink.consume(self.relocate(np.asarray(addrs, dtype=np.int64)))
+
+
+def _register_quadrant_regions(
+    regions, name: str, mm: MortonMatrix, base: int
+) -> None:
+    """Register a Morton matrix at ``base`` as four quadrant regions (or one leaf).
 
     Quadrants are contiguous quarters in NW, NE, SW, SE order — the
     granularity at which the paper's Section 4.2 analysis attributes the
     conflict misses.
     """
     if mm.depth == 0:
-        regions.add_array(name, mm.buf)
+        regions.add(name, base, mm.buf.nbytes)
         return
     quarter = mm.size // 4
-    base = _addr_of(mm.buf)
     for i, q in enumerate(("NW", "NE", "SW", "SE")):
         regions.add(f"{name}.{q}", base + i * quarter * ELEM, quarter * ELEM)
 
@@ -345,18 +394,21 @@ def modgemm_trace(
 ) -> TraceOps:
     """Full MODGEMM address trace for a planned GEMM.
 
-    Allocates real (zero-filled) Morton buffers and dense operands so every
-    traced address is a genuine buffer address, then replays: input
-    conversions, the recursion (via :class:`TraceOps` driving the *actual*
-    schedule), and the output back-conversion.  Returns the
-    :class:`TraceOps` with flop/access tallies.
+    Allocates real (zero-filled) Morton buffers, dense operands and
+    workspace, then replays: input conversions, the recursion (via
+    :class:`TraceOps` driving the *actual* schedule), and the output
+    back-conversion.  Each traced address keeps its offset within its
+    buffer; the buffers are laid out on a synthetic heap in allocation
+    order (A, B, C, the dense operands, the workspace levels), so the trace
+    is a function of the plan alone.  Returns the :class:`TraceOps` with
+    flop/access tallies.
 
     ``regions``, when given a :class:`repro.cachesim.classify.RegionMap`,
     is populated with named regions for the operands (with per-quadrant
     subregions, e.g. ``C.NW``), the workspace levels, and the dense
-    interface arrays — enabling CProf-style miss attribution.  **Note**:
-    the traced buffers are freed when this function returns, so attribute
-    against a collected trace, not live memory.
+    interface arrays — enabling CProf-style miss attribution.  The regions
+    carry the trace's synthetic addresses, so attribute against a
+    collected trace, not live memory.
     """
     from ..core.strassen import strassen_multiply
     from ..core.winograd import winograd_multiply
@@ -368,33 +420,34 @@ def modgemm_trace(
     a_dense = np.zeros((tm.n, tk.n), dtype=np.float64, order="F")
     b_dense = np.zeros((tk.n, tn.n), dtype=np.float64, order="F")
     c_dense = np.zeros((tm.n, tn.n), dtype=np.float64, order="F")
+    ws = Workspace(a_mm.depth, a_mm.tile_r, a_mm.tile_c, b_mm.tile_c, with_q=True)
+    placed = _PlacedSink(sink)
+    for buf in (a_mm.buf, b_mm.buf, c_mm.buf, a_dense, b_dense, c_dense):
+        placed.place(buf)
+    for lv in ws.levels:
+        for buf in lv.bufs:
+            placed.place(buf)
     if regions is not None:
-        _register_quadrant_regions(regions, "A", a_mm)
-        _register_quadrant_regions(regions, "B", b_mm)
-        _register_quadrant_regions(regions, "C", c_mm)
-        regions.add_array("A.dense", a_dense)
-        regions.add_array("B.dense", b_dense)
-        regions.add_array("C.dense", c_dense)
-        # keep the buffers alive alongside the map so addresses stay valid
-        regions._keepalive = (a_mm, b_mm, c_mm, a_dense, b_dense, c_dense)
+        _register_quadrant_regions(regions, "A", a_mm, placed.addr(a_mm.buf))
+        _register_quadrant_regions(regions, "B", b_mm, placed.addr(b_mm.buf))
+        _register_quadrant_regions(regions, "C", c_mm, placed.addr(c_mm.buf))
+        for name, arr in (("A.dense", a_dense), ("B.dense", b_dense),
+                          ("C.dense", c_dense)):
+            regions.add(name, placed.addr(arr), arr.nbytes)
+        for i, lv in enumerate(ws.levels):
+            for name, view in (("S", lv.s), ("T", lv.t), ("P", lv.p), ("Q", lv.q)):
+                if view is not None:
+                    base = placed.addr(view.buf)
+                    regions.add(f"ws{i}.{name}", base, view.buf.nbytes)
 
-    ops = TraceOps(sink, kernel_model=kernel_model)
+    ops = TraceOps(placed, kernel_model=kernel_model)
     if include_conversion:
         ops.accesses += conversion_trace(
-            a_mm, _addr_of(a_dense), tm.n, sink, to_morton=True
+            a_mm, _addr_of(a_dense), tm.n, placed, to_morton=True
         )
         ops.accesses += conversion_trace(
-            b_mm, _addr_of(b_dense), tk.n, sink, to_morton=True
+            b_mm, _addr_of(b_dense), tk.n, placed, to_morton=True
         )
-    ws = Workspace(a_mm.depth, a_mm.tile_r, a_mm.tile_c, b_mm.tile_c, with_q=True)
-    if regions is not None:
-        for i, lv in enumerate(ws.levels):
-            regions.add_array(f"ws{i}.S", lv.s.buf)
-            regions.add_array(f"ws{i}.T", lv.t.buf)
-            regions.add_array(f"ws{i}.P", lv.p.buf)
-            if lv.q is not None:
-                regions.add_array(f"ws{i}.Q", lv.q.buf)
-        regions._keepalive += (ws,)
     if variant == "winograd":
         winograd_multiply(a_mm, b_mm, c_mm, ops=ops, workspace=ws)
     elif variant == "strassen":
@@ -403,7 +456,7 @@ def modgemm_trace(
         raise ValueError(f"unknown variant {variant!r}")
     if include_conversion:
         ops.accesses += conversion_trace(
-            c_mm, _addr_of(c_dense), tm.n, sink, to_morton=False
+            c_mm, _addr_of(c_dense), tm.n, placed, to_morton=False
         )
     return ops
 

@@ -14,12 +14,6 @@ from .winograd import (
     resolve_memory,
 )
 from .strassen import strassen_multiply
-from .parallel import (
-    parallel_multiply,
-    TaskScratch,
-    build_winograd_graph,
-)
-from .scheduler import Schedule, TaskGraph, WorkerPool
 from .rectangular import Shape, classify, plan_panels, split_dim, PanelProduct
 from .workspace import Workspace
 from .ops import NumpyOps, WinogradOps
@@ -35,12 +29,6 @@ __all__ = [
     "MEMORY_SCHEDULES",
     "resolve_memory",
     "strassen_multiply",
-    "parallel_multiply",
-    "TaskScratch",
-    "build_winograd_graph",
-    "Schedule",
-    "TaskGraph",
-    "WorkerPool",
     "Shape",
     "classify",
     "plan_panels",

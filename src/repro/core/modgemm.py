@@ -79,7 +79,6 @@ def modgemm(
     kernel: "str | LeafKernel" = "numpy",
     variant: str = "winograd",
     timings: PhaseTimings | None = None,
-    parallel: bool = False,
     schedule=None,
     memory: "str | None" = None,
     trans_a: bool | None = None,
@@ -96,12 +95,10 @@ def modgemm(
     Winograd (default) or original Strassen schedule — by name or by
     function; ``kernel`` the leaf multiply; ``timings``, when supplied, is
     filled with the conversion/compute phase breakdown.  ``schedule``
-    selects the execution mode (see :class:`repro.engine.Schedule`;
-    e.g. ``"tasks:2"`` expands two recursion levels onto the session's
-    worker pool — useful on multi-core hosts only); the boolean
-    ``parallel`` is the historical shorthand for ``tasks`` at depth 1.
-    Both are rejected with a :class:`repro.errors.PlanError` for
-    non-Winograd variants.  ``memory`` selects the recursion's scratch
+    accepts only ``None``/``"sequential"``: the task-graph scheduler was
+    removed, so any other value raises :class:`repro.errors.PlanError`
+    (parallelism comes from a multi-threaded BLAS under the leaf
+    products).  ``memory`` selects the recursion's scratch
     schedule (``"classic"``/``"two_temp"``/``"ip_overwrite"``; see
     :data:`repro.core.winograd.MEMORY_SCHEDULES`).  Every mode returns
     bit-identical results.
@@ -115,7 +112,7 @@ def modgemm(
     return default_session().multiply(
         a, b, c=c, alpha=alpha, beta=beta, op_a=op_a, op_b=op_b,
         policy=policy, kernel=kernel, variant=variant,
-        parallel=parallel, schedule=schedule, timings=timings,
+        schedule=schedule, timings=timings,
         memory=memory, trans_a=trans_a, trans_b=trans_b,
     )
 

@@ -103,9 +103,7 @@ class NumpyOps:
 
     ``kernel`` selects the leaf multiply (see :mod:`repro.blas.kernels`).
     ``fused_adds`` counts fused three-operand passes, :meth:`add3` and its
-    alpha-scaled form :meth:`add3_scale` alike (best-effort under
-    concurrent task-graph use: the increment is not atomic, so a parallel
-    run may undercount; sequential schedules are exact).
+    alpha-scaled form :meth:`add3_scale` alike.
 
     ``trace`` is an optional :class:`repro.observe.Tracer`: when set and
     enabled, every addition pass emits exactly one ``"add"`` event (its

@@ -182,9 +182,8 @@ class Workspace:
 class _BatchWorkspaceView:
     """Duck-types :class:`Workspace` for one ``[lo, hi)`` row range.
 
-    Each view's levels are row slices of the shared raw arrays, so
-    disjoint batch stripes can recurse concurrently over the same
-    :class:`BatchWorkspace` with no contention and no extra memory.
+    Each view's levels are row slices of the shared raw arrays, so a
+    view costs no extra memory.
     """
 
     __slots__ = ("schedule", "depth", "levels")

@@ -24,7 +24,6 @@ over the module-level :func:`default_session`, so one-shot callers get the
 cache for free while staying behaviour-identical.
 """
 
-from ..core.scheduler import Schedule, WorkerPool
 from ..core.winograd import MEMORY_SCHEDULES, resolve_memory
 from .expr import Mat, MatChain, chain_order
 from .spec import GemmSpec
@@ -54,8 +53,6 @@ __all__ = [
     "Mat",
     "MatChain",
     "PlanKey",
-    "Schedule",
-    "WorkerPool",
     "GemmSession",
     "SessionStats",
     "default_session",

@@ -9,9 +9,7 @@ recompute per call for a fixed problem geometry:
 * the Morton-order operand and product buffers, allocated once with their
   pads zeroed once — repeated conversions then touch only logical
   elements (``dense_to_morton(..., zero_pad=False)``);
-* the per-level :class:`Workspace` (sequential schedule) or the
-  :class:`TaskScratch` plus prebuilt task graph (``tasks`` schedule, see
-  :mod:`repro.core.scheduler`) shared across executions;
+* the per-level :class:`Workspace` shared across executions;
 * for deep tilings, per-operand :class:`ConversionTable` index tables
   that turn layout conversion into vectorised gather/scatter copies.  The
   plan *calibrates* each conversion site: execution 1 times the tile
@@ -38,9 +36,7 @@ from ..blas.dgemm import GemmProblem, OpKind
 from ..blas.kernels import LeafKernel
 from ..core.modgemm import PhaseTimings
 from ..core.ops import NumpyOps
-from ..core.parallel import TaskScratch, build_winograd_graph, run_batch_stripes
 from ..core.rectangular import plan_panels
-from ..core.scheduler import Schedule, TaskGraph
 from ..core.strassen import STRASSEN_TABLE, strassen_multiply
 from ..core.truncation import TruncationPolicy
 from ..core.winograd import (
@@ -54,7 +50,7 @@ from ..core.winograd import (
     winograd_multiply,
 )
 from ..core.workspace import Workspace
-from ..errors import BatchItemError, InvariantError, KernelError, PlanError, ShapeError
+from ..errors import BatchItemError, KernelError, PlanError, ShapeError
 from ..layout.convert import (
     ConversionTable,
     calibration_key,
@@ -68,7 +64,7 @@ from ..layout.convert import (
 )
 from ..layout.matrix import BatchMortonMatrix, MortonMatrix
 from ..layout.padding import Tiling
-from ..layout.relabel import quadrant_slices, transposed_view
+from ..layout.relabel import transposed_view
 from ..observe.validate import check_pad_zero, check_quiescent
 from .spec import GemmSpec
 
@@ -141,14 +137,12 @@ class PlanKey:
     logical GEMM dimensions, the truncation policy, the resolved leaf
     kernel (by identity — named kernels resolve to module-level
     functions, so equal names compare equal), the recursion variant, the
-    execution :class:`Schedule`, the memory schedule (see
-    :data:`repro.core.winograd.MEMORY_SCHEDULES`) and the full operation
-    :class:`~repro.engine.spec.GemmSpec`.  The spec is load-bearing:
-    ``alpha`` is baked into a plan's final U-adds (and its prebuilt task
-    graph), ``beta`` into its output-conversion epilogue, and the
-    transpose flags decide each operand buffer's *orientation* — so two
-    calls differing in any of them genuinely need different compiled
-    artefacts.
+    memory schedule (see :data:`repro.core.winograd.MEMORY_SCHEDULES`)
+    and the full operation :class:`~repro.engine.spec.GemmSpec`.  The
+    spec is load-bearing: ``alpha`` is baked into a plan's final U-adds,
+    ``beta`` into its output-conversion epilogue, and the transpose flags
+    decide each operand buffer's *orientation* — so two calls differing
+    in any of them genuinely need different compiled artefacts.
     """
 
     m: int
@@ -157,50 +151,8 @@ class PlanKey:
     policy: TruncationPolicy
     kernel: LeafKernel
     variant: str
-    schedule: Schedule
     memory: str = "classic"
     spec: GemmSpec = GemmSpec()
-
-    @property
-    def parallel(self) -> bool:
-        """True when the plan executes on the task scheduler."""
-        return self.schedule.parallel
-
-    # Accessors mirroring the pre-spec field layout, so call sites (and
-    # the BLAS boundary) keep reading key.op_a / key.dtype / ...
-
-    @property
-    def op_a(self) -> OpKind:
-        return OpKind.TRANS if self.spec.trans_a else OpKind.NOTRANS
-
-    @property
-    def op_b(self) -> OpKind:
-        return OpKind.TRANS if self.spec.trans_b else OpKind.NOTRANS
-
-    @property
-    def trans_a(self) -> bool:
-        return self.spec.trans_a
-
-    @property
-    def trans_b(self) -> bool:
-        return self.spec.trans_b
-
-    @property
-    def alpha(self) -> float:
-        return self.spec.alpha
-
-    @property
-    def beta(self) -> float:
-        return self.spec.beta
-
-    @property
-    def dtype(self) -> str:
-        return self.spec.dtype
-
-    @property
-    def np_dtype(self) -> np.dtype:
-        """The computation dtype as a numpy dtype object."""
-        return self.spec.np_dtype
 
 
 class _ConvertSite:
@@ -260,19 +212,14 @@ class _ConvertSite:
 
 
 class _ExecExtras:
-    """Per-execution scheduler/conversion counters, folded into the session."""
+    """Per-execution conversion/fusion counters, folded into the session."""
 
     __slots__ = (
-        "tasks_run", "worker_busy", "graph_wall", "pool_workers",
         "indexed_conversions", "convert_seconds_saved", "fused_adds",
         "fused_packs",
     )
 
     def __init__(self) -> None:
-        self.tasks_run = 0
-        self.worker_busy = 0.0
-        self.graph_wall = 0.0
-        self.pool_workers = 0
         self.indexed_conversions = 0
         self.convert_seconds_saved = 0.0
         self.fused_adds = 0
@@ -299,7 +246,7 @@ class CompiledPlan:
             validate=self._debug,
         )
         #: np.float64 buffers allocated while compiling (operands, product,
-        #: workspace levels, task scratch) — constant afterwards.
+        #: workspace levels) — constant afterwards.
         self.buffers_allocated = 0
         self.tilings: tuple[Tiling, Tiling, Tiling] | None = key.policy.plan(
             key.m, key.k, key.n
@@ -308,14 +255,11 @@ class CompiledPlan:
         self._a_eff = self._b_eff = None
         self._relabel_a = self._relabel_b = False
         self._workspace: Workspace | None = None
-        self._tscratch: TaskScratch | None = None
-        self._graph: TaskGraph | None = None
         self._rezero_operands = False
         self._sites: dict[str, _ConvertSite] = {}
         self._fused = False
         self._ftables: dict[str, ConversionTable] = {}
         self._fdsts: dict[str, np.ndarray] = {}
-        self._pend = None
         self._panels = None
         self._panel_plans = None
         if self.tilings is not None:
@@ -348,10 +292,10 @@ class CompiledPlan:
         # and the recursion sees it through a TransposedView.  Strassen
         # and ip_overwrite plans are not relabel-threaded; they keep the
         # legacy transpose-fused conversion.
-        dt = key.np_dtype
+        dt = key.spec.np_dtype
         relabel_ok = key.variant == "winograd" and not table.in_place
-        self._relabel_a = bool(key.trans_a and relabel_ok)
-        self._relabel_b = bool(key.trans_b and relabel_ok)
+        self._relabel_a = bool(key.spec.trans_a and relabel_ok)
+        self._relabel_b = bool(key.spec.trans_b and relabel_ok)
         if self._relabel_a:
             self._a_mm = MortonMatrix.zeros(key.k, key.m, tk, tm, dtype=dt)
             self._a_eff = transposed_view(self._a_mm)
@@ -372,7 +316,6 @@ class CompiledPlan:
             self._a_mm.size > key.m * key.k or self._b_mm.size > key.k * key.n
         )
         depth = tm.depth
-        sched = key.schedule
         # Fused convert-and-add packing: the top level's S1/S3/T1/T3 sums
         # are produced *during* the dense->Morton gather (one read of each
         # source quadrant yields both the converted quadrant and the
@@ -396,29 +339,10 @@ class CompiledPlan:
             and self._a_mm.rows * self._a_mm.cols <= CONVERT_TABLE_MAX_ELEMS
             and self._b_mm.rows * self._b_mm.cols <= CONVERT_TABLE_MAX_ELEMS
         )
-        self._ftables: dict[str, ConversionTable] = {}
-        self._fdsts: dict[str, np.ndarray] = {}
-        self._pend = None  # (a, trans_a, b, trans_b) of the running execute
-        if sched.parallel and depth >= 1:
-            self._tscratch = TaskScratch(
-                tm.tile, tk.tile, tn.tile, depth,
-                parallel_depth=sched.depth,
-                workers=sched.workers or self.session._pool_size(),
-                memory=memory,
-                dtype=dt,
-            )
-            self.buffers_allocated += self._tscratch.buffer_count
-            self._graph = build_winograd_graph(
-                self._a_eff, self._b_eff, self._c_mm, self._tscratch,
-                ops=self._ops, alpha=key.alpha,
-                pack_a=self._graph_pack_a if self._fused else None,
-                pack_b=self._graph_pack_b if self._fused else None,
-            )
-        else:
-            self._workspace = table.workspace(
-                depth, tm.tile, tk.tile, tn.tile, dtype=dt
-            )
-            self.buffers_allocated += self._workspace.buffer_count
+        self._workspace = table.workspace(
+            depth, tm.tile, tk.tile, tn.tile, dtype=dt
+        )
+        self.buffers_allocated += self._workspace.buffer_count
         if self._fused:
             # Fused conversion always gathers through a table (the shared
             # module-level cache — several plans of one geometry reuse
@@ -427,7 +351,9 @@ class CompiledPlan:
                 self._ftables[name] = conversion_table(
                     mm.rows, mm.cols, mm.tile_r, mm.tile_c, mm.depth
                 )
-            self._fdsts = self._pack_destinations(table)
+            self._fdsts = table.pack_buffers(
+                self._a_mm, self._b_mm, self._c_mm, self._workspace
+            )
         if depth >= CONVERT_TABLE_MIN_DEPTH:
             # A plan store, when the session has one, replays persisted
             # loop-vs-indexed verdicts: a "loop" record skips building the
@@ -445,7 +371,7 @@ class CompiledPlan:
                     continue
                 site_key = calibration_key(
                     mm.rows, mm.cols, mm.tile_r, mm.tile_c, mm.depth,
-                    dtype=key.dtype,
+                    dtype=key.spec.dtype,
                 )
                 cal = (
                     store.lookup_calibration(site_key)
@@ -471,25 +397,6 @@ class CompiledPlan:
                     )
                 else:
                     self._sites[name] = _ConvertSite(table)
-
-    def _pack_destinations(self, table: StepTable) -> dict[str, np.ndarray]:
-        """Flat quarter buffers receiving the four top-level packed sums.
-
-        The schedule's table places them (:meth:`StepTable.pack_buffers`).
-        The task graph keeps its own layout: S1/T1 in the A21/B12 quadrant
-        slots, S3/T3 in its root ``s[2]``/``t[2]`` buffers.
-        """
-        if self._tscratch is None:
-            return table.pack_buffers(
-                self._a_mm, self._b_mm, self._c_mm, self._workspace
-            )
-        root = self._tscratch.root
-        return {
-            "S1": quadrant_slices(self._a_mm.buf)[2],
-            "T1": quadrant_slices(self._b_mm.buf)[1],
-            "S3": root.s[2].buf,
-            "T3": root.t[2].buf,
-        }
 
     def _fused_convert_side(
         self, name: str, dense, mm, quads, packs, transpose: bool,
@@ -521,26 +428,6 @@ class CompiledPlan:
         if extras is not None:
             extras.fused_packs += len(packs)
 
-    # The graph's two root tasks (run on pool workers; the per-execute
-    # dense operands are stashed in self._pend under the plan lock, which
-    # is held for the whole execution).  Extras are folded in by the
-    # caller after the graph completes — two concurrent pack tasks must
-    # not race on one counter object.
-
-    def _graph_pack_a(self) -> None:
-        a, trans_a, _, _ = self._pend
-        self._fused_convert_side(
-            "a", a, self._a_mm, CONVERT_QUADS_A, FUSED_PACKS_A, trans_a,
-            None,
-        )
-
-    def _graph_pack_b(self) -> None:
-        _, _, b, trans_b = self._pend
-        self._fused_convert_side(
-            "b", b, self._b_mm, CONVERT_QUADS_B, FUSED_PACKS_B, trans_b,
-            None,
-        )
-
     def _compile_panels(self) -> None:
         key = self.key
         policy = key.policy
@@ -564,9 +451,8 @@ class CompiledPlan:
                         policy=policy,
                         kernel=key.kernel,
                         variant=key.variant,
-                        schedule=key.schedule,
                         memory=key.memory,
-                        dtype=key.dtype,
+                        dtype=key.spec.dtype,
                     )
                 )
 
@@ -590,20 +476,20 @@ class CompiledPlan:
         epilogue).  Operand shapes must produce exactly the planned
         ``(m, k, n)`` (:class:`ShapeError` otherwise).
         """
-        key = self.key
-        if alpha is not None and float(alpha) != key.alpha:
+        spec = self.key.spec
+        if alpha is not None and float(alpha) != spec.alpha:
             raise PlanError(
                 f"alpha={alpha} does not match this plan's spec "
-                f"(alpha={key.alpha}); plan the new spec instead"
+                f"(alpha={spec.alpha}); plan the new spec instead"
             )
-        if beta is not None and float(beta) != key.beta:
+        if beta is not None and float(beta) != spec.beta:
             raise PlanError(
                 f"beta={beta} does not match this plan's spec "
-                f"(beta={key.beta}); plan the new spec instead"
+                f"(beta={spec.beta}); plan the new spec instead"
             )
         p = GemmProblem.create(
-            a, b, op_a=key.op_a, op_b=key.op_b,
-            alpha=key.alpha, beta=key.beta, c=c, dtype=key.dtype,
+            a, b, trans_a=spec.trans_a, trans_b=spec.trans_b,
+            alpha=spec.alpha, beta=spec.beta, c=c, dtype=spec.dtype,
         )
         return self.execute_problem(p, c=c, timings=timings)
 
@@ -615,20 +501,22 @@ class CompiledPlan:
     ) -> np.ndarray:
         """Run a pre-validated :class:`GemmProblem` through the plan."""
         key = self.key
+        spec = key.spec
         if (p.m, p.k, p.n) != (key.m, key.k, key.n):
             raise ShapeError(
                 f"operands give GEMM dims {(p.m, p.k, p.n)}, but this plan "
                 f"is compiled for {(key.m, key.k, key.n)}"
             )
-        if (p.op_a, p.op_b) != (key.op_a, key.op_b):
+        trans = (p.op_a is OpKind.TRANS, p.op_b is OpKind.TRANS)
+        if trans != (spec.trans_a, spec.trans_b):
             raise PlanError(
-                f"ops {(p.op_a.value, p.op_b.value)} do not match the plan's "
-                f"{(key.op_a.value, key.op_b.value)}"
+                f"ops {(p.op_a.value, p.op_b.value)} do not match the plan "
+                f"spec's transposes {(spec.trans_a, spec.trans_b)}"
             )
-        if (p.alpha, p.beta) != (key.alpha, key.beta):
+        if (p.alpha, p.beta) != (spec.alpha, spec.beta):
             raise PlanError(
                 f"alpha/beta {(p.alpha, p.beta)} do not match the plan "
-                f"spec's {(key.alpha, key.beta)}; plan the new spec instead"
+                f"spec's {(spec.alpha, spec.beta)}; plan the new spec instead"
             )
         rec = PhaseTimings()
         extras = _ExecExtras()
@@ -638,7 +526,7 @@ class CompiledPlan:
             # caller C of the computation dtype receives the conversion
             # directly; beta != 0 guarantees that (GemmProblem.create
             # rejects a mismatched-dtype C when beta != 0).
-            c_out = c if c is not None and c.dtype == key.np_dtype else None
+            c_out = c if c is not None and c.dtype == spec.np_dtype else None
             d = self._well_behaved_product(
                 p.a, p.b,
                 transpose_a=(p.op_a is OpKind.TRANS),
@@ -718,10 +606,6 @@ class CompiledPlan:
             if self._debug:
                 self._debug_pre()
             fused0 = self._ops.fused_adds
-            pool = workers = None
-            if self._graph is not None:
-                pool = self.session._ensure_pool()
-                workers = pool.workers
             if self._rezero_operands:
                 # A previous ip_overwrite execution left garbage in the
                 # operand pads; the zero_pad=False conversion below only
@@ -739,13 +623,7 @@ class CompiledPlan:
                 if self._relabel_b:
                     tr.emit("relabel", label="b")
             t0 = time.perf_counter()
-            if self._fused and self._graph is not None:
-                # Conversion moves *into* the graph: the two root pack
-                # tasks convert and pack their operand on pool workers,
-                # overlapping the a/b sides (to_morton attributes ~0
-                # here; the work lands in the graph's compute phase).
-                self._pend = (a, conv_trans_a, b, conv_trans_b)
-            elif self._fused:
+            if self._fused:
                 self._fused_convert_side(
                     "a", a, self._a_mm, CONVERT_QUADS_A, FUSED_PACKS_A,
                     conv_trans_a, extras,
@@ -762,7 +640,7 @@ class CompiledPlan:
                     ),
                     lambda tab: dense_to_morton(
                         a, self._a_mm, transpose=conv_trans_a, zero_pad=False,
-                        table=tab, pool=pool, workers=workers or 1,
+                        table=tab,
                     ),
                 )
                 self._convert_site(
@@ -772,7 +650,7 @@ class CompiledPlan:
                     ),
                     lambda tab: dense_to_morton(
                         b, self._b_mm, transpose=conv_trans_b, zero_pad=False,
-                        table=tab, pool=pool, workers=workers or 1,
+                        table=tab,
                     ),
                 )
             t1 = time.perf_counter()
@@ -785,33 +663,21 @@ class CompiledPlan:
                 # (exactly the values the two-pass scratch sums held).
                 check_pad_zero(self._a_mm, "a")
                 check_pad_zero(self._b_mm, "b")
-            if self._graph is not None:
-                try:
-                    run = pool.run(self._graph)
-                finally:
-                    self._pend = None
-                if extras is not None:
-                    extras.tasks_run += run.tasks
-                    extras.worker_busy += run.busy
-                    extras.graph_wall += run.wall
-                    extras.pool_workers = run.workers
-                    if self._fused:
-                        extras.fused_packs += 4
-            elif key.variant == "winograd":
+            if key.variant == "winograd":
                 winograd_multiply(
                     self._a_eff, self._b_eff, self._c_mm,
                     ops=self._ops, workspace=self._workspace,
-                    memory=key.memory, alpha=key.alpha,
+                    memory=key.memory, alpha=key.spec.alpha,
                     prepacked=self._fused,
                 )
             else:
                 strassen_multiply(
                     self._a_mm, self._b_mm, self._c_mm,
                     ops=self._ops, workspace=self._workspace,
-                    alpha=key.alpha,
+                    alpha=key.spec.alpha,
                 )
             t2 = time.perf_counter()
-            beta = key.beta if c_out is not None else 0.0
+            beta = key.spec.beta if c_out is not None else 0.0
             out: list = []
             self._convert_site(
                 "c", extras,
@@ -819,8 +685,7 @@ class CompiledPlan:
                     self._c_mm, out=c_out, beta=beta
                 )),
                 lambda tab: out.append(morton_to_dense(
-                    self._c_mm, out=c_out, beta=beta,
-                    table=tab, pool=pool, workers=workers or 1,
+                    self._c_mm, out=c_out, beta=beta, table=tab,
                 )),
             )
             d = out[0]
@@ -842,24 +707,12 @@ class CompiledPlan:
         """Phase-boundary checks before buffer reuse (lock held).
 
         Verifies the pooled scratch is exactly as the previous execution's
-        :meth:`_debug_post` left it — wholly poison-filled — and that every
-        leaf workspace has been returned to its pool.  A violation means
-        something wrote to this plan's buffers *between* executions, which
-        the per-plan locking discipline must never allow.
+        :meth:`_debug_post` left it — wholly poison-filled.  A violation
+        means something wrote to this plan's buffers *between* executions,
+        which the per-plan locking discipline must never allow.
         """
-        if self._tscratch is not None and not (
-            self._tscratch.workspace_pool.all_free
-        ):
-            raise InvariantError(
-                "leaf workspace pool is not fully free between executions: "
-                "a previous run leaked a workspace or a task is still "
-                "holding one"
-            )
-        if self._poisoned:
-            if self._workspace is not None:
-                check_quiescent(self._workspace, "workspace")
-            if self._tscratch is not None:
-                check_quiescent(self._tscratch, "task-scratch")
+        if self._poisoned and self._workspace is not None:
+            check_quiescent(self._workspace, "workspace")
 
     def _debug_post(self) -> None:
         """Poison-fill the scratch after an execution (lock held).
@@ -870,8 +723,6 @@ class CompiledPlan:
         """
         if self._workspace is not None:
             self._workspace.poison()
-        if self._tscratch is not None:
-            self._tscratch.poison()
         self._poisoned = True
 
     def _panelled_product(
@@ -880,7 +731,7 @@ class CompiledPlan:
     ) -> np.ndarray:
         opa = p.op_a_view
         opb = p.op_b_view
-        d = np.zeros((p.m, p.n), dtype=self.key.np_dtype, order="F")
+        d = np.zeros((p.m, p.n), dtype=self.key.spec.np_dtype, order="F")
         for panel, sub in zip(self._panels, self._panel_plans):
             pa = opa[panel.m0 : panel.m1, panel.k0 : panel.k1]
             pb = opb[panel.k0 : panel.k1, panel.n0 : panel.n1]
@@ -901,15 +752,14 @@ class CompiledPlan:
 
     @property
     def scratch_bytes(self) -> int:
-        """Recursion scratch bytes this plan holds (workspace/task scratch).
+        """Recursion scratch bytes this plan's workspace holds.
 
         Excludes the Morton operand/product buffers and conversion tables
         — this is exactly the *extra* memory the selected ``memory``
         schedule is accountable for: the geometric series over recursion
         levels (classic ``|A|/4 + |B|/4 + 2|C|/4`` per level, two_temp
-        ``max(|A|,|C|)/4 + |B|/4``, ip_overwrite zero), or the task-DAG
-        expansion tree plus leaf workspace pool for parallel plans.
-        Panelled plans report the sum over their distinct sub-plans.
+        ``max(|A|,|C|)/4 + |B|/4``, ip_overwrite zero).  Panelled plans
+        report the sum over their distinct sub-plans.
         """
         if self.tilings is None:
             seen: set[int] = set()
@@ -919,8 +769,6 @@ class CompiledPlan:
                     seen.add(id(sub))
                     total += sub.scratch_bytes
             return total
-        if self._tscratch is not None:
-            return self._tscratch.total_bytes
         if self._workspace is not None:
             return self._workspace.nbytes
         return 0
@@ -941,8 +789,6 @@ class CompiledPlan:
                 total += mm.buf.nbytes
         if self._workspace is not None:
             total += self._workspace.total_bytes
-        if self._tscratch is not None:
-            total += self._tscratch.total_bytes
         for site in self._sites.values():
             if site.table is not None:
                 total += site.table.nbytes
@@ -951,13 +797,9 @@ class CompiledPlan:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         key = self.key
         shape = "panelled" if self.tilings is None else "well-behaved"
-        sched = (
-            f", tasks:{key.schedule.depth}" if key.schedule.parallel else ""
-        )
         return (
-            f"CompiledPlan({key.m}x{key.k}x{key.n}, "
-            f"op=({key.op_a.value},{key.op_b.value}), {key.variant}"
-            f"{sched}, {shape})"
+            f"CompiledPlan({key.m}x{key.k}x{key.n}, {key.spec}, "
+            f"{key.variant}, {shape})"
         )
 
 
@@ -973,11 +815,6 @@ class BatchPlan:
     are bit-identical to per-item :meth:`CompiledPlan.execute` — the
     recursion code and addition order are literally the same, only the
     leading batch axis differs.
-
-    ``tasks`` schedules stripe the *batch axis* across the session's
-    worker pool (contiguous row stripes with disjoint workspace rows)
-    instead of expanding one item's recursion into a task DAG — many small
-    problems parallelise better across items than within one.
 
     Conversion reuses one shared :class:`ConversionTable` per side,
     broadcast over the batch: each item is a single vectorised
@@ -1012,7 +849,7 @@ class BatchPlan:
                 "the batched path serves well-behaved tilings only"
             )
         tm, tk, tn = self.tilings
-        dt = key.np_dtype
+        dt = key.spec.np_dtype
         self._debug = bool(getattr(session, "debug", False))
         self._poisoned = False
         self._ops = NumpyOps(
@@ -1028,10 +865,10 @@ class BatchPlan:
         #
         # As on the per-item path, a transposed operand of a Winograd
         # plan keeps its stack in *native* orientation (straight-copy
-        # conversion) and the striped recursion reads it through a
+        # conversion) and the stacked recursion reads it through a
         # TransposedView; Strassen stays transpose-fused-conversion.
-        self._relabel_a = bool(key.trans_a and key.variant == "winograd")
-        self._relabel_b = bool(key.trans_b and key.variant == "winograd")
+        self._relabel_a = bool(key.spec.trans_a and key.variant == "winograd")
+        self._relabel_b = bool(key.spec.trans_b and key.variant == "winograd")
         if self._relabel_a:
             self._a = BatchMortonMatrix.zeros(
                 cap, key.k, key.m, tk, tm, dtype=dt, stagger=1
@@ -1070,21 +907,18 @@ class BatchPlan:
         self._baseline: dict[str, float] = {}
         # Batches never fuse their packing: one vectorised gather per side
         # over the whole stack beats packing the sums item by item.
-        # Stripe views are pure geometry; reuse them across executions.
-        self._stripes: dict = {}
+        # Row-range views are pure geometry; reuse them across executions.
+        self._rows: dict = {}
 
     # ------------------------------------------------------------- execute
 
     def _convert_in(
         self, name: str, arrs, out: BatchMortonMatrix, transpose: bool,
-        pool, workers: int,
     ) -> float:
         """Fill ``out[:len(arrs)]``; return conversion seconds saved."""
         table = self._tables.get(name)
         if table is None:
-            dense_to_morton_batch(
-                arrs, out, transpose=transpose, pool=pool, workers=workers
-            )
+            dense_to_morton_batch(arrs, out, transpose=transpose)
             return 0.0
         base = self._baseline.get(name)
         if base is None:
@@ -1103,19 +937,14 @@ class BatchPlan:
                 )
             return base * (len(arrs) - 1) - (time.perf_counter() - t1)
         t0 = time.perf_counter()
-        dense_to_morton_batch(
-            arrs, out, transpose=transpose, table=table,
-            pool=pool, workers=workers,
-        )
+        dense_to_morton_batch(arrs, out, transpose=transpose, table=table)
         return base * len(arrs) - (time.perf_counter() - t0)
 
-    def _convert_out(self, n_items: int, pool, workers: int):
+    def _convert_out(self, n_items: int):
         """Gather the first ``n_items`` products back to dense arrays."""
         table = self._tables.get("c")
         if table is None:
-            return morton_to_dense_batch(
-                self._c, n_items, pool=pool, workers=workers
-            ), 0.0
+            return morton_to_dense_batch(self._c, n_items), 0.0
         base = self._baseline.get("c")
         if base is None:
             t0 = time.perf_counter()
@@ -1129,34 +958,34 @@ class BatchPlan:
             saved = base * (n_items - 1) - (time.perf_counter() - t1)
             return [first, *rest], saved
         t0 = time.perf_counter()
-        outs = morton_to_dense_batch(
-            self._c, n_items, table=table, pool=pool, workers=workers
-        )
+        outs = morton_to_dense_batch(self._c, n_items, table=table)
         return outs, base * n_items - (time.perf_counter() - t0)
 
-    def _run_stripe(self, lo: int, hi: int) -> None:
-        views = self._stripes.get((lo, hi))
+    def _run(self, n_items: int) -> None:
+        """One stacked recursion over batch rows ``[0, n_items)``."""
+        views = self._rows.get(n_items)
         if views is None:
-            a = self._a.stripe(lo, hi)
-            b = self._b.stripe(lo, hi)
+            a = self._a.stripe(0, n_items)
+            b = self._b.stripe(0, n_items)
             if self._relabel_a:
                 a = transposed_view(a)
             if self._relabel_b:
                 b = transposed_view(b)
-            views = self._stripes[(lo, hi)] = (
+            views = self._rows[n_items] = (
                 a, b,
-                self._c.stripe(lo, hi),
-                self._ws.view(lo, hi),
+                self._c.stripe(0, n_items),
+                self._ws.view(0, n_items),
             )
         a, b, c, ws = views
+        alpha = self.key.spec.alpha
         if self.key.variant == "winograd":
             winograd_multiply(
                 a, b, c, ops=self._ops, workspace=ws,
-                memory=self.key.memory, alpha=self.key.alpha,
+                memory=self.key.memory, alpha=alpha,
             )
         else:
             strassen_multiply(
-                a, b, c, ops=self._ops, workspace=ws, alpha=self.key.alpha
+                a, b, c, ops=self._ops, workspace=ws, alpha=alpha
             )
 
     def execute_batch(
@@ -1183,6 +1012,7 @@ class BatchPlan:
         boundaries), so the plan stays reusable after an error.
         """
         key = self.key
+        spec = key.spec
         n_items = len(problems)
         if n_items == 0:
             return []
@@ -1199,34 +1029,30 @@ class BatchPlan:
                     f"batch plan is compiled for {(key.m, key.k, key.n)}"
                 )
                 raise BatchItemError(indices[i], cause) from cause
-            if (p.op_a, p.op_b) != (key.op_a, key.op_b):
+            trans = (p.op_a is OpKind.TRANS, p.op_b is OpKind.TRANS)
+            if trans != (spec.trans_a, spec.trans_b):
                 cause = PlanError(
                     f"ops {(p.op_a.value, p.op_b.value)} do not match the "
-                    f"plan's {(key.op_a.value, key.op_b.value)}"
+                    f"plan spec's transposes {(spec.trans_a, spec.trans_b)}"
                 )
                 raise BatchItemError(indices[i], cause) from cause
             # alpha is folded into the one shared recursion, so it cannot
             # vary per item; beta is a per-item epilogue and may.
-            if p.alpha != key.alpha:
+            if p.alpha != spec.alpha:
                 cause = PlanError(
                     f"alpha={p.alpha} does not match the batch plan spec's "
-                    f"alpha={key.alpha}"
+                    f"alpha={spec.alpha}"
                 )
                 raise BatchItemError(indices[i], cause) from cause
         rec = PhaseTimings()
-        transpose_a = key.trans_a and not self._relabel_a
-        transpose_b = key.trans_b and not self._relabel_b
+        transpose_a = spec.trans_a and not self._relabel_a
+        transpose_b = spec.trans_b and not self._relabel_b
         tr = self._ops.trace
         with self._lock:
             if self._debug:
                 if self._poisoned:
                     check_quiescent(self._ws, "batch-workspace")
             fused0 = self._ops.fused_adds
-            pool = None
-            workers = 1
-            if key.schedule.parallel and n_items > 1:
-                pool = self.session._ensure_pool()
-                workers = key.schedule.workers or pool.workers
             if tr is not None and tr.enabled:
                 if self._relabel_a:
                     tr.emit("relabel", label="batch-a", items=n_items)
@@ -1235,11 +1061,9 @@ class BatchPlan:
             t0 = time.perf_counter()
             saved = self._convert_in(
                 "a", [p.a for p in problems], self._a, transpose_a,
-                pool, workers,
             )
             saved += self._convert_in(
                 "b", [p.b for p in problems], self._b, transpose_b,
-                pool, workers,
             )
             t1 = time.perf_counter()
             if tr is not None and tr.enabled:
@@ -1253,17 +1077,13 @@ class BatchPlan:
                 for i in range(n_items):
                     check_pad_zero(self._a.item(i), f"a[{indices[i]}]")
                     check_pad_zero(self._b.item(i), f"b[{indices[i]}]")
-            run_batch_stripes(
-                pool, n_items, self._run_stripe, workers,
-                name=f"batch-{key.m}x{key.k}x{key.n}",
-                tracer=tr,
-            )
+            self._run(n_items)
             t2 = time.perf_counter()
-            if key.beta == 0.0:
+            if spec.beta == 0.0:
                 # Bulk gather to fresh dense arrays; per-item beta (a
                 # directly-invoked batch may carry one) is applied in the
                 # post-lock epilogue below.
-                outs, saved_c = self._convert_out(n_items, pool, workers)
+                outs, saved_c = self._convert_out(n_items)
                 saved += saved_c
                 results = first_err = None
             else:
@@ -1280,10 +1100,10 @@ class BatchPlan:
                     "convert", label="batch-out", seconds=t3 - t2,
                     items=n_items, indexed="c" in self._tables,
                 )
-                if key.beta != 0.0:
+                if spec.beta != 0.0:
                     tr.emit(
                         "accumulate", label="batch-c",
-                        beta=float(key.beta), items=n_items,
+                        beta=float(spec.beta), items=n_items,
                     )
             fused_delta = self._ops.fused_adds - fused0
             if self._debug:
@@ -1338,16 +1158,14 @@ class BatchPlan:
         failing item (e.g. a read-only C) is recorded and the rest still
         convert, keeping the pooled stacks quiescent.
         """
-        key = self.key
+        dt = self.key.spec.np_dtype
         table = self._tables.get("c")
         results = []
         first_err: BatchItemError | None = None
         for i, p in enumerate(problems):
             c = cs[i]
             try:
-                if c is not None and (
-                    p.beta != 0.0 or c.dtype == key.np_dtype
-                ):
+                if c is not None and (p.beta != 0.0 or c.dtype == dt):
                     r = morton_to_dense(
                         self._c.item(i), out=c, beta=p.beta, table=table
                     )
@@ -1394,7 +1212,6 @@ class BatchPlan:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         key = self.key
         return (
-            f"BatchPlan({key.m}x{key.k}x{key.n} x{self.cap}, "
-            f"op=({key.op_a.value},{key.op_b.value}), {key.variant}, "
-            f"{key.memory}, {key.dtype})"
+            f"BatchPlan({key.m}x{key.k}x{key.n} x{self.cap}, {key.spec}, "
+            f"{key.variant}, {key.memory})"
         )

@@ -1,8 +1,8 @@
 """Plan-caching GEMM sessions: amortise planning across repeated calls.
 
 A :class:`GemmSession` memoises :class:`CompiledPlan` objects keyed on the
-full problem geometry ``(m, k, n, op_a, op_b, policy, kernel, variant,
-schedule)``.  The first multiply of a geometry pays for truncation-point
+full problem geometry ``(m, k, n, policy, kernel, variant, memory,
+spec)``.  The first multiply of a geometry pays for truncation-point
 selection and buffer allocation; every later one reuses the frozen plan —
 the amortisation that serving workloads (many same-shape multiplies) need.
 
@@ -12,12 +12,8 @@ its pooled buffers) is dropped.  A parallel pool of :class:`Workspace`
 objects serves :meth:`multiply_morton` (operands already in Morton order),
 sharing the same hit/miss counters and byte accounting.
 
-Plans with a ``tasks`` :class:`Schedule` execute on the session's
-persistent :class:`repro.core.scheduler.WorkerPool`, created lazily on the
-first parallel execution and shared by every plan (and, via the ``pool``
-constructor argument, by several sessions).  ``stats()`` reports the
-scheduler counters — tasks run, worker utilisation — alongside the
-adaptive-conversion savings.
+Every plan executes sequentially on the calling thread; parallelism comes
+from a multi-threaded BLAS under the leaf products.
 
 All methods are thread-safe: the cache is guarded by a session lock, and
 each plan serialises its own executions, so concurrent
@@ -43,7 +39,6 @@ from ..blas.dgemm import GemmProblem, OpKind
 from ..blas.kernels import LeafKernel, get_kernel, set_accumulate_cap
 from ..core.modgemm import PhaseTimings
 from ..core.ops import NumpyOps
-from ..core.scheduler import Schedule, WorkerPool
 from ..core.strassen import strassen_multiply
 from ..core.truncation import TruncationPolicy
 from ..core.winograd import StepTable, resolve_memory, winograd_multiply
@@ -71,6 +66,24 @@ __all__ = [
 ]
 
 
+def _check_schedule(schedule) -> None:
+    """Accept the one execution schedule, ``None`` or ``"sequential"``.
+
+    Any other value raises :class:`PlanError` naming the removal: the
+    task-graph scheduler (``"tasks"``, ``"tasks:D"``, ``"tasks:DxW"``) is
+    gone, and a multi-threaded BLAS under the leaf products supplies the
+    parallelism instead.
+    """
+    if schedule is None or schedule == "sequential":
+        return
+    raise PlanError(
+        f"schedule={schedule!r} is not supported: the task-graph scheduler "
+        "was removed and every plan runs sequentially; for parallelism use "
+        "a multi-threaded BLAS under the leaf products, and pass "
+        "schedule='sequential' or leave it unset"
+    )
+
+
 @dataclass(frozen=True)
 class SessionStats:
     """An immutable snapshot of one session's instrumentation counters.
@@ -84,19 +97,16 @@ class SessionStats:
     pooled across cached plans and workspaces; ``timings`` aggregates the
     conversion/compute phase breakdown over every execution.
 
-    The scheduler adds ``parallel_executes`` (executions run on the task
-    graph), ``tasks_run``, ``worker_busy_seconds`` (summed task execution
-    time across workers) and ``worker_utilization`` (busy time over pool
-    capacity, in ``[0, 1]``).  The adaptive conversion calibration adds
-    ``indexed_conversions`` (conversions served by a precomputed index
-    table) and ``convert_seconds_saved`` (their summed time saved against
-    each site's measured tile-loop baseline).
+    The adaptive conversion calibration adds ``indexed_conversions``
+    (conversions served by a precomputed index table) and
+    ``convert_seconds_saved`` (their summed time saved against each
+    site's measured tile-loop baseline).
 
     The memory-schedule accounting adds ``scratch_bytes_allocated``
     (cumulative recursion-scratch bytes allocated over the session's
-    lifetime — workspace levels and task-DAG scratch, excluding operand
-    buffers), ``peak_scratch_bytes`` (high-water mark of *live* scratch
-    across cached plans and pooled workspaces) and ``fused_adds``
+    lifetime — workspace levels, excluding operand buffers),
+    ``peak_scratch_bytes`` (high-water mark of *live* scratch across
+    cached plans and pooled workspaces) and ``fused_adds``
     (``add3`` passes executed by low-memory schedules).
 
     The stacked-batch path adds ``batched_executes`` (whole batches run
@@ -111,12 +121,10 @@ class SessionStats:
     The fused packing path adds ``fused_packs`` (quarter-matrix operand
     sums produced during a dense->Morton gather instead of by a
     standalone add pass — 4 per fused execution; stacked batches never
-    fuse, so they add 0), ``convert_seconds`` (wall time spent in the conversion phases
-    — ``timings.to_morton + timings.from_morton``; a fused ``tasks:``
-    plan's operand conversion runs inside its graph and lands in
-    ``compute`` instead) and ``convert_fraction`` (``convert_seconds``
-    over total execute time, in ``[0, 1]`` — the ratio the fused path
-    exists to shrink).
+    fuse, so they add 0), ``convert_seconds`` (wall time spent in the
+    conversion phases — ``timings.to_morton + timings.from_morton``) and
+    ``convert_fraction`` (``convert_seconds`` over total execute time, in
+    ``[0, 1]`` — the ratio the fused path exists to shrink).
 
     The persistent plan store adds ``store_hits`` / ``store_misses``
     (plan-key resolutions answered / not answered by the session's
@@ -134,10 +142,6 @@ class SessionStats:
     buffers_allocated: int = 0
     bytes_pooled: int = 0
     timings: PhaseTimings = field(default_factory=PhaseTimings)
-    parallel_executes: int = 0
-    tasks_run: int = 0
-    worker_busy_seconds: float = 0.0
-    worker_utilization: float = 0.0
     indexed_conversions: int = 0
     convert_seconds_saved: float = 0.0
     scratch_bytes_allocated: int = 0
@@ -163,24 +167,19 @@ class GemmSession:
     capacity:
         Maximum number of cached plans (and, separately, pooled Morton
         workspaces).  Least-recently-used entries are evicted beyond it.
-    policy, kernel, variant, schedule, memory:
+    policy, kernel, variant, memory:
         Session-wide defaults for :meth:`multiply` /:meth:`plan`; each call
         may override them.  They accept the same string-or-object forms as
-        :func:`repro.modgemm`; ``schedule`` additionally accepts
-        ``"tasks:D"`` / ``"tasks:DxW"`` strings (see
-        :meth:`Schedule.coerce`).  ``memory`` selects the recursion's
+        :func:`repro.modgemm`.  ``memory`` selects the recursion's
         memory schedule — ``"classic"`` (default), ``"two_temp"`` (Boyer
         et al. two-temporary: ~half the scratch, bit-identical results)
         or ``"ip_overwrite"`` (zero scratch; clobbers the *internal*
         Morton operand copies, so dense-level results are unchanged, but
-        requires uniform tile geometry and a sequential schedule).
-    max_workers:
-        Size of the session's worker pool (created lazily on the first
-        ``tasks``-schedule execution).  Defaults to
-        ``min(8, os.cpu_count())``.
-    pool:
-        An existing :class:`WorkerPool` to share between sessions; the
-        session then never creates (nor shuts down) its own.
+        requires uniform tile geometry).
+    schedule:
+        ``None`` or ``"sequential"``, the only execution schedule; any
+        other value raises :class:`PlanError` (the task-graph scheduler
+        was removed).
     trace:
         ``True`` starts the session with event tracing enabled.  Every
         session owns a :class:`repro.observe.Tracer` at ``session.trace``
@@ -193,8 +192,7 @@ class GemmSession:
     debug:
         Arm validation mode: invariant checks at phase boundaries —
         operand-pad zeroing, workspace quiescence (poison-fill between
-        executions), NaN/Inf guards on leaf products, and task-graph
-        accounting checks in the worker pool.  Violations raise
+        executions) and NaN/Inf guards on leaf products.  Violations raise
         :class:`repro.errors.InvariantError`.  Results are bit-identical
         to a non-debug session; expect a substantial slowdown.  Fixed at
         construction (plans bake the guards in at compile time).
@@ -229,7 +227,7 @@ class GemmSession:
         non-empty) names the store path — the explicit argument always
         wins over the environment.  With a store attached, plan-key
         resolution consults it before the heuristic defaults (an
-        explicit per-call ``policy=``/``schedule=``/... still wins),
+        explicit per-call ``policy=``/``memory=``/... still wins),
         conversion-site calibration verdicts are replayed from and
         persisted to it, and :meth:`autotune` writes its winners back.
         ``close()`` flushes dirty store state to disk.
@@ -241,9 +239,7 @@ class GemmSession:
         policy: "TruncationPolicy | int | str | None" = None,
         kernel: "str | LeafKernel" = "numpy",
         variant: str = "winograd",
-        schedule: "Schedule | str | None" = None,
-        max_workers: int | None = None,
-        pool: WorkerPool | None = None,
+        schedule: "str | None" = None,
         memory: "str | None" = None,
         trace: bool = False,
         trace_capacity: int = 8192,
@@ -254,8 +250,7 @@ class GemmSession:
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+        _check_schedule(schedule)
         self.capacity = capacity
         self.trace = Tracer(capacity=trace_capacity, enabled=bool(trace))
         self.debug = bool(debug)
@@ -276,14 +271,10 @@ class GemmSession:
         self.default_policy = TruncationPolicy.coerce(policy)
         self.default_kernel = get_kernel(kernel)
         self.default_variant = resolve_variant(variant)
-        self.default_schedule = Schedule.coerce(schedule)
         try:
             self.default_memory = resolve_memory(memory)
         except ValueError as exc:
             raise PlanError(str(exc)) from None
-        self.max_workers = max_workers
-        self._pool = pool
-        self._owns_pool = False
         self._lock = threading.RLock()
         self._plans: "OrderedDict[PlanKey, CompiledPlan]" = OrderedDict()
         self._batch_plans: "OrderedDict[tuple, BatchPlan]" = OrderedDict()
@@ -296,10 +287,6 @@ class GemmSession:
         self._buffers_allocated = 0
         self._timings = PhaseTimings()
         self._timings.panels = 0
-        self._parallel_executes = 0
-        self._tasks_run = 0
-        self._worker_busy = 0.0
-        self._worker_capacity = 0.0
         self._indexed_conversions = 0
         self._convert_saved = 0.0
         self._scratch_allocated = 0
@@ -322,36 +309,12 @@ class GemmSession:
         """The session's persistent plan store (``None`` when disabled)."""
         return self._plan_store
 
-    # ---------------------------------------------------------- worker pool
-
-    def _pool_size(self) -> int:
-        """Worker count the pool has (or would be created with)."""
-        if self._pool is not None:
-            return self._pool.workers
-        if self.max_workers is not None:
-            return self.max_workers
-        return min(8, os.cpu_count() or 1)
-
-    def _ensure_pool(self) -> WorkerPool:
-        """The session's worker pool, created lazily on first parallel use."""
-        with self._lock:
-            if self._pool is None:
-                self._pool = WorkerPool(
-                    self._pool_size(), name="repro-session",
-                    validate=self.debug,
-                )
-                self._owns_pool = True
-            return self._pool
-
     def close(self) -> None:
-        """Release pooled resources: cached plans, workspaces, worker pool.
+        """Release pooled resources: cached plans and workspaces.
 
-        A pool the session created itself is shut down; a shared ``pool``
-        passed at construction is left running for its other users.  The
-        session stays usable — a later parallel multiply lazily recreates
-        the pool.  Dirty plan-store state is flushed to disk (failures
-        warn rather than raise — closing must always succeed).
-        Idempotent.
+        The session stays usable — a later multiply recompiles its plan.
+        Dirty plan-store state is flushed to disk (failures warn rather
+        than raise — closing must always succeed).  Idempotent.
         """
         store = self._plan_store
         if store is not None:
@@ -363,18 +326,7 @@ class GemmSession:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-        with self._lock:
-            pool, owned = self._pool, self._owns_pool
-            if owned:
-                self._pool = None
-                self._owns_pool = False
-            self._plans.clear()
-            self._batch_plans.clear()
-            self._workspaces.clear()
-            self._expr_pool.clear()
-            self._scratch_live = 0
-        if owned and pool is not None:
-            pool.shutdown()
+        self.clear()
 
     def __enter__(self) -> "GemmSession":
         return self
@@ -394,8 +346,7 @@ class GemmSession:
         policy: "TruncationPolicy | int | str | None" = None,
         kernel: "str | LeafKernel | None" = None,
         variant: "str | None" = None,
-        parallel: bool = False,
-        schedule: "Schedule | str | None" = None,
+        schedule: "str | None" = None,
         memory: "str | None" = None,
         dtype=None,
         alpha: float | None = None,
@@ -413,9 +364,11 @@ class GemmSession:
         ``op_a``/``op_b`` spellings.
         """
         key = self._make_key(
-            m, k, n, op_a, op_b, policy, kernel, variant, parallel, schedule,
-            memory, dtype, alpha=alpha, beta=beta,
-            trans_a=trans_a, trans_b=trans_b, spec=spec,
+            m, k, n, policy=policy, kernel=kernel, variant=variant,
+            schedule=schedule, memory=memory, spec=GemmSpec.coerce(
+                spec, alpha=alpha, beta=beta, op_a=op_a, op_b=op_b,
+                trans_a=trans_a, trans_b=trans_b, dtype=dtype,
+            ),
         )
         return self._plan_from_key(key)
 
@@ -543,46 +496,30 @@ class GemmSession:
         return dec
 
     def _make_key(
-        self, m, k, n, op_a, op_b, policy, kernel, variant, parallel, schedule,
-        memory=None, dtype=None, *, alpha=None, beta=None,
-        trans_a=None, trans_b=None, spec=None,
+        self, m, k, n, *, policy, kernel, variant, schedule, memory,
+        spec: GemmSpec,
     ) -> PlanKey:
+        _check_schedule(schedule)
         variant = (
             self.default_variant if variant is None else resolve_variant(variant)
-        )
-        gspec = GemmSpec.coerce(
-            spec, alpha=alpha, beta=beta, op_a=op_a, op_b=op_b,
-            trans_a=trans_a, trans_b=trans_b, dtype=dtype,
         )
         # The plan store answers before the heuristic defaults kick in,
         # but never over an explicit caller choice: a stored decision is
         # consulted only when the caller left ``policy`` unset, and its
-        # schedule/memory/kernel components fill only the parameters the
-        # caller also left unset.
+        # memory/kernel components fill only the parameters the caller
+        # also left unset.
         if policy is None and self._plan_store is not None:
-            dec = self._consult_store(int(m), int(k), int(n), gspec, variant)
+            dec = self._consult_store(int(m), int(k), int(n), spec, variant)
             if dec is not None:
                 try:
                     policy = dec.policy(int(m), int(k), int(n))
                 except (ValueError, PlanError):
                     policy = None  # unusable record: fall back silently
                 else:
-                    if schedule is None and not parallel:
-                        schedule = dec.schedule
                     if memory is None:
                         memory = dec.memory
                     if kernel is None:
                         kernel = dec.kernel
-        sched = Schedule.coerce(schedule, default=self.default_schedule)
-        if parallel and not sched.parallel:
-            # Historical boolean form: the seven top-level products on a
-            # pool sized for them.
-            sched = Schedule.tasks(depth=1, workers=7)
-        if sched.parallel and variant != "winograd":
-            raise PlanError(
-                "task-scheduled execution supports only the winograd "
-                f"variant; got variant={variant!r}"
-            )
         if memory is None:
             mem = self.default_memory
         else:
@@ -595,12 +532,6 @@ class GemmSession:
                 f"memory={mem!r} is a Winograd schedule; "
                 f"variant={variant!r} supports only memory='classic'"
             )
-        if mem == "ip_overwrite" and sched.parallel:
-            raise PlanError(
-                "memory='ip_overwrite' cannot run on the task scheduler "
-                "(leaf recursions would clobber shared operand quadrants); "
-                "use memory='two_temp' for a low-memory parallel schedule"
-            )
         return PlanKey(
             m=int(m),
             k=int(k),
@@ -609,9 +540,8 @@ class GemmSession:
             else TruncationPolicy.coerce(policy),
             kernel=self.default_kernel if kernel is None else get_kernel(kernel),
             variant=variant,
-            schedule=sched,
             memory=mem,
-            spec=gspec,
+            spec=spec,
         )
 
     # ------------------------------------------------------------ execution
@@ -628,8 +558,7 @@ class GemmSession:
         policy: "TruncationPolicy | int | str | None" = None,
         kernel: "str | LeafKernel | None" = None,
         variant: "str | None" = None,
-        parallel: bool = False,
-        schedule: "Schedule | str | None" = None,
+        schedule: "str | None" = None,
         timings: PhaseTimings | None = None,
         memory: "str | None" = None,
         dtype=None,
@@ -639,10 +568,11 @@ class GemmSession:
         """``C <- alpha * op(A) . op(B) + beta * C`` through the plan cache.
 
         Identical contract to :func:`repro.modgemm`; repeated same-spec
-        calls skip planning and buffer allocation entirely.  ``schedule``
-        selects the execution mode, ``memory`` the recursion's scratch
-        schedule (all modes produce bit-identical results) and ``dtype``
-        the computation precision — ``float64`` (default) or ``float32``.
+        calls skip planning and buffer allocation entirely.  ``memory``
+        selects the recursion's scratch schedule (all modes produce
+        bit-identical results) and ``dtype`` the computation precision —
+        ``float64`` (default) or ``float32``.  ``schedule`` accepts only
+        ``None``/``"sequential"``.
         The full operation spec (``alpha``, ``beta``, transposes, dtype)
         is part of the plan key, so the semantics compile *into* the
         cached plan: alpha into its final U-adds, beta into its output
@@ -655,8 +585,11 @@ class GemmSession:
             dtype=dtype, trans_a=trans_a, trans_b=trans_b,
         )
         key = self._make_key(
-            p.m, p.k, p.n, p.op_a, p.op_b, policy, kernel, variant,
-            parallel, schedule, memory, dtype, alpha=alpha, beta=beta,
+            p.m, p.k, p.n, policy=policy, kernel=kernel, variant=variant,
+            schedule=schedule, memory=memory, spec=GemmSpec.coerce(
+                alpha=p.alpha, beta=p.beta, op_a=p.op_a, op_b=p.op_b,
+                dtype=dtype,
+            ),
         )
         plan = self._plan_from_key(key)
         return plan.execute_problem(p, c=c, timings=timings)
@@ -665,8 +598,7 @@ class GemmSession:
     #: :meth:`multiply_many`, beyond the operands ``a``/``b``/``c``.
     _MANY_OPTS = frozenset((
         "alpha", "beta", "op_a", "op_b", "trans_a", "trans_b", "policy",
-        "kernel", "variant", "parallel", "schedule", "memory", "dtype",
-        "timings",
+        "kernel", "variant", "schedule", "memory", "dtype", "timings",
     ))
 
     def multiply_many(
@@ -687,9 +619,8 @@ class GemmSession:
         With ``batch="auto"`` (default) items are grouped by their full
         plan key; every group of two or more well-behaved same-geometry
         problems executes through one stacked :class:`BatchPlan` — a
-        *single* Winograd recursion over ``(B, ...)`` Morton stacks, with
-        ``tasks:`` schedules striping the batch axis across the worker
-        pool — bit-identical to per-item results.  Groups that cannot
+        *single* Winograd recursion over ``(B, ...)`` Morton stacks —
+        bit-identical to per-item results.  Groups that cannot
         stack (singletons, panelled geometries, ``memory="ip_overwrite"``)
         fall back to the per-item thread pool (BLAS leaf kernels and
         large ufuncs release the GIL); ``batch=False`` forces that legacy
@@ -745,12 +676,13 @@ class GemmSession:
                     trans_a=opts.get("trans_a"), trans_b=opts.get("trans_b"),
                 )
                 key = self._make_key(
-                    p.m, p.k, p.n, p.op_a, p.op_b,
-                    opts.get("policy"), opts.get("kernel"),
-                    opts.get("variant"), opts.get("parallel", False),
-                    opts.get("schedule"), opts.get("memory"),
-                    opts.get("dtype"),
-                    alpha=p.alpha, beta=p.beta,
+                    p.m, p.k, p.n, policy=opts.get("policy"),
+                    kernel=opts.get("kernel"), variant=opts.get("variant"),
+                    schedule=opts.get("schedule"), memory=opts.get("memory"),
+                    spec=GemmSpec.coerce(
+                        alpha=p.alpha, beta=p.beta, op_a=p.op_a,
+                        op_b=p.op_b, dtype=opts.get("dtype"),
+                    ),
                 )
                 specs.append((p, key, c, opts.get("timings")))
             except Exception as exc:
@@ -1063,7 +995,6 @@ class GemmSession:
                 "exec",
                 label=self._plan_key_label(plan.key),
                 seconds=rec.to_morton + rec.compute + rec.from_morton,
-                parallel=bool(extras is not None and extras.tasks_run),
             )
         with self._lock:
             self._executes += 1
@@ -1074,13 +1005,6 @@ class GemmSession:
             self._timings.from_morton += rec.from_morton
             self._timings.panels += rec.panels if rec.panels > 1 else 0
             if extras is not None:
-                if extras.tasks_run:
-                    self._parallel_executes += 1
-                    self._tasks_run += extras.tasks_run
-                    self._worker_busy += extras.worker_busy
-                    self._worker_capacity += (
-                        extras.graph_wall * max(1, extras.pool_workers)
-                    )
                 self._indexed_conversions += extras.indexed_conversions
                 self._convert_saved += extras.convert_seconds_saved
                 self._fused_adds += extras.fused_adds
@@ -1124,11 +1048,6 @@ class GemmSession:
                 from_morton=self._timings.from_morton,
                 panels=self._timings.panels,
             )
-            util = (
-                min(1.0, self._worker_busy / self._worker_capacity)
-                if self._worker_capacity > 0
-                else 0.0
-            )
             convert_seconds = agg.to_morton + agg.from_morton
             total_seconds = convert_seconds + agg.compute
             convert_fraction = (
@@ -1144,10 +1063,6 @@ class GemmSession:
                 buffers_allocated=self._buffers_allocated,
                 bytes_pooled=pooled,
                 timings=agg,
-                parallel_executes=self._parallel_executes,
-                tasks_run=self._tasks_run,
-                worker_busy_seconds=self._worker_busy,
-                worker_utilization=util,
                 indexed_conversions=self._indexed_conversions,
                 convert_seconds_saved=self._convert_saved,
                 scratch_bytes_allocated=self._scratch_allocated,

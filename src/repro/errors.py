@@ -33,7 +33,7 @@ class PlanError(ReproError):
 
     Raised by :class:`repro.core.truncation.TruncationPolicy` for invalid
     policy parameters or GEMM dimensions, and by the engine when a request
-    is inconsistent (e.g. ``parallel=True`` with a non-Winograd variant).
+    is inconsistent (e.g. ``memory="two_temp"`` with the Strassen variant).
     """
 
 

@@ -18,10 +18,6 @@ Two implementations coexist, selected per call site:
   the warm path pays only the copies.  It wins when the tile count is
   large (depth >= ~4) and the operand is not far beyond cache; the engine
   calibrates both paths per plan and keeps the faster one.
-
-A table can also drive a **parallel** conversion: its flat index arrays
-split into contiguous chunks that gather/scatter independently on a
-:class:`repro.core.scheduler.WorkerPool` (any object with ``run_all``).
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..core.scheduler import stripe_ranges
 from .matrix import BatchMortonMatrix, MortonMatrix
 from .morton import element_offsets
 from .tiles import iter_tiles
@@ -46,9 +41,6 @@ __all__ = [
     "conversion_table",
     "calibration_key",
 ]
-
-#: Fewest elements per chunk worth dispatching to a worker pool.
-PARALLEL_CONVERT_MIN = 1 << 20
 
 
 class ConversionTable:
@@ -154,13 +146,6 @@ class ConversionTable:
             + sum(m.nbytes + s.nbytes for m, s in self._qpairs.values())
         )
 
-    def chunks(self, n: int) -> list[slice]:
-        """Split the element range into ``n`` roughly equal slices."""
-        total = self.rows * self.cols
-        n = max(1, min(n, total))
-        step = -(-total // n)
-        return [slice(i, min(i + step, total)) for i in range(0, total, step)]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ConversionTable({self.rows}x{self.cols}, tile "
@@ -193,29 +178,20 @@ def calibration_key(rows: int, cols: int, tile_r: int, tile_c: int,
 
 
 def _indexed_to_morton(src: np.ndarray, out: MortonMatrix,
-                       table: ConversionTable, pool, workers: int) -> None:
+                       table: ConversionTable) -> None:
     """Scatter ``src`` (logical orientation) into ``out`` via the table."""
     buf = out.buf
     if src.flags.f_contiguous:
-        flat_idx, flat_src = table.flat_f, src.T.reshape(-1)
+        buf[table.flat_f] = src.T.reshape(-1)
     elif src.flags.c_contiguous:
-        flat_idx, flat_src = table.flat_c, src.reshape(-1)
+        buf[table.flat_c] = src.reshape(-1)
     else:
         buf[table.offsets] = src  # exotic strides: 2-D fancy scatter
-        return
-    if pool is not None and flat_src.size >= workers * PARALLEL_CONVERT_MIN:
-        def scatter(sl):
-            return lambda: buf.__setitem__(flat_idx[sl], flat_src[sl])
-        pool.run_all([scatter(sl) for sl in table.chunks(workers)],
-                     name="dense_to_morton")
-    else:
-        buf[flat_idx] = flat_src
 
 
 def dense_to_morton(
     a: np.ndarray, out: MortonMatrix, transpose: bool = False,
     zero_pad: bool = True, table: ConversionTable | None = None,
-    pool=None, workers: int = 1,
 ) -> MortonMatrix:
     """Copy dense ``a`` (or its transpose) into Morton matrix ``out``.
 
@@ -227,8 +203,7 @@ def dense_to_morton(
     elements).
 
     ``table`` switches to the precomputed-index path (it must describe
-    ``out``'s geometry); with a ``pool`` (and ``workers`` > 1) large
-    conversions additionally split across pool workers.
+    ``out``'s geometry).
     """
     a = np.asarray(a, dtype=out.buf.dtype)
     if a.ndim != 2:
@@ -244,7 +219,7 @@ def dense_to_morton(
             raise ValueError(f"{table!r} does not describe destination {out!r}")
         if zero_pad and out.size != out.rows * out.cols:
             out.buf[:] = 0.0  # indexed writes touch only logical elements
-        _indexed_to_morton(src, out, table, pool, workers)
+        _indexed_to_morton(src, out, table)
         return out
 
     rows, cols = out.rows, out.cols
@@ -273,21 +248,19 @@ def dense_to_morton(
 
 def morton_to_dense(
     m: MortonMatrix, out: np.ndarray | None = None,
-    table: ConversionTable | None = None, pool=None, workers: int = 1,
-    beta: float = 0.0,
+    table: ConversionTable | None = None, beta: float = 0.0,
 ) -> np.ndarray:
     """Copy Morton matrix ``m`` back to a dense array of its logical shape.
 
     A fresh destination is allocated in Fortran order (the layout the BLAS
     interface traffics in); pass ``out`` to write into an existing array.
-    ``table``/``pool``/``workers`` behave as in :func:`dense_to_morton`.
+    ``table`` behaves as in :func:`dense_to_morton`.
 
     ``beta`` fuses the GEMM accumulate into the conversion: the result is
     ``out = m + beta * out`` — elementwise identical to the legacy
     ``out *= beta; out += dense(m)`` two-pass (each element is scaled then
     added independently), but the destination is traversed once instead of
-    three times.  Requires ``out``; the pooled split is skipped so the
-    scale/add pair stays a single-threaded, deterministic sweep.
+    three times.  Requires ``out``.
     """
     if out is None:
         if beta != 0.0:
@@ -316,13 +289,6 @@ def morton_to_dense(
         if beta != 0.0:
             flat_out *= beta
             flat_out += buf[flat_idx]
-        elif pool is not None and (
-            flat_out.size >= workers * PARALLEL_CONVERT_MIN
-        ):
-            def gather(sl):
-                return lambda: np.take(buf, flat_idx[sl], out=flat_out[sl])
-            pool.run_all([gather(sl) for sl in table.chunks(workers)],
-                         name="morton_to_dense")
         else:
             np.take(buf, flat_idx, out=flat_out)
         return out
@@ -346,7 +312,7 @@ def morton_to_dense(
 
 def dense_to_morton_batch(
     arrs, out: BatchMortonMatrix, transpose: bool = False,
-    table: ConversionTable | None = None, pool=None, workers: int = 1,
+    table: ConversionTable | None = None,
 ) -> BatchMortonMatrix:
     """Convert ``len(arrs)`` same-geometry dense arrays into a Morton stack.
 
@@ -356,69 +322,38 @@ def dense_to_morton_batch(
     loop, or validation re-run.  ``out``'s rows must already have zeroed
     pads (the pooled batch buffers maintain this invariant: the batched
     recursion never writes operand stacks); indexed writes touch only
-    logical elements.  With a ``pool``, the *batch axis* stripes across
-    workers — each worker scatters a contiguous run of rows.  Without a
-    table, falls back to the per-item tile loop.
+    logical elements.  Without a table, falls back to the per-item tile
+    loop.
     """
     n = len(arrs)
     if n > out.batch:
         raise ValueError(f"{n} items exceed batch capacity {out.batch}")
 
-    if table is not None:
-        dtype = out.buf.dtype
-        shape = (out.rows, out.cols)
-
-        def scatter_rows(lo: int, hi: int) -> None:
-            for i in range(lo, hi):
-                src = np.asarray(arrs[i], dtype=dtype)
-                if transpose:
-                    src = src.T
-                if src.shape != shape:
-                    raise ValueError(
-                        f"op(a) shape {src.shape} != destination {shape}"
-                    )
-                row = out.buf[i]
-                if src.flags.f_contiguous:
-                    row[table.flat_f] = src.T.reshape(-1)
-                elif src.flags.c_contiguous:
-                    row[table.flat_c] = src.reshape(-1)
-                else:
-                    row[table.offsets] = src
-
-        if pool is not None and workers > 1 and n > 1 and (
-            n * out.rows * out.cols >= PARALLEL_CONVERT_MIN
-        ):
-            def job(lo, hi):
-                return lambda: scatter_rows(lo, hi)
-            pool.run_all(
-                [job(lo, hi) for lo, hi in stripe_ranges(n, workers)],
-                name="dense_to_morton_batch",
-            )
-        else:
-            scatter_rows(0, n)
-        return out
-
-    def convert_range(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
+    if table is None:
+        for i in range(n):
             dense_to_morton(arrs[i], out.item(i), transpose=transpose)
-
-    if pool is not None and workers > 1 and n > 1 and (
-        n * out.rows * out.cols >= PARALLEL_CONVERT_MIN
-    ):
-        def job(lo, hi):
-            return lambda: convert_range(lo, hi)
-        pool.run_all(
-            [job(lo, hi) for lo, hi in stripe_ranges(n, workers)],
-            name="dense_to_morton_batch",
-        )
-    else:
-        convert_range(0, n)
+        return out
+    dtype = out.buf.dtype
+    shape = (out.rows, out.cols)
+    for i in range(n):
+        src = np.asarray(arrs[i], dtype=dtype)
+        if transpose:
+            src = src.T
+        if src.shape != shape:
+            raise ValueError(f"op(a) shape {src.shape} != destination {shape}")
+        row = out.buf[i]
+        if src.flags.f_contiguous:
+            row[table.flat_f] = src.T.reshape(-1)
+        elif src.flags.c_contiguous:
+            row[table.flat_c] = src.reshape(-1)
+        else:
+            row[table.offsets] = src
     return out
 
 
 def morton_to_dense_batch(
     m: BatchMortonMatrix, n_items: int,
-    table: ConversionTable | None = None, pool=None, workers: int = 1,
+    table: ConversionTable | None = None,
 ) -> list:
     """Convert the first ``n_items`` rows of a Morton stack back to dense.
 
@@ -428,52 +363,14 @@ def morton_to_dense_batch(
     loop over the stack (~6x faster than per-item ``take`` calls); the
     returned arrays are F-contiguous per-item views of that one freshly
     allocated block, owned by the caller (nothing aliases the stack).
-    Striping splits the gather over batch-row ranges; the tile-loop
-    fallback mirrors :func:`dense_to_morton_batch`.
+    The tile-loop fallback mirrors :func:`dense_to_morton_batch`.
     """
     if table is not None:
-        idx = table.flat_f
-        sub = m.buf[:n_items]
-        if pool is not None and workers > 1 and n_items > 1 and (
-            n_items * m.rows * m.cols >= PARALLEL_CONVERT_MIN
-        ):
-            blk = np.empty((n_items, m.rows * m.cols), dtype=m.buf.dtype)
-
-            def job(lo, hi):
-                return lambda: blk.__setitem__(
-                    slice(lo, hi), sub[lo:hi][:, idx]
-                )
-            pool.run_all(
-                [job(lo, hi) for lo, hi in stripe_ranges(n_items, workers)],
-                name="morton_to_dense_batch",
-            )
-        else:
-            blk = sub[:, idx]
+        blk = m.buf[:n_items][:, table.flat_f]
         return [
             blk[i].reshape(m.cols, m.rows).T for i in range(n_items)
         ]
-
-    outs = [
-        np.empty((m.rows, m.cols), dtype=m.buf.dtype, order="F")
-        for _ in range(n_items)
-    ]
-
-    def convert_range(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            morton_to_dense(m.item(i), out=outs[i])
-
-    if pool is not None and workers > 1 and n_items > 1 and (
-        n_items * m.rows * m.cols >= PARALLEL_CONVERT_MIN
-    ):
-        def job(lo, hi):
-            return lambda: convert_range(lo, hi)
-        pool.run_all(
-            [job(lo, hi) for lo, hi in stripe_ranges(n_items, workers)],
-            name="morton_to_dense_batch",
-        )
-    else:
-        convert_range(0, n_items)
-    return outs
+    return [morton_to_dense(m.item(i)) for i in range(n_items)]
 
 
 # ------------------------------------------------------- fused packing

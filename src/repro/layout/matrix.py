@@ -407,8 +407,7 @@ class BatchMortonMatrix:
         )
 
     def stripe(self, lo: int, hi: int) -> "BatchMortonMatrix":
-        """Zero-copy view of batch rows ``[lo, hi)`` — the unit the
-        task-schedule path hands to each worker."""
+        """Zero-copy view of batch rows ``[lo, hi)``."""
         return BatchMortonMatrix(
             buf=self.buf[lo:hi],
             rows=self.rows,

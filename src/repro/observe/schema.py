@@ -12,7 +12,11 @@ checks it cannot drift apart).
 
 Version policy: additive changes (new optional event ``data`` fields, new
 event kinds) bump nothing; anything that would invalidate an existing
-consumer bumps ``TRACE_SCHEMA_VERSION`` and the ``version`` const below.
+consumer or document bumps ``TRACE_SCHEMA_VERSION`` and the ``version``
+const below.  Version 2 dropped the kinds nothing emits any more
+(``batch_stripe``, ``worker_start``/``worker_steal``/``worker_finish``,
+``error``, ``cancel``) and ``exec``'s ``parallel`` field, so version-1
+documents carrying them no longer validate.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ __all__ = [
 ]
 
 #: Current trace-document version (the ``version`` field of every dump).
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 #: The closed vocabulary of event kinds (the schema rejects others).
 EVENT_KINDS = (
@@ -35,13 +39,7 @@ EVENT_KINDS = (
     "convert",        # one dense<->Morton conversion site ran
     "add",            # one S/T/U Winograd addition pass
     "leaf",           # one leaf product (single tile or batched stack)
-    "batch_stripe",   # one batch-axis stripe of a stacked execution
-    "worker_start",   # a pool worker began a task from its own deque/inject
-    "worker_steal",   # a pool worker began a task stolen from a sibling
-    "worker_finish",  # a pool worker completed a task
     "exec",           # one plan execution completed (phase breakdown)
-    "error",          # an execution, task or batch item failed
-    "cancel",         # a queued task graph was cancelled (pool shutdown)
     "accumulate",     # a beta-scaled fold of a product into a live C
     "relabel",        # a transpose served by Morton quadrant relabeling
     "pack",           # a fused convert-and-add packing pass (additive, v1)
@@ -49,7 +47,7 @@ EVENT_KINDS = (
     "autotune_trial", # one timed candidate execution of the autotuner (additive, v1)
 )
 
-#: JSON Schema (draft-07 subset) for trace-document version 1.
+#: JSON Schema (draft-07 subset) for the current trace-document version.
 TRACE_SCHEMA: dict = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "repro.trace",

@@ -16,12 +16,11 @@ window of activity without unbounded memory.
 
 ``on_event`` registers observer callbacks that fire synchronously at emit
 time (after buffering).  Callbacks run on the emitting thread — which may
-be a worker thread holding scheduler or plan locks — so they must be fast
-and must not call back into the session.
+hold a plan lock — so they must be fast and must not call back into the
+session.
 
 ``dump()`` exports the buffer as a versioned JSON document (see
-:mod:`repro.observe.schema`); ``timeline()`` reduces the worker events to
-a per-thread profile of busy spans and the gaps between them.
+:mod:`repro.observe.schema`).
 """
 
 from __future__ import annotations
@@ -35,9 +34,6 @@ from .schema import EVENT_KINDS, TRACE_SCHEMA_VERSION
 __all__ = ["EVENT_KINDS", "TraceEvent", "Tracer"]
 
 _KIND_SET = frozenset(EVENT_KINDS)
-
-#: Kinds that open a worker busy-span in :meth:`Tracer.timeline`.
-_SPAN_OPENERS = frozenset(("worker_start", "worker_steal"))
 
 
 class TraceEvent:
@@ -124,7 +120,7 @@ class Tracer:
 
         Returns a zero-argument unsubscribe function.  Callbacks run
         synchronously on the emitting thread — keep them cheap and never
-        call back into the session or pool from one.
+        call back into the session from one.
         """
         if not callable(callback):
             raise TypeError(f"on_event needs a callable, got {callback!r}")
@@ -205,54 +201,6 @@ class Tracer:
             "dropped": dropped,
             "events": events,
         }
-
-    def timeline(self) -> dict:
-        """Per-thread worker activity: busy spans, gaps, and totals.
-
-        Pairs each ``worker_start``/``worker_steal`` event with the next
-        ``worker_finish`` on the same thread and returns, per thread id::
-
-            {"spans": [{"t0", "t1", "label", "stolen"}, ...],
-             "gaps":  [{"t0", "t1", "dt"}, ...],   # idle between spans
-             "busy":  <summed span seconds>,
-             "idle":  <summed gap seconds>}
-
-        This is the attributable decomposition of the session's scalar
-        ``worker_utilization``: a low number stops being a mystery when
-        the gaps say *which* worker idled *when* (and what it ran on
-        either side).  Threads with no worker events are absent.
-        """
-        timelines: dict[int, dict] = {}
-        open_spans: dict[int, TraceEvent] = {}
-        for ev in self.events():
-            if ev.kind in _SPAN_OPENERS:
-                open_spans[ev.thread] = ev
-            elif ev.kind == "worker_finish":
-                start = open_spans.pop(ev.thread, None)
-                if start is None:
-                    continue
-                tl = timelines.setdefault(
-                    ev.thread,
-                    {"spans": [], "gaps": [], "busy": 0.0, "idle": 0.0},
-                )
-                if tl["spans"]:
-                    prev_end = tl["spans"][-1]["t1"]
-                    gap = start.t - prev_end
-                    if gap > 0.0:
-                        tl["gaps"].append(
-                            {"t0": prev_end, "t1": start.t, "dt": gap}
-                        )
-                        tl["idle"] += gap
-                tl["spans"].append(
-                    {
-                        "t0": start.t,
-                        "t1": ev.t,
-                        "label": start.label,
-                        "stolen": start.kind == "worker_steal",
-                    }
-                )
-                tl["busy"] += ev.t - start.t
-        return timelines
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "enabled" if self.enabled else "disabled"

@@ -19,9 +19,6 @@ used to assert and nothing checked:
   assumptions instead of trusting them.
 * **Leaf products are finite.**  A NaN/Inf escaping a leaf product is
   diagnosed at the site that made it, not three U-chain additions later.
-* **Graph accounting balances.**  The scheduler's ``_unfinished`` /
-  ``_running`` counters must stay consistent (checked in
-  :class:`repro.core.scheduler.WorkerPool` when validation is armed).
 
 All violations raise :class:`repro.errors.InvariantError`.
 """
@@ -63,9 +60,8 @@ def check_quiescent(scratch, name: str) -> None:
     """Raise unless a poisoned scratch object is still wholly poisoned.
 
     ``scratch`` is anything exposing ``poison_intact()`` —
-    :class:`~repro.core.workspace.Workspace`,
-    :class:`~repro.core.workspace.BatchWorkspace`, or
-    :class:`~repro.core.parallel.TaskScratch`.  Call only after the owner
+    :class:`~repro.core.workspace.Workspace` or
+    :class:`~repro.core.workspace.BatchWorkspace`.  Call only after the owner
     has ``poison()``-ed it at the end of the previous execution.
     """
     if not scratch.poison_intact():

@@ -7,7 +7,7 @@ on-disk database of per-shape plan decisions and calibration artifacts;
 :func:`autotune` searches the plan space per shape (offline machine-model
 pruning via :mod:`repro.cachesim.rank`, then interleaved on-host timing)
 and writes the winners back.  A :class:`repro.engine.GemmSession` opened
-against a warm store replays every decision — truncation point, schedule,
+against a warm store replays every decision — truncation point,
 memory, kernel, conversion-path calibration, accumulate-scratch cap —
 with zero per-site calibration runs.
 

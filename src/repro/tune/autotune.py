@@ -2,14 +2,13 @@
 
 The paper tunes one knob per call — the truncation point — with a closed
 form.  The engine has since grown more decision axes: recursion depth and
-per-dimension tiles, execution schedule (sequential vs task graph),
-memory schedule (classic / two-temporary), and the leaf kernel.  This
-module searches that space per *shape class* the way a database tunes
-query plans:
+per-dimension tiles, memory schedule (classic / two-temporary), and the
+leaf kernel.  This module searches that space per *shape class* the way
+a database tunes query plans:
 
 1. **Enumerate** candidate truncation points (the session's heuristic
    choice always included; ``tiles=True`` widens to every feasible
-   common-depth split) and schedule/memory/kernel combinations.
+   common-depth split) and memory/kernel combinations.
 2. **Prune offline** with :func:`repro.cachesim.rank.rank_tilings` — the
    machine models price each tiling's flops and cache misses, and only
    candidates within ``keep_ratio`` of the modelled best go on to host
@@ -25,9 +24,9 @@ query plans:
    conversion-site calibration verdict observed during the trials rides
    along automatically (the trial session shares the store).
 
-By default the searched space is **bit-identity preserving**: schedule
-and memory variations produce bit-identical results by construction, and
-``(T, d)`` stays pinned to the heuristic choice.  Passing ``tiles=True``
+By default the searched space is **bit-identity preserving**: memory
+variations produce bit-identical results by construction, and ``(T, d)``
+stays pinned to the heuristic choice.  Passing ``tiles=True``
 or a ``kernels=`` list widens the search to decisions that change result
 bits (different split points reassociate the additions); the store
 records whatever wins, so only opt into those axes when bit-stability
@@ -49,7 +48,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.scheduler import Schedule
 from ..core.truncation import TruncationPolicy
 from ..layout.padding import Tiling
 from .store import PlanStore, StoredDecision
@@ -76,13 +74,12 @@ MIN_ENUM_TILE = 8
 class Candidate:
     """One point of the searched plan space.
 
-    ``schedule`` / ``memory`` / ``kernel`` are the engine's string forms
-    (``None`` = leave the session default in charge); ``tilings`` is the
-    pinned truncation point.
+    ``memory`` / ``kernel`` are the engine's string forms (``None`` =
+    leave the session default in charge); ``tilings`` is the pinned
+    truncation point.
     """
 
     tilings: "tuple[Tiling, Tiling, Tiling]"
-    schedule: str | None = None
     memory: str | None = None
     kernel: str | None = None
     is_default: bool = False
@@ -91,8 +88,6 @@ class Candidate:
     def label(self) -> str:
         tm, tk, tn = self.tilings
         parts = [f"T={tm.tile},{tk.tile},{tn.tile}", f"d={tm.depth}"]
-        if self.schedule is not None:
-            parts.append(self.schedule)
         if self.memory is not None:
             parts.append(self.memory)
         if self.kernel is not None:
@@ -184,14 +179,6 @@ def enumerate_tilings(
     return out
 
 
-def _schedule_str(sched: Schedule) -> str:
-    if not sched.parallel:
-        return "sequential"
-    if sched.workers is not None:
-        return f"tasks:{sched.depth}x{sched.workers}"
-    return f"tasks:{sched.depth}"
-
-
 def _normalise_shape(shape) -> tuple[int, int, int]:
     if isinstance(shape, int):
         return (shape, shape, shape)
@@ -211,7 +198,6 @@ def autotune(
     machine: "object | str | None" = None,
     rounds: int = 5,
     tiles: bool = False,
-    schedules: "tuple | list | None" = None,
     memories: "tuple | list | None" = None,
     kernels: "tuple | list | None" = None,
     dtype: str = "float64",
@@ -224,7 +210,7 @@ def autotune(
     """Tune ``shapes`` in the context of ``session``; persist to its store.
 
     ``session`` provides the defaults being tuned *against* (policy,
-    kernel, variant, schedule, memory, ``fused_pack``) and normally the
+    kernel, variant, memory, ``fused_pack``) and normally the
     :class:`~repro.tune.store.PlanStore` that receives the winners
     (``store=`` overrides it; with neither, results live only in the
     returned :class:`TuneResult`).  ``machine`` picks the offline pruning
@@ -234,13 +220,13 @@ def autotune(
     default by to dethrone it.
 
     The default search space preserves bit-identity with the default
-    plan (schedule and memory axes only).  ``tiles=True`` adds the
+    plan (memory axis only).  ``tiles=True`` adds the
     feasible ``(T, d)`` grid and ``kernels=`` adds leaf-kernel choices —
     both can change result bits; see the module docstring.
 
     Trial executions run in a *scratch* session sharing the store (so
     conversion-site calibrations persist) and the tracer (so
-    ``autotune_trial`` events land in the owner's timeline).
+    ``autotune_trial`` events land in the owner's trace).
     """
     # Imported here, not at module level: the cache simulator (and the
     # analysis package it pulls in) costs every ``import repro`` otherwise.
@@ -256,13 +242,8 @@ def autotune(
     variant = session.default_variant
     fused_pack = session.fused_pack
 
-    # Bit-identity-preserving default axes.  A non-winograd session
-    # default cannot vary schedule or memory at all.
-    if schedules is None:
-        schedules = (
-            ("sequential", "tasks:1") if variant == "winograd"
-            else ("sequential",)
-        )
+    # Bit-identity-preserving default axis.  A non-winograd session
+    # default cannot vary memory at all.
     if memories is None:
         memories = (
             ("classic", "two_temp") if variant == "winograd"
@@ -296,32 +277,23 @@ def autotune(
         survivors = [rc for rc in ranked if rc.kept]
         modelled = {id(rc.tilings): rc.run.seconds for rc in ranked}
 
-        default_sched = _schedule_str(session.default_schedule)
         default_mem = session.default_memory
         cands: list[Candidate] = []
         for rc in survivors:
-            for sched in schedules:
-                for mem in memories:
-                    parallel = sched.startswith("tasks")
-                    if mem == "ip_overwrite" and (
-                        parallel or not _uniform(rc.tilings)
-                    ):
-                        continue
-                    for kern in kernel_axis:
-                        is_default = (
-                            rc.is_default
-                            and sched == default_sched
-                            and mem == default_mem
-                            and kern is None
-                        )
-                        cands.append(Candidate(
-                            tilings=rc.tilings, schedule=sched,
-                            memory=mem, kernel=kern, is_default=is_default,
-                        ))
+            for mem in memories:
+                if mem == "ip_overwrite" and not _uniform(rc.tilings):
+                    continue
+                for kern in kernel_axis:
+                    is_default = (
+                        rc.is_default and mem == default_mem and kern is None
+                    )
+                    cands.append(Candidate(
+                        tilings=rc.tilings, memory=mem, kernel=kern,
+                        is_default=is_default,
+                    ))
         if not any(c.is_default for c in cands):
             cands.insert(0, Candidate(
-                tilings=tuple(default_tilings),
-                schedule=default_sched, memory=default_mem,
+                tilings=tuple(default_tilings), memory=default_mem,
                 kernel=None, is_default=True,
             ))
 
@@ -342,8 +314,7 @@ def autotune(
                 t0 = time.perf_counter()
                 trial.multiply(
                     a, b,
-                    policy=c.policy(m, k, n),
-                    schedule=c.schedule, memory=c.memory,
+                    policy=c.policy(m, k, n), memory=c.memory,
                     kernel=c.kernel, dtype=dtype,
                 )
                 return time.perf_counter() - t0
@@ -434,7 +405,6 @@ def autotune(
                 StoredDecision(
                     tile_m=tm.tile, tile_k=tk.tile, tile_n=tn.tile,
                     depth=tm.depth,
-                    schedule=winner.schedule,
                     memory=winner.memory,
                     kernel=winner.kernel,
                     modelled_seconds=modelled.get(id(winner.tilings)),

@@ -1,8 +1,8 @@
 """The persistent plan store: tuned GEMM decisions that outlive sessions.
 
 Every :class:`repro.engine.GemmSession` today re-derives (or defaults) the
-same per-shape decisions — truncation point ``(T, d)``, execution
-schedule, memory schedule, leaf kernel — and throws them away at exit.
+same per-shape decisions — truncation point ``(T, d)``, memory
+schedule, leaf kernel — and throws them away at exit.
 A production system warms up *once*: this module serializes those
 decisions to a versioned on-disk JSON document shared across sessions and
 processes (the query-planner pattern), alongside the calibration
@@ -35,8 +35,7 @@ The document schema (``version`` 1)::
       "entries": {
         "513x513x513:float64:winograd:fp=True": {
           "tile_m": 33, "tile_k": 33, "tile_n": 33, "depth": 4,
-          "schedule": "sequential", "memory": "two_temp",
-          "kernel": "numpy",
+          "memory": "two_temp", "kernel": "numpy",
           "modelled_seconds": 0.41, "measured_seconds": 0.052,
           "source": "autotune"
         }, ...
@@ -53,8 +52,10 @@ lookup: GEMM dims, computation dtype, recursion variant and the
 session's ``fused_pack`` mode.  The stored decision supplies what the
 planner would otherwise choose heuristically: the per-dimension
 truncation tiles and depth (applied as a pinned
-:class:`~repro.core.truncation.TruncationPolicy`), the execution
-schedule, the memory schedule and the leaf kernel.  Calibration keys are
+:class:`~repro.core.truncation.TruncationPolicy`), the memory schedule
+and the leaf kernel.  An entry written by an older build may still carry
+a ``"schedule"`` field; it loads with that field ignored, and the next
+:meth:`PlanStore.flush` rewrites it without it.  Calibration keys are
 :func:`repro.layout.convert.calibration_key` strings — pure conversion
 geometry, shared by every plan that converts that geometry.
 """
@@ -106,8 +107,7 @@ UNSET = object()
 #: Decision fields (beyond the tiling) a stored entry may carry; each is
 #: optional — ``None`` means "keep the heuristic/session default".
 _DECISION_FIELDS = (
-    "schedule", "memory", "kernel", "modelled_seconds",
-    "measured_seconds", "source",
+    "memory", "kernel", "modelled_seconds", "measured_seconds", "source",
 )
 
 
@@ -132,17 +132,16 @@ class StoredDecision:
     """One tuned plan decision: what the planner should pick for a shape.
 
     ``tile_m``/``tile_k``/``tile_n``/``depth`` pin the truncation point
-    (the paper's per-call selection, made persistent); ``schedule``,
-    ``memory`` and ``kernel`` override the session defaults *only for
-    parameters the caller left unspecified* — an explicit per-call
-    ``memory="classic"`` always wins over the store.
+    (the paper's per-call selection, made persistent); ``memory`` and
+    ``kernel`` override the session defaults *only for parameters the
+    caller left unspecified* — an explicit per-call ``memory="classic"``
+    always wins over the store.
     """
 
     tile_m: int
     tile_k: int
     tile_n: int
     depth: int
-    schedule: str | None = None
     memory: str | None = None
     kernel: str | None = None
     modelled_seconds: float | None = None
@@ -175,7 +174,6 @@ class StoredDecision:
             tile_k=int(doc["tile_k"]),
             tile_n=int(doc["tile_n"]),
             depth=int(doc["depth"]),
-            schedule=doc.get("schedule"),
             memory=doc.get("memory"),
             kernel=doc.get("kernel"),
             modelled_seconds=doc.get("modelled_seconds"),
@@ -446,11 +444,12 @@ class PlanStore:
                 "calibrations": dict(disk.get("calibrations") or {}),
                 "artifacts": dict(disk.get("artifacts") or {}),
             }
-            # Drop disk records that fail to parse — they would survive
-            # every future merge otherwise.
+            # Rewrite disk records in the current form: one that fails to
+            # parse would survive every future merge otherwise, and one
+            # from an older build may carry fields this one dropped.
+            parsed = {k: _parse_decision(v) for k, v in doc["entries"].items()}
             doc["entries"] = {
-                k: v for k, v in doc["entries"].items()
-                if _parses_as_decision(v)
+                k: d.as_doc() for k, d in parsed.items() if d is not None
             }
             doc["entries"].update(
                 {k: d.as_doc() for k, d in entries.items()}
@@ -497,11 +496,10 @@ class PlanStore:
         return f"PlanStore({str(self.path)!r}, entries={n})"
 
 
-def _parses_as_decision(doc) -> bool:
+def _parse_decision(doc) -> "StoredDecision | None":
     if not isinstance(doc, dict):
-        return False
+        return None
     try:
-        StoredDecision.from_doc(doc)
+        return StoredDecision.from_doc(doc)
     except (KeyError, TypeError, ValueError):
-        return False
-    return True
+        return None

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.ops import NumpyOps
-from repro.core.parallel import TaskScratch
 from repro.core.winograd import (
     MEMORY_SCHEDULES,
     resolve_memory,
@@ -220,20 +219,3 @@ class TestScratchDtype:
         )
         winograd_multiply(amm, bmm, c2, workspace=ws, memory=memory)
         assert np.array_equal(c1.buf, c2.buf)
-
-
-class TestTaskScratchMemory:
-    def test_two_temp_shrinks_leaf_workspaces(self):
-        classic = TaskScratch(4, 4, 4, 4, parallel_depth=1, workers=4)
-        lean = TaskScratch(
-            4, 4, 4, 4, parallel_depth=1, workers=4, memory="two_temp"
-        )
-        assert lean.memory == "two_temp"
-        assert (
-            lean.workspace_pool.total_bytes < classic.workspace_pool.total_bytes
-        )
-        assert lean.buffer_count < classic.buffer_count
-
-    def test_ip_rejected(self):
-        with pytest.raises(ValueError, match="ip_overwrite"):
-            TaskScratch(4, 4, 4, 3, memory="ip_overwrite")

@@ -143,23 +143,6 @@ class TestPoliciesAndVariants:
         b = rng.standard_normal((70, 70))
         assert_gemm_close(modgemm(a, b, kernel="blocked"), a @ b)
 
-    def test_parallel_flag(self, rng):
-        a = rng.standard_normal((150, 150))
-        b = rng.standard_normal((150, 150))
-        assert_gemm_close(modgemm(a, b, parallel=True), a @ b)
-
-    def test_parallel_with_alpha_beta(self, rng):
-        a = rng.standard_normal((130, 130))
-        b = rng.standard_normal((130, 130))
-        c0 = rng.standard_normal((130, 130))
-        c = c0.copy()
-        out = modgemm(a, b, c=c, alpha=2.0, beta=1.0, parallel=True)
-        assert_gemm_close(out, 2.0 * (a @ b) + c0)
-
-    def test_parallel_rejects_strassen_variant(self, rng):
-        with pytest.raises(ValueError):
-            modgemm(np.eye(8), np.eye(8), parallel=True, variant="strassen")
-
 
 class TestTimings:
     def test_phases_populated(self, rng):

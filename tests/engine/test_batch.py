@@ -71,7 +71,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("n", [66, 96])
     @pytest.mark.parametrize("memory", ["classic", "two_temp"])
-    @pytest.mark.parametrize("schedule", [None, "tasks:2"])
+    @pytest.mark.parametrize("schedule", [None, "sequential"])
     @pytest.mark.parametrize("count", [1, 2, 7, 32])
     def test_full_grid(self, rng, n, memory, schedule, count):
         pairs = _pairs(rng, n, count)
@@ -87,7 +87,7 @@ class TestBitIdentity:
             assert stats.batch_fallbacks == 0
 
     @pytest.mark.parametrize(
-        "memory,schedule", [("classic", None), ("two_temp", "tasks:1")]
+        "memory,schedule", [("classic", None), ("two_temp", "sequential")]
     )
     def test_large_geometry(self, rng, memory, schedule):
         pairs = _pairs(rng, 513, 2)
@@ -496,17 +496,12 @@ class TestBatchPlanCache:
         assert session.stats().bytes_pooled == 0
 
     def test_batch_plan_rejects_ip_overwrite(self, session):
-        key = session._make_key(
-            64, 64, 64, "n", "n", None, None, None, False, None,
-            "ip_overwrite",
-        )
+        key = session.plan(64, 64, 64, memory="ip_overwrite").key
         with pytest.raises(PlanError, match="ip_overwrite"):
             BatchPlan(key, 4, session)
 
     def test_batch_plan_rejects_panelled_geometry(self, session):
-        key = session._make_key(
-            32, 2048, 32, "n", "n", None, None, None, False, None, None,
-        )
+        key = session.plan(32, 2048, 32).key
         with pytest.raises(PlanError, match="panelled"):
             BatchPlan(key, 4, session)
 

@@ -1,4 +1,4 @@
-"""Typed errors (`repro.errors`) and API-consistency deprecation shims."""
+"""Typed errors (`repro.errors`), API-consistency forms and removed options."""
 
 from __future__ import annotations
 
@@ -9,8 +9,10 @@ import repro
 from repro.blas.dgemm import GemmProblem
 from repro.blas.kernels import get_kernel
 from repro.core.truncation import TruncationPolicy
-from repro.engine import resolve_variant
-from repro.errors import KernelError, PlanError, ReproError, ShapeError
+from repro.engine import GemmSession, resolve_variant
+from repro.errors import (
+    BatchItemError, KernelError, PlanError, ReproError, ShapeError,
+)
 
 
 class TestHierarchy:
@@ -56,10 +58,6 @@ class TestPlanError:
     def test_plan_rejects_degenerate_dims(self):
         with pytest.raises(PlanError):
             TruncationPolicy.dynamic().plan(0, 4, 4)
-
-    def test_parallel_strassen_rejected_as_plan_error(self):
-        with pytest.raises(PlanError):
-            repro.modgemm(np.eye(8), np.eye(8), parallel=True, variant="strassen")
 
     def test_malformed_policy_string(self):
         with pytest.raises(PlanError):
@@ -130,37 +128,67 @@ class TestVariantForms:
         )
 
 
-class TestBaselineDeprecationShims:
-    def test_dgefmm_truncation_warns_and_works(self, rng):
-        a = rng.standard_normal((70, 70))
-        b = rng.standard_normal((70, 70))
-        with pytest.warns(DeprecationWarning, match="dgefmm"):
-            out = repro.dgefmm(a, b, truncation=32)
-        assert np.allclose(out, a @ b)
-
-    def test_dgemmw_truncation_warns_and_works(self, rng):
-        a = rng.standard_normal((70, 70))
-        b = rng.standard_normal((70, 70))
-        with pytest.warns(DeprecationWarning, match="dgemmw"):
-            out = repro.dgemmw(a, b, truncation=32)
-        assert np.allclose(out, a @ b)
-
-    def test_deprecated_matches_new_spelling(self, rng):
-        a = rng.standard_normal((70, 70))
-        b = rng.standard_normal((70, 70))
-        with pytest.warns(DeprecationWarning):
-            old = repro.dgefmm(a, b, truncation=32)
-        new = repro.dgefmm(a, b, policy=32)
-        assert np.array_equal(old, new)
-
-    def test_both_spellings_rejected(self, rng):
-        a = rng.standard_normal((8, 8))
-        with pytest.raises(PlanError):
-            repro.dgefmm(a, a, policy=32, truncation=32)
-
+class TestBaselinePolicy:
     def test_policy_object_maps_to_crossover(self, rng):
         a = rng.standard_normal((70, 70))
         b = rng.standard_normal((70, 70))
         via_policy = repro.dgemmw(a, b, policy=TruncationPolicy.fixed(32))
         via_int = repro.dgemmw(a, b, policy=32)
         assert np.array_equal(via_policy, via_int)
+
+
+#: The task-graph scheduler's schedule spellings, all removed.
+REMOVED_SCHEDULES = ("tasks", "tasks:2", "tasks:2x4")
+
+
+class TestRemovedSchedules:
+    """Only ``None``/``"sequential"`` remain; the rest name the removal."""
+
+    MATCH = "task-graph scheduler was removed"
+
+    @pytest.mark.parametrize("schedule", REMOVED_SCHEDULES)
+    def test_rejected_everywhere(self, rng, schedule):
+        a = rng.standard_normal((64, 64))
+        b = rng.standard_normal((64, 64))
+        with pytest.raises(PlanError, match=self.MATCH):
+            GemmSession(schedule=schedule)
+        with GemmSession() as s:
+            with pytest.raises(PlanError, match=self.MATCH):
+                s.multiply(a, b, schedule=schedule)
+            with pytest.raises(PlanError, match=self.MATCH):
+                s.plan(64, 64, 64, schedule=schedule)
+            with pytest.raises(BatchItemError) as excinfo:
+                s.multiply_many(
+                    [(a, b), {"a": a, "b": b, "schedule": schedule}]
+                )
+            assert excinfo.value.index == 1
+            assert isinstance(excinfo.value.__cause__, PlanError)
+            assert self.MATCH in str(excinfo.value.__cause__)
+        with pytest.raises(PlanError, match=self.MATCH):
+            repro.modgemm(a, b, schedule=schedule)
+
+    @pytest.mark.parametrize("schedule", [None, "sequential"])
+    def test_sequential_matches_default(self, rng, schedule):
+        a = rng.standard_normal((129, 129))
+        b = rng.standard_normal((129, 129))
+        ref = repro.modgemm(a, b)
+        assert np.array_equal(repro.modgemm(a, b, schedule=schedule), ref)
+        with GemmSession(schedule=schedule) as s:
+            assert np.array_equal(s.multiply(a, b, schedule=schedule), ref)
+            plan = s.plan(129, 129, 129, schedule=schedule)
+            assert np.array_equal(plan.execute(a, b), ref)
+            for out in s.multiply_many([(a, b)] * 3, schedule=schedule):
+                assert np.array_equal(out, ref)
+
+    def test_removed_keywords_are_gone(self, rng):
+        a = rng.standard_normal((8, 8))
+        with pytest.raises(TypeError):
+            repro.modgemm(a, a, parallel=True)
+        with pytest.raises(TypeError):
+            GemmSession(max_workers=2)
+        with pytest.raises(TypeError):
+            GemmSession(pool=None)
+        with pytest.raises(TypeError):
+            repro.dgefmm(a, a, truncation=32)
+        with pytest.raises(TypeError):
+            repro.dgemmw(a, a, truncation=32)

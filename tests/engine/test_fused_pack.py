@@ -1,17 +1,17 @@
 """Engine-level tests of fused convert-and-add packing + the kernel registry.
 
 The load-bearing property: a fused plan produces *bitwise identical*
-results to the two-pass plan on every execution path — sequential
-(all three memory schedules) and the ``tasks:`` graph — because packing
-performs the same floating-point additions on the same values, merely
-sourced from the dense operand instead of the converted quadrants.
-Stacked batches never fuse.  The trace contract then proves the fusion actually happened:
-top-level add passes disappear and four ``pack`` events take their place.
+results to the two-pass plan on every execution path — all three memory
+schedules — because packing performs the same floating-point additions
+on the same values, merely sourced from the dense operand instead of
+the converted quadrants.  Stacked batches never fuse.  The trace
+contract then proves the fusion actually happened: top-level add passes
+disappear and four ``pack`` events take their place.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blas import (
@@ -35,7 +35,6 @@ POLICY = 8
 dims = st.integers(min_value=16, max_value=48)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 memories = st.sampled_from(["classic", "two_temp", "ip_overwrite"])
-schedules = st.sampled_from([None, "tasks:2"])
 dtypes = st.sampled_from([np.float64, np.float32])
 batch_sizes = st.sampled_from([1, 2, 7])
 
@@ -54,20 +53,18 @@ def _operands(rng, m, k, n, dtype=np.float64):
 class TestBitIdentity:
     @settings(max_examples=40, deadline=None)
     @given(m=dims, k=dims, n=dims, seed=seeds, memory=memories,
-           schedule=schedules, dtype=dtypes)
-    def test_fused_matches_two_pass(self, m, k, n, seed, memory, schedule,
-                                    dtype):
-        assume(not (memory == "ip_overwrite" and schedule is not None))
+           dtype=dtypes)
+    def test_fused_matches_two_pass(self, m, k, n, seed, memory, dtype):
         rng = np.random.default_rng(seed)
         a, b = _operands(rng, m, k, n, dtype)
-        with GemmSession(policy=POLICY, fused_pack="always", memory=memory,
-                         schedule=schedule, max_workers=2) as s:
+        with GemmSession(policy=POLICY, fused_pack="always",
+                         memory=memory) as s:
             plan = s.plan(m, k, n)
             assert plan._fused, "grid geometry must trip the fused gate"
             c1 = s.multiply(a, b)
             c1b = s.multiply(a, b)  # warm (cached-plan) rerun
-        with GemmSession(policy=POLICY, fused_pack=False, memory=memory,
-                         schedule=schedule, max_workers=2) as s:
+        with GemmSession(policy=POLICY, fused_pack=False,
+                         memory=memory) as s:
             assert not s.plan(m, k, n)._fused
             c0 = s.multiply(a, b)
         assert _bits(c1) == _bits(c0)
@@ -75,17 +72,15 @@ class TestBitIdentity:
 
     @settings(max_examples=25, deadline=None)
     @given(n=dims, nb=batch_sizes, seed=seeds,
-           memory=st.sampled_from(["classic", "two_temp"]),
-           schedule=schedules, dtype=dtypes)
-    def test_batch_fused_matches_two_pass(self, n, nb, seed, memory,
-                                          schedule, dtype):
+           memory=st.sampled_from(["classic", "two_temp"]), dtype=dtypes)
+    def test_batch_fused_matches_two_pass(self, n, nb, seed, memory, dtype):
         # Stacked batches never fuse; each item still matches its fused
         # per-item product bit for bit.
         rng = np.random.default_rng(seed)
         pairs = [_operands(rng, n, n, n, dtype) for _ in range(nb)]
-        with GemmSession(policy=POLICY, fused_pack="always", memory=memory,
-                         max_workers=2) as s:
-            batched = s.multiply_many(pairs, schedule=schedule)
+        with GemmSession(policy=POLICY, fused_pack="always",
+                         memory=memory) as s:
+            batched = s.multiply_many(pairs)
             before = s.stats()
             if before.batched_executes:
                 assert before.fused_packs == 0
@@ -116,7 +111,7 @@ ADD_DELTAS = [
     ("classic", None, 4),
     ("two_temp", None, 4),
     ("ip_overwrite", None, 4),
-    ("classic", "tasks:1", 4),
+    ("classic", "sequential", 4),
 ]
 
 
@@ -124,8 +119,7 @@ class TestTraceContract:
     def _events(self, rng, memory, schedule, fused):
         a, b = _operands(rng, 16, 16, 16)
         with GemmSession(policy=POLICY, trace=True, memory=memory,
-                         fused_pack="always" if fused else False,
-                         max_workers=2) as s:
+                         fused_pack="always" if fused else False) as s:
             s.multiply(a, b, schedule=schedule)
             validate_trace(s.trace.dump())
             return s.trace.events()
@@ -228,7 +222,7 @@ class TestKernelRegistry:
         register_kernel("counting-test", counting)
         try:
             a, b = _operands(rng, 16, 16, 16)
-            with GemmSession(policy=POLICY, max_workers=2) as s:
+            with GemmSession(policy=POLICY) as s:
                 c = s.multiply(a, b, kernel="counting-test")
                 assert np.allclose(c, a @ b)
                 assert calls["n"] > 0
@@ -239,12 +233,6 @@ class TestKernelRegistry:
                 )
                 assert all(np.allclose(o, a @ b) for o in outs)
                 assert calls["n"] > 0  # loop-batched, same arithmetic
-
-                calls["n"] = 0
-                c = s.multiply(a, b, kernel="counting-test",
-                               schedule="tasks:1")
-                assert np.allclose(c, a @ b)
-                assert calls["n"] > 0
 
             with pytest.raises(KernelError, match="replace=True"):
                 register_kernel("counting-test", counting)

@@ -74,16 +74,6 @@ class TestResultsAcrossSchedules:
                 a, b = square(rng, 50)
                 assert np.allclose(s.multiply(a, b), a @ b)
 
-    def test_two_temp_parallel_bit_identical(self, rng):
-        a, b = square(rng, 96)
-        with GemmSession() as s:
-            ref = s.multiply(a, b)
-            for workers in (1, 2, 7):
-                got = s.multiply(
-                    a, b, schedule=f"tasks:1x{workers}", memory="two_temp"
-                )
-                assert np.array_equal(ref, got)
-
 
 class TestScratchAccounting:
     def test_two_temp_plan_scratch_halved(self):

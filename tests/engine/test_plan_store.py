@@ -9,14 +9,18 @@ the verdict persists — across evictions and across sessions.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.blas.kernels import get_accumulate_cap, set_accumulate_cap
+from repro.blas.kernels import get_accumulate_cap, get_kernel, set_accumulate_cap
 from repro.engine.session import GemmSession
 from repro.layout.convert import calibration_key
 from repro.observe.schema import EVENT_KINDS, validate_trace
-from repro.tune.store import PlanStore, StoredDecision
+from repro.tune.store import (
+    STORE_SCHEMA, STORE_VERSION, PlanStore, StoredDecision, shape_key,
+)
 
 # Sites calibrate only at depth >= CONVERT_TABLE_MIN_DEPTH (3); 129 at
 # the default dynamic policy splits to depth 3 (tile 17) or similar only
@@ -134,6 +138,40 @@ class TestKeyResolution:
         with GemmSession(plan_store=store) as s:
             plan = s.plan(96, 96, 96)  # must not raise
             assert plan.tilings == s.default_policy.plan(96, 96, 96)
+
+
+    def test_old_schedule_field_loads_and_is_dropped_on_flush(self, tmp_path):
+        # Stores written while the task-graph scheduler existed carry a
+        # "schedule" decision field: the rest of the decision still
+        # applies, and the next flush rewrites the entry without it.
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "schema": STORE_SCHEMA, "version": STORE_VERSION,
+            "entries": {shape_key(96, 96, 96): {
+                "tile_m": 12, "tile_k": 12, "tile_n": 12, "depth": 3,
+                "schedule": "tasks:1", "memory": "two_temp",
+                "kernel": "blocked",
+            }},
+        }))
+        store = PlanStore(path)
+        a, b = _operands(96)
+        with GemmSession(plan_store=store) as s:
+            plan = s.plan(96, 96, 96)
+            assert [t.tile for t in plan.tilings] == [12, 12, 12]
+            assert plan.tilings[0].depth == 3
+            assert plan.key.memory == "two_temp"
+            assert plan.key.kernel is get_kernel("blocked")
+            assert np.allclose(s.multiply(a, b), a @ b)
+            assert s.stats().store_hits >= 1
+        store.record(64, 64, 64, StoredDecision(
+            tile_m=16, tile_k=16, tile_n=16, depth=2,
+        ))
+        assert store.flush() == path
+        entries = json.loads(path.read_text())["entries"]
+        old = entries[shape_key(96, 96, 96)]
+        assert "schedule" not in old
+        assert old["memory"] == "two_temp" and old["kernel"] == "blocked"
+        assert shape_key(64, 64, 64) in entries
 
 
 class TestCalibrationPersistence:

@@ -10,7 +10,7 @@ import pytest
 from repro.core.modgemm import PhaseTimings, modgemm
 from repro.core.truncation import TruncationPolicy
 from repro.engine import GemmSession, default_session, reset_default_session
-from repro.errors import PlanError, ShapeError
+from repro.errors import ShapeError
 
 from ..conftest import assert_gemm_close
 
@@ -163,19 +163,6 @@ class TestCorrectness:
         b2 = rng.standard_normal((65, 65))
         assert_gemm_close(session.multiply(a2, b2), a2 @ b2)
 
-    def test_parallel_routed_through_plan(self, rng, session):
-        a = rng.standard_normal((150, 150))
-        b = rng.standard_normal((150, 150))
-        out = session.multiply(a, b, parallel=True)
-        assert_gemm_close(out, a @ b)
-        # parallelism is a plan property, not a variant rewrite
-        key = next(iter(session._plans))
-        assert key.parallel is True and key.variant == "winograd"
-
-    def test_parallel_with_non_winograd_variant_rejected(self, rng, session):
-        with pytest.raises(PlanError):
-            session.multiply(np.eye(8), np.eye(8), parallel=True, variant="strassen")
-
     def test_timings_filled(self, rng, session):
         a = rng.standard_normal((150, 150))
         b = rng.standard_normal((150, 150))
@@ -298,51 +285,84 @@ class TestDefaultSession:
         assert np.array_equal(session.multiply(a, b), modgemm(a, b))
 
 
-class TestCloseDuringMultiply:
-    """close() racing an in-flight parallel multiply must never hang.
+class TestConversionCalibration:
+    def test_conversion_calibration_counters(self, rng):
+        # 513 -> tile 33 / depth 4: tables are built, and after the
+        # exec-1 baseline the indexed path is tried on exec 2.  With
+        # fused packing (the default) the a/b sides always gather through
+        # the fused tables, so only the c site calibrates loop-vs-indexed.
+        a = rng.standard_normal((513, 513))
+        b = rng.standard_normal((513, 513))
+        with GemmSession() as s:
+            plan = s.plan(513, 513, 513)
+            assert set(plan._sites) == {"c"}
+            assert set(plan._ftables) == {"a", "b"}
+            ref = s.multiply(a, b)
+            assert s.stats().indexed_conversions == 0  # baseline pass
+            c2 = s.multiply(a, b)
+            assert np.array_equal(c2, ref)  # paths are bit-identical
+            st = s.stats()
+            assert st.indexed_conversions == 1  # trial pass, c site
+            for _ in range(2):
+                assert np.array_equal(s.multiply(a, b), ref)
 
-    Regression test for the pool-shutdown bug: a graph still queued when
-    the workers exited left its caller blocked forever.  Now the caller
-    either completes normally (its graph drained) or gets the pool's
-    shutdown ``RuntimeError`` — both within a bounded wait.
+    def test_conversion_calibration_counters_unfused(self, rng):
+        # fused_pack=False restores the legacy three-site calibration.
+        a = rng.standard_normal((513, 513))
+        b = rng.standard_normal((513, 513))
+        with GemmSession(fused_pack=False) as s:
+            plan = s.plan(513, 513, 513)
+            assert set(plan._sites) == {"a", "b", "c"}
+            assert plan._ftables == {}
+            ref = s.multiply(a, b)
+            assert s.stats().indexed_conversions == 0  # baseline pass
+            c2 = s.multiply(a, b)
+            assert np.array_equal(c2, ref)  # paths are bit-identical
+            st = s.stats()
+            assert st.indexed_conversions == 3  # trial pass, all sites
+            for _ in range(2):
+                assert np.array_equal(s.multiply(a, b), ref)
+
+    def test_shallow_plans_skip_tables(self):
+        with GemmSession() as s:
+            plan = s.plan(96, 96, 96)  # depth < CONVERT_TABLE_MIN_DEPTH
+            assert plan._sites == {}
+
+
+class TestCloseDuringMultiply:
+    """close() racing in-flight multiplies must neither hang nor corrupt.
+
+    An in-flight call keeps its plan object (with that plan's lock and
+    buffers) while close() drops the cache, so it completes correctly;
+    the next call recompiles.
     """
 
     @pytest.mark.parametrize("delay", [0.0, 0.002, 0.01])
-    def test_close_concurrent_with_parallel_multiply(self, rng, delay):
+    def test_close_concurrent_with_multiply(self, rng, delay):
         import time
 
         a = rng.standard_normal((129, 129))
         b = rng.standard_normal((129, 129))
         expected = a @ b
-        session = GemmSession(max_workers=2)
+        session = GemmSession()
         failures: list[Exception] = []
-        done = threading.Event()
 
         def work() -> None:
             try:
                 for _ in range(6):
-                    out = session.multiply(a, b, schedule="tasks:1")
-                    assert_gemm_close(out, expected)
-            except RuntimeError as exc:
-                # The one acceptable error: the pool died under us.
-                if "shut down" not in str(exc):
-                    failures.append(exc)
+                    assert_gemm_close(session.multiply(a, b), expected)
             except Exception as exc:  # pragma: no cover - failure path
                 failures.append(exc)
-            finally:
-                done.set()
 
         t = threading.Thread(target=work)
         t.start()
         time.sleep(delay)
         session.close()
-        assert done.wait(timeout=60), "multiply hung after close()"
-        t.join(timeout=10)
-        assert not t.is_alive()
+        t.join(timeout=60)
+        assert not t.is_alive(), "multiply hung after close()"
         assert not failures, failures
-        # The session stays usable: a later multiply recreates the pool.
-        out = session.multiply(a, b, schedule="tasks:1")
-        assert_gemm_close(out, expected)
+        # The session stays usable: a later multiply recompiles its plan.
+        assert_gemm_close(session.multiply(a, b), expected)
         session.close()
 
 

@@ -85,10 +85,11 @@ class TestSpecInPlanKey:
         with GemmSession() as s:
             plan = s.plan(64, 64, 64, spec=spec)
             assert plan.key.spec == spec
-            assert plan.key.alpha == 0.5
-            assert plan.key.trans_a
-            # Legacy key properties stay available.
-            assert plan.key.op_a.value == "t"
+            assert plan.key.spec.alpha == 0.5
+            assert plan.key.spec.trans_a
+            # The pre-spec key accessors are gone; the spec is the one source.
+            assert not hasattr(plan.key, "op_a")
+            assert not hasattr(plan.key, "dtype")
 
     def test_plan_executes_frozen_spec(self, rng):
         a = rng.standard_normal((64, 64))

@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-import repro.layout.convert as convert_mod
-from repro.core.scheduler import WorkerPool
 from repro.layout.convert import (
     ConversionTable,
     conversion_table,
@@ -168,30 +166,6 @@ class TestConversionTable:
             assert np.array_equal(morton_to_dense(m, out=out, table=tab), a)
         strided = np.empty((130, 63))[::2]
         assert np.array_equal(morton_to_dense(m, out=strided, table=tab), a)
-
-    def test_parallel_chunked_conversion(self, rng, monkeypatch):
-        monkeypatch.setattr(convert_mod, "PARALLEL_CONVERT_MIN", 64)
-        pool = WorkerPool(3, name="test-convert")
-        try:
-            a = rng.standard_normal((150, 150))
-            m = empty_for(150, 150)
-            dense_to_morton(a, m, table=table_for(m), pool=pool, workers=3)
-            loop = empty_for(150, 150)
-            dense_to_morton(a, loop)
-            assert np.array_equal(m.buf, loop.buf)
-            out = morton_to_dense(m, table=table_for(m), pool=pool, workers=3)
-            assert np.array_equal(out, a)
-        finally:
-            pool.shutdown()
-
-    def test_chunks_cover_range_disjointly(self):
-        tab = ConversionTable(33, 33, 33, 33, 0)
-        for n in (1, 2, 7, 2000):
-            slices = tab.chunks(n)
-            covered = np.concatenate(
-                [np.arange(s.start, s.stop) for s in slices]
-            )
-            assert np.array_equal(covered, np.arange(33 * 33))
 
     def test_shared_cache_returns_same_table(self):
         t1 = conversion_table(64, 64, 16, 16, 2)

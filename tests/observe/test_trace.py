@@ -80,7 +80,7 @@ class TestCallbacks:
 class TestDump:
     def test_dump_validates_against_schema(self):
         tr = Tracer(capacity=8, enabled=True)
-        for kind in ("plan_compile", "convert", "exec", "worker_start"):
+        for kind in ("plan_compile", "convert", "exec", "leaf"):
             tr.emit(kind, label=kind, seconds=0.5, worker=0)
         doc = tr.dump()
         assert validate_trace(doc) is doc
@@ -106,31 +106,6 @@ class TestDump:
         for kind in EVENT_KINDS:
             tr.emit(kind, label=kind)
         validate_trace(tr.dump())
-
-
-class TestTimeline:
-    def test_spans_gaps_and_steal_flag(self):
-        tr = Tracer(enabled=True)
-        tr.emit("worker_start", label="first", worker=0, task=0)
-        tr.emit("worker_finish", label="first", worker=0, task=0)
-        tr.emit("worker_steal", label="second", worker=0, task=1)
-        tr.emit("worker_finish", label="second", worker=0, task=1)
-        tl = tr.timeline()
-        assert list(tl) == [threading.get_ident()]
-        mine = tl[threading.get_ident()]
-        assert [s["label"] for s in mine["spans"]] == ["first", "second"]
-        assert [s["stolen"] for s in mine["spans"]] == [False, True]
-        assert len(mine["gaps"]) == 1
-        assert mine["busy"] >= 0.0 and mine["idle"] >= 0.0
-        assert mine["gaps"][0]["dt"] == pytest.approx(
-            mine["spans"][1]["t0"] - mine["spans"][0]["t1"]
-        )
-
-    def test_unpaired_events_ignored(self):
-        tr = Tracer(enabled=True)
-        tr.emit("worker_finish", label="orphan")  # no opener
-        tr.emit("worker_start", label="dangling")  # never finishes
-        assert tr.timeline() == {}
 
 
 class TestSessionTracing:
@@ -168,20 +143,26 @@ class TestSessionTracing:
         assert len(evicts) == 1
         assert evicts[0].label.startswith("40x40x40")
 
-    def test_parallel_execution_traces_workers(self, rng):
-        a = rng.standard_normal((129, 129))
-        b = rng.standard_normal((129, 129))
-        with GemmSession(trace=True, max_workers=2) as s:
-            s.multiply(a, b, schedule="tasks:1")
+    def test_every_kind_has_an_emitter(self, rng, tmp_path):
+        """One traced session reaches every kind in EVENT_KINDS, no other."""
+        a = rng.standard_normal((66, 66))
+        b = rng.standard_normal((66, 66))
+        c = rng.standard_normal((66, 66))
+        with GemmSession(capacity=1, trace=True, trace_capacity=1 << 16,
+                         fused_pack="always",
+                         plan_store=tmp_path / "plans.json") as s:
+            # compile, store_lookup, convert, pack, add, leaf, exec
+            s.multiply(a, b)
+            s.multiply(a, b)  # plan_hit
+            # relabel, accumulate; the new plan evicts the first
+            s.multiply(a, b, c=c, beta=0.5, trans_a=True)
+            s.autotune([66], rounds=1)  # autotune_trial
             kinds = {ev.kind for ev in s.trace.events()}
-            assert "worker_finish" in kinds
-            assert kinds & {"worker_start", "worker_steal"}
-            tl = s.trace.timeline()
-        assert tl, "worker events must produce a non-empty timeline"
-        spans = [sp for t in tl.values() for sp in t["spans"]]
-        assert len(spans) >= 7  # one per top-level product at least
+            assert s.trace.dropped == 0
+            validate_trace(s.trace.dump())
+        assert kinds == set(EVENT_KINDS)
 
-    def test_batched_execution_traces_stripes(self, rng):
+    def test_batched_execution_traces_convert_and_exec(self, rng):
         pairs = [
             (rng.standard_normal((64, 64)), rng.standard_normal((64, 64)))
             for _ in range(4)
@@ -189,8 +170,6 @@ class TestSessionTracing:
         with GemmSession(trace=True) as s:
             s.multiply_many(pairs)
             events = s.trace.events()
-        kinds = {ev.kind for ev in events}
-        assert "batch_stripe" in kinds
         execs = [ev for ev in events if ev.kind == "exec"]
         assert any(ev.data and ev.data.get("items") == 4 for ev in execs)
         convert_labels = {

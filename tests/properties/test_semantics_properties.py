@@ -1,16 +1,15 @@
 """Property-based tests for the full GemmSpec operation semantics.
 
 ``C = alpha * op(A) . op(B) + beta * C`` against the numpy oracle across
-memory schedules (classic / two_temp / ip_overwrite), execution
-schedules (sequential / tasks), dtypes (float64 / float32, with a
-tolerance scaled to the precision), the stacked batch path
+memory schedules (classic / two_temp / ip_overwrite), dtypes (float64 /
+float32, with a tolerance scaled to the precision), the stacked batch path
 (``multiply_many`` with B in {1, 2, 7}), and the chained-expression
 planner — plus the cross-schedule bit-identity the engine promises for
 a fixed spec.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import GemmSession, Mat
 
@@ -20,7 +19,6 @@ dims = st.integers(min_value=1, max_value=96)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 scalars = st.sampled_from([0.0, 1.0, -1.0, 0.5])
 memories = st.sampled_from(["classic", "two_temp", "ip_overwrite"])
-schedules = st.sampled_from([None, "tasks:1"])
 dtypes = st.sampled_from(["float64", "float32"])
 batch_sizes = st.sampled_from([1, 2, 7])
 
@@ -48,20 +46,18 @@ def _reference(a, b, c0, alpha, beta, ta, tb):
 
 @settings(max_examples=60, deadline=None)
 @given(m=dims, k=dims, n=dims, seed=seeds, alpha=scalars, beta=scalars,
-       ta=st.booleans(), tb=st.booleans(), memory=memories,
-       schedule=schedules, dtype=dtypes)
+       ta=st.booleans(), tb=st.booleans(), memory=memories, dtype=dtypes)
 def test_full_spec_matches_numpy(m, k, n, seed, alpha, beta, ta, tb,
-                                 memory, schedule, dtype):
+                                 memory, dtype):
     if memory == "ip_overwrite":
-        # Zero-scratch mode: uniform tiles (square) and sequential only.
-        assume(schedule is None)
+        # Zero-scratch mode needs uniform tiles (square).
         k = n = m
     a, b, c0 = _operands(m, k, n, seed, ta, tb, dtype)
     c = c0.copy() if beta != 0.0 else None
     with GemmSession() as s:
         out = s.multiply(
             a, b, c=c, alpha=alpha, beta=beta, trans_a=ta, trans_b=tb,
-            memory=memory, schedule=schedule, dtype=dtype,
+            memory=memory, dtype=dtype,
         )
     ref = _reference(a, b, c0, alpha, beta, ta, tb)
     assert_gemm_close(out, ref, tol=_tol(dtype))
@@ -74,19 +70,18 @@ def test_full_spec_matches_numpy(m, k, n, seed, alpha, beta, ta, tb,
        ta=st.booleans(), tb=st.booleans())
 def test_spec_bit_identical_across_schedules(m, k, n, seed, alpha, beta,
                                              ta, tb):
-    # For one frozen spec, classic/two_temp and sequential/tasks must
-    # agree bit-for-bit: alpha folds into the same final U-adds and beta
-    # into the same fused output conversion on every path.
+    # For one frozen spec, classic and two_temp must agree bit-for-bit:
+    # alpha folds into the same final U-adds and beta into the same fused
+    # output conversion on every path.
     a, b, c0 = _operands(m, k, n, seed, ta, tb, "float64")
     outs = []
     with GemmSession() as s:
         for memory in ("classic", "two_temp"):
-            for schedule in (None, "tasks:1"):
-                c = c0.copy() if beta != 0.0 else None
-                outs.append(s.multiply(
-                    a, b, c=c, alpha=alpha, beta=beta, trans_a=ta,
-                    trans_b=tb, memory=memory, schedule=schedule,
-                ))
+            c = c0.copy() if beta != 0.0 else None
+            outs.append(s.multiply(
+                a, b, c=c, alpha=alpha, beta=beta, trans_a=ta,
+                trans_b=tb, memory=memory,
+            ))
     for other in outs[1:]:
         assert np.array_equal(outs[0], other)
 

@@ -20,8 +20,7 @@ from repro.tune.store import (
 )
 
 DEC = StoredDecision(
-    tile_m=33, tile_k=33, tile_n=33, depth=4,
-    schedule="sequential", memory="two_temp",
+    tile_m=33, tile_k=33, tile_n=33, depth=4, memory="two_temp",
     measured_seconds=0.05, source="autotune",
 )
 
