@@ -30,11 +30,10 @@ bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<git-ref> [PAIRS=10]" >&2; exit 2; }
 	$(PYTHON) tools/bench_ab.py --base "$(BASE)" --pairs $(PAIRS)
 
-# Tiny-size run of the memory-schedule, stacked-batch, GEMM-semantics,
-# conversion and plan-store/autotune benchmarks, then schema + guard
-# checks of the JSON reports they emit (BENCH_memory.json,
-# BENCH_batch.json, BENCH_semantics.json, BENCH_convert.json,
-# BENCH_tune.json).
+# Tiny-size run of the memory-schedule, stacked-batch, GEMM-semantics
+# and plan-store/autotune benchmarks, then schema + guard checks of the
+# JSON reports they emit (BENCH_memory.json, BENCH_batch.json,
+# BENCH_semantics.json, BENCH_tune.json).
 bench-smoke: tune-smoke
 	PYTHONPATH=src BENCH_MEMORY_QUICK=1 $(PYTHON) -m pytest \
 		benchmarks/test_bench_memory.py -q
@@ -45,9 +44,6 @@ bench-smoke: tune-smoke
 	PYTHONPATH=src BENCH_SEMANTICS_QUICK=1 $(PYTHON) -m pytest \
 		benchmarks/test_bench_semantics.py -q
 	$(PYTHON) benchmarks/validate_bench_semantics.py
-	PYTHONPATH=src BENCH_CONVERT_QUICK=1 $(PYTHON) -m pytest \
-		benchmarks/test_bench_convert.py -q
-	$(PYTHON) benchmarks/validate_bench_convert.py
 
 # Tiny-shape autotune against a temp plan store, then schema + guard
 # checks of BENCH_tune.json (warm store skips calibration; tuned plan

@@ -118,7 +118,6 @@ def test_batch_dispatch_grid(rng, report, n, batch_items):
         "speedup_vs_loop": secs_loop / secs_batched,
         "bit_identical": True,
         "batched_executes": stats.batched_executes,
-        "batch_convert_seconds_saved": stats.batch_convert_seconds_saved,
     }
     report["rows"].append(row)
     emit(

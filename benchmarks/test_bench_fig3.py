@@ -6,7 +6,7 @@ tiles flat across leading dimensions, non-contiguous tiles cratering at
 the power-of-two leading dimension.
 """
 
-from repro.cachesim.machines import ALPHA_MIATA, SUN_ULTRA60
+from repro.cachesim.machines import ALPHA_MIATA
 from repro.experiments import fig3_tile_locality
 from repro.experiments.fig3_tile_locality import tile_multiply_mflops
 

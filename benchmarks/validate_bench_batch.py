@@ -106,10 +106,6 @@ def validate(data, problems: list) -> None:
             f"{where}.batched_executes must be a positive int "
             "(the stacked path must actually have run)", problems,
         )
-        _check(
-            _number(row.get("batch_convert_seconds_saved")),
-            f"{where}.batch_convert_seconds_saved must be a number", problems,
-        )
 
         # ---- the throughput guard ------------------------------------
         if row.get("n") == GUARD_N and isinstance(row.get("batch"), int) \

@@ -23,8 +23,9 @@ def main() -> None:
     a = rng.standard_normal((n, n))
     b = rng.standard_normal((n, n))
 
-    # Sized to hold all three calls' events, so the histogram is complete.
-    session = repro.GemmSession(trace=True, trace_capacity=1 << 15)
+    # The default buffer holds all three calls' events (~8.4k each), so
+    # the histogram is complete.
+    session = repro.GemmSession(trace=True)
     with session:
         for _ in range(3):
             c = session.multiply(a, b)

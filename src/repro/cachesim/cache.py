@@ -10,7 +10,7 @@ experiments use, since the paper's analysed caches (Alpha 8 KB L1, the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,9 @@ class CacheConfig:
 
     def __post_init__(self) -> None:
         if not _is_pow2(self.block_bytes):
-            raise ValueError(f"block size must be a power of two, got {self.block_bytes}")
+            raise ValueError(
+                f"block size must be a power of two, got {self.block_bytes}"
+            )
         if self.size_bytes % (self.block_bytes * self.assoc) != 0:
             raise ValueError(
                 f"{self.size_bytes} B / ({self.block_bytes} B x assoc {self.assoc}) "

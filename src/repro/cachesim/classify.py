@@ -254,7 +254,8 @@ class RegionMap:
 
     def labels(self, addrs: np.ndarray) -> list[str]:
         """Region name per address ('?' for unmapped)."""
-        idx = np.searchsorted(np.asarray(self._starts, dtype=np.int64), addrs, "right") - 1
+        starts = np.asarray(self._starts, dtype=np.int64)
+        idx = np.searchsorted(starts, addrs, "right") - 1
         ends = np.asarray(self._ends, dtype=np.int64)
         out = []
         for a, i in zip(np.asarray(addrs).tolist(), idx.tolist()):

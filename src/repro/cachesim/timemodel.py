@@ -66,6 +66,9 @@ class TimingModel:
             seconds=float(seconds),
         )
 
-    def run_trace(self, flops: int, accesses: int, hierarchy: CacheHierarchy) -> ModelledRun:
+    def run_trace(
+        self, flops: int, accesses: int, hierarchy: CacheHierarchy
+    ) -> ModelledRun:
         """Evaluate using the miss counts a hierarchy accumulated."""
-        return self.evaluate(flops, accesses, [lv.stats.misses for lv in hierarchy.levels])
+        misses = [lv.stats.misses for lv in hierarchy.levels]
+        return self.evaluate(flops, accesses, misses)

@@ -37,10 +37,6 @@ from the rows:
 * **alpha** — each C quadrant's last write runs in its scaled form
   (``add_scale``, ``iadd_scale``, ``add3_scale``); a depth-0 product
   scales its leaf.  Sub-products are never scaled.
-* **prepacked** — the four top-level rows forming S1/S3/T1/T3 from
-  unmodified quadrants are dropped and later rows read the pack slots:
-  the never-converted A21/B12 quadrants for S1/T1, the dropped rows'
-  destinations for S3/T3 (:attr:`StepTable.pack_slots`).
 * **relabeling** — a transposed operand, and the scratch of its kind
   (``S`` for A, ``T`` for B, since sums of relabeled quadrants keep the
   operand's native permutation), descend in quadrant order
@@ -82,12 +78,7 @@ from functools import partial
 import numpy as np
 
 from ..layout.matrix import MortonMatrix
-from ..layout.relabel import (
-    PLAIN_ORDER,
-    RELABEL_ORDER,
-    quadrant_slices,
-    transposed_view,
-)
+from ..layout.relabel import PLAIN_ORDER, RELABEL_ORDER, transposed_view
 from .ops import NumpyOps, WinogradOps
 from .workspace import BatchWorkspace, Workspace
 
@@ -99,33 +90,10 @@ __all__ = [
     "StepTable",
     "bind_pass",
     "resolve_memory",
-    "FUSED_PACKS_A",
-    "FUSED_PACKS_B",
-    "FUSED_SKIP_A",
-    "FUSED_SKIP_B",
-    "CONVERT_QUADS_A",
-    "CONVERT_QUADS_B",
 ]
 
 #: Selectable memory schedules, in decreasing scratch order.
 MEMORY_SCHEDULES = ("classic", "two_temp", "ip_overwrite")
-
-#: Quadrant algebra of the top-level fused packs (consumed by
-#: :func:`repro.layout.convert.pack_morton_quarter`): name, sign, and the
-#: two dense quadrants combined.  ``S1 = A21 + A22`` lands in the A21
-#: buffer slot and ``T1 = B12 - B11`` in the B12 slot — those quadrants
-#: are never consumed as plain Morton operands at the top level (they
-#: appear only inside S/T sums), so no extra memory is needed; ``S3`` /
-#: ``T3`` land wherever the schedule's own row writes them
-#: (:attr:`StepTable.pack_slots`).
-FUSED_PACKS_A = (("S1", "+", (1, 0), (1, 1)), ("S3", "-", (0, 0), (1, 0)))
-FUSED_PACKS_B = (("T1", "-", (0, 1), (0, 0)), ("T3", "-", (1, 1), (0, 1)))
-#: The skipped (never-converted) quadrant per operand side, and the
-#: complementary lists a fused conversion does copy.
-FUSED_SKIP_A = (1, 0)
-FUSED_SKIP_B = (0, 1)
-CONVERT_QUADS_A = ((0, 0), (0, 1), (1, 1))
-CONVERT_QUADS_B = ((0, 0), (1, 0), (1, 1))
 
 #: Slots of one recursion level in executor order: the operand and
 #: product quadrants, then the scratch slots — a workspace level's
@@ -138,49 +106,6 @@ _SCALED = {
     "add": "add_scale", "iadd": "iadd_scale", "add3": "add3_scale",
     "leaf_mult": "leaf_mult",
 }
-
-
-def _quadrant_slot(side: str, q: tuple[int, int]) -> str:
-    return f"{side}{q[0] + 1}{q[1] + 1}"
-
-
-#: Each fused pack as the table row it replaces: ``(op, *srcs) -> label``.
-_PACK_ROWS = {
-    ("add" if sign == "+" else "sub", _quadrant_slot(side, q0),
-     _quadrant_slot(side, q1)): label
-    for side, packs in (("A", FUSED_PACKS_A), ("B", FUSED_PACKS_B))
-    for label, sign, q0, q1 in packs
-}
-#: Packs the conversion leaves in a skipped quadrant slot; the others land
-#: in the destination of the row they replace.
-_PACK_HOMES = {
-    "S1": _quadrant_slot("A", FUSED_SKIP_A),
-    "T1": _quadrant_slot("B", FUSED_SKIP_B),
-}
-
-
-def _prepack(rows: tuple) -> "tuple[tuple, dict[str, str] | None]":
-    """The rows left once the fused conversion has formed the packs.
-
-    Returns ``(rows, pack_slots)``.  The first row computing each packed
-    sum from unmodified quadrants is dropped, and later reads of its
-    destination (until that slot is next written) go to the pack's slot.
-    ``pack_slots`` is ``None`` when the rows do not form all four sums.
-    """
-    out, slots, moved, written = [], {}, {}, set()
-    for op, dst, *srcs in rows:
-        label = _PACK_ROWS.get((op, *srcs))
-        fresh = written.isdisjoint(srcs)
-        srcs = [moved.get(s, s) for s in srcs]
-        moved = {k: v for k, v in moved.items() if dst not in (k, v)}
-        written.add(dst)
-        if label is not None and fresh and label not in slots:
-            slots[label] = home = _PACK_HOMES.get(label, dst)
-            if home != dst:
-                moved[dst] = home
-            continue
-        out.append((op, dst, *srcs))
-    return tuple(out), (slots if len(slots) == len(_PACK_ROWS) else None)
 
 
 def _compile(rows: tuple, index: dict[str, int]) -> tuple:
@@ -237,11 +162,8 @@ class StepTable:
         self.in_place = any(row[1][0] in "AB" for row in self.rows)
         #: Backend passes the rows name (``mul`` is the recursion itself).
         self.ops = tuple(dict.fromkeys(r[0] for r in self.rows if r[0] != "mul"))
-        packed, self.pack_slots = _prepack(self.rows)
         index = {s: i for i, s in enumerate(QUADRANT_SLOTS + self.scratch)}
-        self._programs = {False: _compile(self.rows, index)}
-        if self.pack_slots is not None:
-            self._programs[True] = _compile(packed, index)
+        self._program = _compile(self.rows, index)
 
     # -------------------------------------------------------------- scratch
 
@@ -290,23 +212,6 @@ class StepTable:
                 )
         return bufs
 
-    def pack_buffers(self, a, b, c, workspace) -> dict[str, np.ndarray]:
-        """Flat buffers the fused conversion writes each packed sum into.
-
-        Resolves :attr:`pack_slots` against the top level of the given
-        plain Morton operands and workspace.
-        """
-        shapes = _level_shapes(
-            (a.tile_r, a.tile_c, b.tile_c), a.depth - 1, a.buf.shape[:-1]
-        )
-        slots = dict(zip(
-            QUADRANT_SLOTS + self.scratch,
-            quadrant_slices(a.buf) + quadrant_slices(b.buf)
-            + quadrant_slices(c.buf)
-            + self._scratch(workspace, a.depth - 1, shapes),
-        ))
-        return {label: slots[slot] for label, slot in self.pack_slots.items()}
-
     # ------------------------------------------------------------- executor
 
     def run(
@@ -317,7 +222,6 @@ class StepTable:
         ops: WinogradOps,
         workspace=None,
         alpha: float = 1.0,
-        prepacked: bool = False,
     ) -> None:
         """Execute ``c = alpha . a . b`` over Morton operands.
 
@@ -327,7 +231,7 @@ class StepTable:
         """
         self.execute(
             a.buf, b.buf, c.buf, (a.tile_r, a.tile_c, b.tile_c), a.depth,
-            ops, workspace, alpha, prepacked,
+            ops, workspace, alpha,
             (getattr(a, "transposed", False), getattr(b, "transposed", False)),
         )
 
@@ -341,7 +245,6 @@ class StepTable:
         ops: WinogradOps,
         workspace=None,
         alpha: float = 1.0,
-        prepacked: bool = False,
         relabeled: tuple[bool, bool] = (False, False),
     ) -> None:
         """The one executor: ``z = alpha . x . y`` with this table at every
@@ -355,9 +258,8 @@ class StepTable:
         :data:`~repro.layout.relabel.RELABEL_ORDER` and yield transposed
         leaf views.  Each node slices its buffers' last axis into
         quadrants; a depth-1 node also views them as leaf tiles for the
-        kernel (:func:`_leaves`).  Sub-products run the plain rows; only
-        the top level reads the fused packs (``prepacked``) and scales its
-        final writes.  Without a ``workspace``, scratch is allocated in
+        kernel (:func:`_leaves`).  Only the top level scales its final
+        writes.  Without a ``workspace``, scratch is allocated in
         the operands' dtype.  Raises ``ValueError`` naming any op the
         backend lacks, or when the workspace was built for another layout
         or geometry.
@@ -385,7 +287,7 @@ class StepTable:
         ]
         leaf = bind_pass(ops, "leaf_mult")
         passes = {op: bind_pass(ops, op) for op in self.ops}
-        program = self._programs[prepacked]
+        program = self._program
         finals = {
             op: bind_pass(ops, op, alpha) for op, final, *_ in program if final
         }
@@ -456,7 +358,7 @@ class StepTable:
 
         rec = leaf
         for d in range(1, depth):
-            rec = node(d, bind(self._programs[False], rec, passes))
+            rec = node(d, bind(program, rec, passes))
         node(depth, bind(program, rec, finals))(x, y, z)
 
 
@@ -619,20 +521,8 @@ def winograd_multiply(
     beta: float = 0.0,
     trans_a: bool = False,
     trans_b: bool = False,
-    prepacked: bool = False,
 ) -> MortonMatrix:
     """Compute ``C = alpha . op(A) . op(B) + beta . C`` over Morton operands.
-
-    ``prepacked=True`` declares that the caller already performed the
-    top level's fused convert-and-add packing: ``S1``/``T1`` occupy the
-    A21/B12 quadrant slots and ``S3``/``T3`` sit in the slots the
-    schedule's table names (:attr:`StepTable.pack_slots`: the outermost
-    level's S/T scratch, or the C11/C12 slots for ``ip_overwrite``).  The
-    top recursion level then skips its four standalone S1/S3/T1/T3
-    addition passes and reads the packed buffers instead — every
-    remaining floating-point operation is unchanged, so results are
-    bit-identical to the two-pass path.  Requires ``depth >= 1`` and
-    plain (non-relabeled) operands.
 
     With the default spec (``alpha=1, beta=0``, no transposes) ``c``'s
     buffer is overwritten entirely (including its pad).  ``alpha`` is
@@ -677,21 +567,6 @@ def winograd_multiply(
             "fold the transpose into the conversion instead"
         )
     _check_conformable(a, b, c)
-    if prepacked:
-        if a.depth < 1:
-            raise ValueError("prepacked=True needs depth >= 1")
-        if relabeled:
-            raise ValueError(
-                "prepacked=True cannot consume relabeled (transposed) "
-                "operands: the pack layout lives in the plain Morton "
-                "permutation"
-            )
-        if beta != 0.0 and any(s[0] == "C" for s in table.pack_slots.values()):
-            raise ValueError(
-                f"prepacked=True with beta != 0 is unsupported for "
-                f"{memory!r}: its packs live in C quadrant slots, but beta "
-                "stages the product in a private temporary"
-            )
     if ops is None:
         ops = NumpyOps()
     if beta != 0.0 and not hasattr(ops, "accumulate"):
@@ -717,7 +592,7 @@ def winograd_multiply(
     target = c.buf if beta == 0.0 else np.empty_like(c.buf)
     table.execute(
         a.buf, b.buf, target, (a.tile_r, a.tile_c, b.tile_c), a.depth, ops,
-        workspace, alpha, prepacked,
+        workspace, alpha,
         (getattr(a, "transposed", False), getattr(b, "transposed", False)),
     )
     if beta != 0.0:

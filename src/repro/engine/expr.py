@@ -192,7 +192,9 @@ def evaluate(
         left = eval_range(i, k, False)
         right = eval_range(k + 1, j, False)
         la, lt = (left.array, left.trans) if isinstance(left, Mat) else (left, False)
-        ra, rt = (right.array, right.trans) if isinstance(right, Mat) else (right, False)
+        ra, rt = (
+            (right.array, right.trans) if isinstance(right, Mat) else (right, False)
+        )
         if root:
             r = session.multiply(
                 la, ra, c=c, alpha=alpha, beta=beta,

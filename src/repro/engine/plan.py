@@ -10,11 +10,6 @@ recompute per call for a fixed problem geometry:
   pads zeroed once — repeated conversions then touch only logical
   elements (``dense_to_morton(..., zero_pad=False)``);
 * the per-level :class:`Workspace` shared across executions;
-* for deep tilings, per-operand :class:`ConversionTable` index tables
-  that turn layout conversion into vectorised gather/scatter copies.  The
-  plan *calibrates* each conversion site: execution 1 times the tile
-  loop, execution 2 times the indexed path, and the winner serves every
-  later execution (a losing table is freed immediately);
 * the resolved leaf kernel and recursion variant.
 
 ``plan.execute(a, b, ...)`` then runs the full BLAS contract against the
@@ -40,10 +35,6 @@ from ..core.rectangular import plan_panels
 from ..core.strassen import STRASSEN_TABLE, strassen_multiply
 from ..core.truncation import TruncationPolicy
 from ..core.winograd import (
-    CONVERT_QUADS_A,
-    CONVERT_QUADS_B,
-    FUSED_PACKS_A,
-    FUSED_PACKS_B,
     SCHEDULE_TABLES,
     StepTable,
     resolve_memory,
@@ -52,15 +43,10 @@ from ..core.winograd import (
 from ..core.workspace import Workspace
 from ..errors import BatchItemError, KernelError, PlanError, ShapeError
 from ..layout.convert import (
-    ConversionTable,
-    calibration_key,
-    conversion_table,
     dense_to_morton,
     dense_to_morton_batch,
-    dense_to_morton_quadrants,
     morton_to_dense,
     morton_to_dense_batch,
-    pack_morton_quarter,
 )
 from ..layout.matrix import BatchMortonMatrix, MortonMatrix
 from ..layout.padding import Tiling
@@ -98,14 +84,6 @@ def batch_size_class(n_items: int) -> int:
 
 #: Canonical recursion-variant names and their multiply entry points.
 VARIANTS = {"winograd": winograd_multiply, "strassen": strassen_multiply}
-
-#: Shallowest tiling depth worth a conversion index table: below this the
-#: tile loop's per-tile Python overhead is already negligible.
-CONVERT_TABLE_MIN_DEPTH = 3
-
-#: Largest logical element count to build a table for (int64 offsets, two
-#: ravellings -> 16 bytes/element of pooled index memory).
-CONVERT_TABLE_MAX_ELEMS = 1 << 21
 
 
 def resolve_variant(variant) -> str:
@@ -155,75 +133,13 @@ class PlanKey:
     spec: GemmSpec = GemmSpec()
 
 
-class _ConvertSite:
-    """Adaptive loop-vs-indexed choice for one conversion site of a plan.
-
-    State machine: execution 1 runs the tile loop and records the
-    baseline; execution 2 runs the indexed path; the faster one then
-    serves every later execution.  ``observe`` returns the seconds saved
-    relative to the baseline whenever the indexed path ran (negative if
-    a run regressed — the counters stay honest).
-
-    A site can also be *preseeded* from a plan store: constructing it
-    with ``mode="indexed"`` replays a persisted decision with no trial
-    executions at all, and ``on_decide`` (when a live calibration does
-    run) reports the final verdict so the store can persist it for the
-    next plan/session with this geometry.
-    """
-
-    __slots__ = ("table", "baseline", "mode", "on_decide")
-
-    def __init__(
-        self,
-        table: ConversionTable,
-        mode: str = "baseline",
-        baseline: float = 0.0,
-        on_decide=None,
-    ) -> None:
-        self.table = table
-        self.baseline = baseline
-        self.mode = mode  # "baseline" -> "trial" -> "indexed" | "loop"
-        self.on_decide = on_decide
-
-    def pick(self) -> ConversionTable | None:
-        """Table to use for this execution (``None`` = tile loop)."""
-        return self.table if self.mode in ("trial", "indexed") else None
-
-    def observe(self, elapsed: float) -> float:
-        """Fold in this execution's conversion time; return seconds saved."""
-        if self.mode == "baseline":
-            self.baseline = elapsed
-            self.mode = "trial"
-            return 0.0
-        if self.mode == "trial":
-            if elapsed <= self.baseline:
-                self.mode = "indexed"
-                saved = self.baseline - elapsed
-            else:
-                self.mode = "loop"
-                self.table = None  # free the losing table
-                saved = 0.0
-            if self.on_decide is not None:
-                self.on_decide(self.mode, self.baseline)
-            return saved
-        if self.mode == "indexed":
-            return self.baseline - elapsed
-        return 0.0
-
-
 class _ExecExtras:
-    """Per-execution conversion/fusion counters, folded into the session."""
+    """Per-execution fused-pass count, folded into the session."""
 
-    __slots__ = (
-        "indexed_conversions", "convert_seconds_saved", "fused_adds",
-        "fused_packs",
-    )
+    __slots__ = ("fused_adds",)
 
     def __init__(self) -> None:
-        self.indexed_conversions = 0
-        self.convert_seconds_saved = 0.0
         self.fused_adds = 0
-        self.fused_packs = 0
 
 
 class CompiledPlan:
@@ -256,10 +172,6 @@ class CompiledPlan:
         self._relabel_a = self._relabel_b = False
         self._workspace: Workspace | None = None
         self._rezero_operands = False
-        self._sites: dict[str, _ConvertSite] = {}
-        self._fused = False
-        self._ftables: dict[str, ConversionTable] = {}
-        self._fdsts: dict[str, np.ndarray] = {}
         self._panels = None
         self._panel_plans = None
         if self.tilings is not None:
@@ -315,118 +227,10 @@ class CompiledPlan:
         self._rezero_operands = table.in_place and (
             self._a_mm.size > key.m * key.k or self._b_mm.size > key.k * key.n
         )
-        depth = tm.depth
-        # Fused convert-and-add packing: the top level's S1/S3/T1/T3 sums
-        # are produced *during* the dense->Morton gather (one read of each
-        # source quadrant yields both the converted quadrant and the
-        # packed sum), so the recursion skips its four standalone
-        # top-level add passes and one quadrant copy per operand.
-        # Requires the plain Morton permutation (no relabeled transposes
-        # — dense-side transposes fold into the gather as usual) and an
-        # index table per operand.  The gather is elementwise, so fusion
-        # only pays where the table already beats the tile loop — the
-        # same CONVERT_TABLE_MIN_DEPTH regime as the adaptive sites (at
-        # shallow depth the loop's few large contiguous tile copies win
-        # by a wide margin); ``fused_pack="always"`` overrides the depth
-        # threshold for any depth >= 1 (tests, A/B measurement).
-        fmode = getattr(self.session, "fused_pack", True)
-        self._fused = (
-            bool(fmode)
-            and key.variant == "winograd"
-            and depth >= (1 if fmode == "always" else CONVERT_TABLE_MIN_DEPTH)
-            and not self._relabel_a
-            and not self._relabel_b
-            and self._a_mm.rows * self._a_mm.cols <= CONVERT_TABLE_MAX_ELEMS
-            and self._b_mm.rows * self._b_mm.cols <= CONVERT_TABLE_MAX_ELEMS
-        )
         self._workspace = table.workspace(
-            depth, tm.tile, tk.tile, tn.tile, dtype=dt
+            tm.depth, tm.tile, tk.tile, tn.tile, dtype=dt
         )
         self.buffers_allocated += self._workspace.buffer_count
-        if self._fused:
-            # Fused conversion always gathers through a table (the shared
-            # module-level cache — several plans of one geometry reuse
-            # it), so the a/b sites skip loop-vs-indexed calibration.
-            for name, mm in (("a", self._a_mm), ("b", self._b_mm)):
-                self._ftables[name] = conversion_table(
-                    mm.rows, mm.cols, mm.tile_r, mm.tile_c, mm.depth
-                )
-            self._fdsts = table.pack_buffers(
-                self._a_mm, self._b_mm, self._c_mm, self._workspace
-            )
-        if depth >= CONVERT_TABLE_MIN_DEPTH:
-            # A plan store, when the session has one, replays persisted
-            # loop-vs-indexed verdicts: a "loop" record skips building the
-            # O(n^2) table entirely, an "indexed" record preseeds the site
-            # past both trial executions, and an unseen geometry gets an
-            # ``on_decide`` hook that writes the live verdict back.  This
-            # is what makes the calibration survive plan eviction — the
-            # store, not the evicted plan object, owns the answer.
-            store = getattr(self.session, "_plan_store", None)
-            for name, mm in (("a", self._a_mm), ("b", self._b_mm),
-                             ("c", self._c_mm)):
-                if name in self._ftables:
-                    continue
-                if mm.rows * mm.cols > CONVERT_TABLE_MAX_ELEMS:
-                    continue
-                site_key = calibration_key(
-                    mm.rows, mm.cols, mm.tile_r, mm.tile_c, mm.depth,
-                    dtype=key.spec.dtype,
-                )
-                cal = (
-                    store.lookup_calibration(site_key)
-                    if store is not None else None
-                )
-                if cal is not None and cal["mode"] == "loop":
-                    continue  # the loop path won; no table, no trials
-                table = ConversionTable(
-                    mm.rows, mm.cols, mm.tile_r, mm.tile_c, mm.depth
-                )
-                if cal is not None:  # mode == "indexed"
-                    self._sites[name] = _ConvertSite(
-                        table, mode="indexed",
-                        baseline=float(cal.get("baseline", 0.0)),
-                    )
-                elif store is not None:
-                    self._sites[name] = _ConvertSite(
-                        table,
-                        on_decide=(
-                            lambda mode, baseline, _sk=site_key:
-                            store.record_calibration(_sk, mode, baseline)
-                        ),
-                    )
-                else:
-                    self._sites[name] = _ConvertSite(table)
-
-    def _fused_convert_side(
-        self, name: str, dense, mm, quads, packs, transpose: bool,
-        extras: "_ExecExtras | None",
-    ) -> None:
-        """Convert one operand's consumed quadrants, then pack its sums."""
-        table = self._ftables[name]
-        tr = self._ops.trace
-        t0 = time.perf_counter()
-        dense_to_morton_quadrants(
-            dense, mm, quads, transpose=transpose, zero_pad=False,
-            table=table,
-        )
-        if tr is not None and tr.enabled:
-            tr.emit(
-                "convert", label=name, seconds=time.perf_counter() - t0,
-                indexed=True, fused=True,
-            )
-        for label, op, q0, q1 in packs:
-            t0 = time.perf_counter()
-            pack_morton_quarter(
-                self._fdsts[label], dense, op, q0, q1, table,
-                transpose=transpose,
-            )
-            if tr is not None and tr.enabled:
-                tr.emit(
-                    "pack", label=label, seconds=time.perf_counter() - t0
-                )
-        if extras is not None:
-            extras.fused_packs += len(packs)
 
     def _compile_panels(self) -> None:
         key = self.key
@@ -561,30 +365,6 @@ class CompiledPlan:
             return c
         return result
 
-    def _convert_site(
-        self, name: str, extras: "_ExecExtras | None", run_loop, run_indexed
-    ) -> None:
-        """Run one conversion through the site's calibrated path choice."""
-        site = self._sites.get(name)
-        table = site.pick() if site is not None else None
-        t0 = time.perf_counter()
-        if table is None:
-            run_loop()
-        else:
-            run_indexed(table)
-        elapsed = time.perf_counter() - t0
-        tr = self._ops.trace
-        if tr is not None and tr.enabled:
-            tr.emit(
-                "convert", label=name, seconds=elapsed,
-                indexed=table is not None,
-            )
-        if site is not None:
-            saved = site.observe(elapsed)
-            if table is not None and extras is not None:
-                extras.indexed_conversions += 1
-                extras.convert_seconds_saved += saved
-
     def _well_behaved_product(
         self, a, b, transpose_a: bool, transpose_b: bool, rec: PhaseTimings,
         extras: "_ExecExtras | None" = None,
@@ -623,44 +403,22 @@ class CompiledPlan:
                 if self._relabel_b:
                     tr.emit("relabel", label="b")
             t0 = time.perf_counter()
-            if self._fused:
-                self._fused_convert_side(
-                    "a", a, self._a_mm, CONVERT_QUADS_A, FUSED_PACKS_A,
-                    conv_trans_a, extras,
-                )
-                self._fused_convert_side(
-                    "b", b, self._b_mm, CONVERT_QUADS_B, FUSED_PACKS_B,
-                    conv_trans_b, extras,
-                )
-            else:
-                self._convert_site(
-                    "a", extras,
-                    lambda: dense_to_morton(
-                        a, self._a_mm, transpose=conv_trans_a, zero_pad=False
-                    ),
-                    lambda tab: dense_to_morton(
-                        a, self._a_mm, transpose=conv_trans_a, zero_pad=False,
-                        table=tab,
-                    ),
-                )
-                self._convert_site(
-                    "b", extras,
-                    lambda: dense_to_morton(
-                        b, self._b_mm, transpose=conv_trans_b, zero_pad=False
-                    ),
-                    lambda tab: dense_to_morton(
-                        b, self._b_mm, transpose=conv_trans_b, zero_pad=False,
-                        table=tab,
-                    ),
-                )
+            dense_to_morton(
+                a, self._a_mm, transpose=conv_trans_a, zero_pad=False
+            )
+            ta = time.perf_counter()
+            dense_to_morton(
+                b, self._b_mm, transpose=conv_trans_b, zero_pad=False
+            )
+            if tr is not None and tr.enabled:
+                tb = time.perf_counter()
+                tr.emit("convert", label="a", seconds=ta - t0)
+                tr.emit("convert", label="b", seconds=tb - ta)
             t1 = time.perf_counter()
-            if self._debug and not self._fused:
+            if self._debug:
                 # Phase boundary: operands are converted, compute has not
                 # started.  Both pads must be exactly zero here (the
-                # ip_overwrite re-zero above included).  Fused plans skip
-                # the check: their A21/B12 slots legitimately hold packed
-                # sums whose support extends into the slot's pad region
-                # (exactly the values the two-pass scratch sums held).
+                # ip_overwrite re-zero above included).
                 check_pad_zero(self._a_mm, "a")
                 check_pad_zero(self._b_mm, "b")
             if key.variant == "winograd":
@@ -668,7 +426,6 @@ class CompiledPlan:
                     self._a_eff, self._b_eff, self._c_mm,
                     ops=self._ops, workspace=self._workspace,
                     memory=key.memory, alpha=key.spec.alpha,
-                    prepacked=self._fused,
                 )
             else:
                 strassen_multiply(
@@ -678,20 +435,12 @@ class CompiledPlan:
                 )
             t2 = time.perf_counter()
             beta = key.spec.beta if c_out is not None else 0.0
-            out: list = []
-            self._convert_site(
-                "c", extras,
-                lambda: out.append(morton_to_dense(
-                    self._c_mm, out=c_out, beta=beta
-                )),
-                lambda tab: out.append(morton_to_dense(
-                    self._c_mm, out=c_out, beta=beta, table=tab,
-                )),
-            )
-            d = out[0]
-            if beta != 0.0 and tr is not None and tr.enabled:
-                tr.emit("accumulate", label="c", beta=float(beta))
+            d = morton_to_dense(self._c_mm, out=c_out, beta=beta)
             t3 = time.perf_counter()
+            if tr is not None and tr.enabled:
+                tr.emit("convert", label="c", seconds=t3 - t2)
+                if beta != 0.0:
+                    tr.emit("accumulate", label="c", beta=float(beta))
             if extras is not None:
                 extras.fused_adds += self._ops.fused_adds - fused0
             if self._debug:
@@ -754,10 +503,10 @@ class CompiledPlan:
     def scratch_bytes(self) -> int:
         """Recursion scratch bytes this plan's workspace holds.
 
-        Excludes the Morton operand/product buffers and conversion tables
-        — this is exactly the *extra* memory the selected ``memory``
-        schedule is accountable for: the geometric series over recursion
-        levels (classic ``|A|/4 + |B|/4 + 2|C|/4`` per level, two_temp
+        Excludes the Morton operand/product buffers — this is exactly the
+        *extra* memory the selected ``memory`` schedule is accountable
+        for: the geometric series over recursion levels (classic
+        ``|A|/4 + |B|/4 + 2|C|/4`` per level, two_temp
         ``max(|A|,|C|)/4 + |B|/4``, ip_overwrite zero).  Panelled plans
         report the sum over their distinct sub-plans.
         """
@@ -782,16 +531,13 @@ class CompiledPlan:
 
     @property
     def pooled_bytes(self) -> int:
-        """Bytes held by this plan's pooled buffers, scratch and tables."""
+        """Bytes held by this plan's pooled buffers and scratch."""
         total = 0
         for mm in (self._a_mm, self._b_mm, self._c_mm):
             if mm is not None:
                 total += mm.buf.nbytes
         if self._workspace is not None:
             total += self._workspace.total_bytes
-        for site in self._sites.values():
-            if site.table is not None:
-                total += site.table.nbytes
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -816,11 +562,9 @@ class BatchPlan:
     recursion code and addition order are literally the same, only the
     leading batch axis differs.
 
-    Conversion reuses one shared :class:`ConversionTable` per side,
-    broadcast over the batch: each item is a single vectorised
-    gather/scatter.  The first execution times a tile-loop conversion of
-    item 0 per site as the baseline that ``batch_convert_seconds_saved``
-    is measured against.
+    Conversion copies each item's blocks into its stack row, and the
+    products back out as one stacked copy per block into a single dense
+    allocation (:mod:`repro.layout.convert`).
 
     Cached in the session's LRU alongside :class:`CompiledPlan`, keyed by
     ``(PlanKey, cap)``; eviction releases the stacks.  Requires a
@@ -893,73 +637,10 @@ class BatchPlan:
             tm.depth, tm.tile, tk.tile, tn.tile, dtype=dt, cap=cap, stagger=4
         )
         self.buffers_allocated += self._ws.buffer_count
-        # One shared table per side, broadcast over the batch axis.  The
-        # per-item engine calibrates loop-vs-table per plan; here the
-        # B-fold Python-overhead amortisation makes the table the static
-        # winner whenever the recursion has any depth at all.
-        self._tables: dict[str, ConversionTable] = {}
-        if tm.depth >= 1:
-            for name, mm in (("a", self._a), ("b", self._b), ("c", self._c)):
-                if mm.rows * mm.cols <= CONVERT_TABLE_MAX_ELEMS:
-                    self._tables[name] = conversion_table(
-                        mm.rows, mm.cols, mm.tile_r, mm.tile_c, mm.depth
-                    )
-        self._baseline: dict[str, float] = {}
-        # Batches never fuse their packing: one vectorised gather per side
-        # over the whole stack beats packing the sums item by item.
         # Row-range views are pure geometry; reuse them across executions.
         self._rows: dict = {}
 
     # ------------------------------------------------------------- execute
-
-    def _convert_in(
-        self, name: str, arrs, out: BatchMortonMatrix, transpose: bool,
-    ) -> float:
-        """Fill ``out[:len(arrs)]``; return conversion seconds saved."""
-        table = self._tables.get(name)
-        if table is None:
-            dense_to_morton_batch(arrs, out, transpose=transpose)
-            return 0.0
-        base = self._baseline.get(name)
-        if base is None:
-            # Calibrate: item 0 through the tile loop (timed baseline),
-            # the rest through the shared table.
-            t0 = time.perf_counter()
-            dense_to_morton(
-                arrs[0], out.item(0), transpose=transpose, zero_pad=False
-            )
-            base = self._baseline[name] = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            for i in range(1, len(arrs)):
-                dense_to_morton(
-                    arrs[i], out.item(i), transpose=transpose,
-                    zero_pad=False, table=table,
-                )
-            return base * (len(arrs) - 1) - (time.perf_counter() - t1)
-        t0 = time.perf_counter()
-        dense_to_morton_batch(arrs, out, transpose=transpose, table=table)
-        return base * len(arrs) - (time.perf_counter() - t0)
-
-    def _convert_out(self, n_items: int):
-        """Gather the first ``n_items`` products back to dense arrays."""
-        table = self._tables.get("c")
-        if table is None:
-            return morton_to_dense_batch(self._c, n_items), 0.0
-        base = self._baseline.get("c")
-        if base is None:
-            t0 = time.perf_counter()
-            first = morton_to_dense(self._c.item(0))
-            base = self._baseline["c"] = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            rest = [
-                morton_to_dense(self._c.item(i), table=table)
-                for i in range(1, n_items)
-            ]
-            saved = base * (n_items - 1) - (time.perf_counter() - t1)
-            return [first, *rest], saved
-        t0 = time.perf_counter()
-        outs = morton_to_dense_batch(self._c, n_items, table=table)
-        return outs, base * n_items - (time.perf_counter() - t0)
 
     def _run(self, n_items: int) -> None:
         """One stacked recursion over batch rows ``[0, n_items)``."""
@@ -1059,17 +740,17 @@ class BatchPlan:
                 if self._relabel_b:
                     tr.emit("relabel", label="batch-b", items=n_items)
             t0 = time.perf_counter()
-            saved = self._convert_in(
-                "a", [p.a for p in problems], self._a, transpose_a,
+            dense_to_morton_batch(
+                [p.a for p in problems], self._a, transpose=transpose_a
             )
-            saved += self._convert_in(
-                "b", [p.b for p in problems], self._b, transpose_b,
+            dense_to_morton_batch(
+                [p.b for p in problems], self._b, transpose=transpose_b
             )
             t1 = time.perf_counter()
             if tr is not None and tr.enabled:
                 tr.emit(
                     "convert", label="batch-in", seconds=t1 - t0,
-                    items=n_items, indexed=bool(self._tables),
+                    items=n_items,
                 )
             if self._debug:
                 # Phase boundary: every occupied stack row's pad must be
@@ -1080,11 +761,10 @@ class BatchPlan:
             self._run(n_items)
             t2 = time.perf_counter()
             if spec.beta == 0.0:
-                # Bulk gather to fresh dense arrays; per-item beta (a
+                # Stacked copy to fresh dense arrays; per-item beta (a
                 # directly-invoked batch may carry one) is applied in the
                 # post-lock epilogue below.
-                outs, saved_c = self._convert_out(n_items)
-                saved += saved_c
+                outs = morton_to_dense_batch(self._c, n_items)
                 results = first_err = None
             else:
                 # The spec's accumulate: each item's product is folded
@@ -1098,7 +778,7 @@ class BatchPlan:
             if tr is not None and tr.enabled:
                 tr.emit(
                     "convert", label="batch-out", seconds=t3 - t2,
-                    items=n_items, indexed="c" in self._tables,
+                    items=n_items,
                 )
                 if spec.beta != 0.0:
                     tr.emit(
@@ -1117,7 +797,7 @@ class BatchPlan:
             timings.compute += rec.compute
             timings.from_morton += rec.from_morton
         self.session._record_batch_execution(
-            self, n_items, rec, saved, fused_delta,
+            self, n_items, rec, fused_delta,
         )
         if results is None:
             # beta == 0 epilogue: alpha is already folded into the
@@ -1159,18 +839,15 @@ class BatchPlan:
         convert, keeping the pooled stacks quiescent.
         """
         dt = self.key.spec.np_dtype
-        table = self._tables.get("c")
         results = []
         first_err: BatchItemError | None = None
         for i, p in enumerate(problems):
             c = cs[i]
             try:
                 if c is not None and (p.beta != 0.0 or c.dtype == dt):
-                    r = morton_to_dense(
-                        self._c.item(i), out=c, beta=p.beta, table=table
-                    )
+                    r = morton_to_dense(self._c.item(i), out=c, beta=p.beta)
                 else:
-                    d = morton_to_dense(self._c.item(i), table=table)
+                    d = morton_to_dense(self._c.item(i))
                     if c is not None:
                         c[...] = d
                         r = c
@@ -1199,12 +876,7 @@ class BatchPlan:
 
     @property
     def pooled_bytes(self) -> int:
-        """Bytes held by the stacked operand/product buffers and scratch.
-
-        Conversion tables are excluded: they live in the module-level
-        shared cache (:func:`repro.layout.convert.conversion_table`) and
-        may serve several plans at once.
-        """
+        """Bytes held by the stacked operand/product buffers and scratch."""
         return (
             self._a.nbytes + self._b.nbytes + self._c.nbytes + self._ws.nbytes
         )

@@ -95,12 +95,11 @@ class SessionStats:
     scratch/operand buffers allocated by plan compilation — constant while
     the hit path is in effect; ``bytes_pooled`` is the *current* total
     pooled across cached plans and workspaces; ``timings`` aggregates the
-    conversion/compute phase breakdown over every execution.
-
-    The adaptive conversion calibration adds ``indexed_conversions``
-    (conversions served by a precomputed index table) and
-    ``convert_seconds_saved`` (their summed time saved against each
-    site's measured tile-loop baseline).
+    conversion/compute phase breakdown over every execution, and
+    ``convert_seconds`` (wall time spent in the conversion phases —
+    ``timings.to_morton + timings.from_morton``) and ``convert_fraction``
+    (``convert_seconds`` over total execute time, in ``[0, 1]`` — the
+    paper's Figure 7 ratio) summarise it.
 
     The memory-schedule accounting adds ``scratch_bytes_allocated``
     (cumulative recursion-scratch bytes allocated over the session's
@@ -114,17 +113,7 @@ class SessionStats:
     (items those batches contained — each also counts in ``executes``),
     ``batch_fallbacks`` (same-geometry groups of two or more items that
     had to fall back to the per-item thread pool — panelled geometry or
-    ``ip_overwrite``) and ``batch_convert_seconds_saved`` (layout
-    conversion time saved by table-driven batched gather/scatter against
-    each batch plan's measured per-item tile-loop baseline).
-
-    The fused packing path adds ``fused_packs`` (quarter-matrix operand
-    sums produced during a dense->Morton gather instead of by a
-    standalone add pass — 4 per fused execution; stacked batches never
-    fuse, so they add 0), ``convert_seconds`` (wall time spent in the
-    conversion phases — ``timings.to_morton + timings.from_morton``) and
-    ``convert_fraction`` (``convert_seconds`` over total execute time, in
-    ``[0, 1]`` — the ratio the fused path exists to shrink).
+    ``ip_overwrite``).
 
     The persistent plan store adds ``store_hits`` / ``store_misses``
     (plan-key resolutions answered / not answered by the session's
@@ -142,16 +131,12 @@ class SessionStats:
     buffers_allocated: int = 0
     bytes_pooled: int = 0
     timings: PhaseTimings = field(default_factory=PhaseTimings)
-    indexed_conversions: int = 0
-    convert_seconds_saved: float = 0.0
     scratch_bytes_allocated: int = 0
     peak_scratch_bytes: int = 0
     fused_adds: int = 0
     batched_executes: int = 0
     batch_items: int = 0
     batch_fallbacks: int = 0
-    batch_convert_seconds_saved: float = 0.0
-    fused_packs: int = 0
     convert_seconds: float = 0.0
     convert_fraction: float = 0.0
     store_hits: int = 0
@@ -188,7 +173,10 @@ class GemmSession:
         predicate check per instrumented site.
     trace_capacity:
         Ring-buffer capacity of the session's tracer (events beyond it
-        displace the oldest, which are counted in ``trace.dropped``).
+        displace the oldest, which are counted in ``trace.dropped``).  The
+        default, ``1 << 16``, holds one traced default-plan call at
+        n=1024 (about 58.8k events); the buffer grows only as events
+        arrive.
     debug:
         Arm validation mode: invariant checks at phase boundaries —
         operand-pad zeroing, workspace quiescence (poison-fill between
@@ -196,21 +184,6 @@ class GemmSession:
         :class:`repro.errors.InvariantError`.  Results are bit-identical
         to a non-debug session; expect a substantial slowdown.  Fixed at
         construction (plans bake the guards in at compile time).
-    fused_pack:
-        ``True`` (default) lets Winograd plans fuse the top level's
-        S1/S3/T1/T3 operand sums into the dense->Morton gather — one
-        read of each source quadrant produces both the converted
-        quadrant and the packed sum, eliding four standalone add passes
-        and one quadrant copy per operand.  Per-item plans fuse where
-        the index-table gather is already the right conversion strategy
-        (``depth >= CONVERT_TABLE_MIN_DEPTH``; at shallower depths the
-        tile loop's large contiguous copies win and fusing would
-        regress); batch plans never fuse (one vectorised gather over the
-        whole stack beats packing item by item).  ``"always"`` drops the
-        per-item depth threshold to 1 (tests, A/B measurement);
-        ``False`` disables fusion entirely.
-        Results are bit-identical in all modes.  Fixed at construction
-        (plans bake the fused layout in at compile time).
     accumulate_cap:
         When given, sets the leaf kernels' cached accumulate-scratch cap
         (:func:`repro.blas.set_accumulate_cap`) at construction.  The cap
@@ -227,9 +200,8 @@ class GemmSession:
         non-empty) names the store path — the explicit argument always
         wins over the environment.  With a store attached, plan-key
         resolution consults it before the heuristic defaults (an
-        explicit per-call ``policy=``/``memory=``/... still wins),
-        conversion-site calibration verdicts are replayed from and
-        persisted to it, and :meth:`autotune` writes its winners back.
+        explicit per-call ``policy=``/``memory=``/... still wins), and
+        :meth:`autotune` writes its winners back.
         ``close()`` flushes dirty store state to disk.
     """
 
@@ -242,9 +214,8 @@ class GemmSession:
         schedule: "str | None" = None,
         memory: "str | None" = None,
         trace: bool = False,
-        trace_capacity: int = 8192,
+        trace_capacity: int = 1 << 16,
         debug: bool = False,
-        fused_pack: bool = True,
         accumulate_cap: int | None = None,
         plan_store: "PlanStore | str | os.PathLike | None" = UNSET,
     ) -> None:
@@ -254,12 +225,6 @@ class GemmSession:
         self.capacity = capacity
         self.trace = Tracer(capacity=trace_capacity, enabled=bool(trace))
         self.debug = bool(debug)
-        if fused_pack not in (True, False, "always"):
-            raise ValueError(
-                f"fused_pack must be True, False or 'always', "
-                f"got {fused_pack!r}"
-            )
-        self.fused_pack = fused_pack
         if accumulate_cap is not None:
             set_accumulate_cap(accumulate_cap)
         self._plan_store = PlanStore.resolve(plan_store)
@@ -287,8 +252,6 @@ class GemmSession:
         self._buffers_allocated = 0
         self._timings = PhaseTimings()
         self._timings.panels = 0
-        self._indexed_conversions = 0
-        self._convert_saved = 0.0
         self._scratch_allocated = 0
         self._scratch_live = 0
         self._scratch_peak = 0
@@ -296,8 +259,6 @@ class GemmSession:
         self._batched_executes = 0
         self._batch_items = 0
         self._batch_fallbacks = 0
-        self._batch_convert_saved = 0.0
-        self._fused_packs = 0
         self._store_hits = 0
         self._store_misses = 0
         self._autotune_seconds = 0.0
@@ -465,10 +426,7 @@ class GemmSession:
         store).
         """
         store = self._plan_store
-        dec = store.lookup(
-            m, k, n, dtype=gspec.dtype, variant=variant,
-            fused_pack=self.fused_pack,
-        )
+        dec = store.lookup(m, k, n, dtype=gspec.dtype, variant=variant)
         hit = dec is not None
         apply_cap = False
         with self._lock:
@@ -1005,14 +963,11 @@ class GemmSession:
             self._timings.from_morton += rec.from_morton
             self._timings.panels += rec.panels if rec.panels > 1 else 0
             if extras is not None:
-                self._indexed_conversions += extras.indexed_conversions
-                self._convert_saved += extras.convert_seconds_saved
                 self._fused_adds += extras.fused_adds
-                self._fused_packs += extras.fused_packs
 
     def _record_batch_execution(
         self, plan: BatchPlan, n_items: int, rec: PhaseTimings,
-        saved: float, fused_adds: int,
+        fused_adds: int,
     ) -> None:
         """Fold one stacked-batch execution into the session counters."""
         tr = self.trace
@@ -1027,7 +982,6 @@ class GemmSession:
             self._executes += n_items
             self._batched_executes += 1
             self._batch_items += n_items
-            self._batch_convert_saved += saved
             if plan._cache_hit:
                 self._buffers_reused += n_items
             self._timings.to_morton += rec.to_morton
@@ -1063,16 +1017,12 @@ class GemmSession:
                 buffers_allocated=self._buffers_allocated,
                 bytes_pooled=pooled,
                 timings=agg,
-                indexed_conversions=self._indexed_conversions,
-                convert_seconds_saved=self._convert_saved,
                 scratch_bytes_allocated=self._scratch_allocated,
                 peak_scratch_bytes=self._scratch_peak,
                 fused_adds=self._fused_adds,
                 batched_executes=self._batched_executes,
                 batch_items=self._batch_items,
                 batch_fallbacks=self._batch_fallbacks,
-                batch_convert_seconds_saved=self._batch_convert_saved,
-                fused_packs=self._fused_packs,
                 convert_seconds=convert_seconds,
                 convert_fraction=convert_fraction,
                 store_hits=self._store_hits,

@@ -65,7 +65,9 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--machine", default=None, choices=["alpha", "ultra", "atom"])
     parser.add_argument("--sizes", default="", help="comma-separated size list")
     parser.add_argument("--scale", type=int, default=4, help="fig9/model cache scale")
-    parser.add_argument("--quick", action="store_true", help="small grids, single trials")
+    parser.add_argument(
+        "--quick", action="store_true", help="small grids, single trials"
+    )
     parser.add_argument("--csv", action="store_true", help="emit CSV instead of tables")
     parser.add_argument("--no-chart", action="store_true")
     parser.add_argument("--explain", type=int, default=0, metavar="N",
@@ -80,7 +82,7 @@ def main(argv: "list[str] | None" = None) -> int:
     want = args.figure
 
     if want in ("fig2", "all"):
-        sizes = _sizes(args) or (range(16, 1101, 1) if not args.quick else range(16, 1101, 7))
+        sizes = _sizes(args) or range(16, 1101, 7 if args.quick else 1)
         results.append(fig2_padding.run(sizes=sizes))
     if want in ("fig3", "all"):
         machine = args.machine or "alpha"
@@ -98,8 +100,10 @@ def main(argv: "list[str] | None" = None) -> int:
             fig56_perf.run_modeled(machine=machine, sizes=_sizes(args), scale=16)
         )
     if want == "all":
-        results.append(fig56_perf.run_modeled(machine="alpha", sizes=_sizes(args), scale=16))
-        results.append(fig56_perf.run_modeled(machine="ultra", sizes=_sizes(args), scale=16))
+        for machine in ("alpha", "ultra"):
+            results.append(fig56_perf.run_modeled(
+                machine=machine, sizes=_sizes(args), scale=16,
+            ))
     if want in ("fig7", "all"):
         results.append(
             fig7_conversion.run(sizes=_sizes(args), protocol=_protocol(args))

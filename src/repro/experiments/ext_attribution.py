@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 from ..cachesim.classify import RegionMap
-from ..cachesim.hierarchy import CacheHierarchy
 from ..cachesim.machines import ATOM_EXPERIMENT, scale_machine
 from ..cachesim.trace import TraceCollector
 from ..cachesim.tracegen import modgemm_trace
@@ -28,7 +27,9 @@ from .runner import ExperimentResult
 __all__ = ["run"]
 
 
-def run(scale: int = 16, before: "int | None" = None, after: "int | None" = None) -> ExperimentResult:
+def run(
+    scale: int = 16, before: "int | None" = None, after: "int | None" = None,
+) -> ExperimentResult:
     """Per-region miss ratios at a conflicting size vs its clean neighbour."""
     dim_scale = math.isqrt(scale)
     if dim_scale * dim_scale != scale:

@@ -37,7 +37,10 @@ def run(
     return ExperimentResult(
         name="fig2",
         title="Effect of tile size on padding",
-        columns=("n", "original", "padded_dynamic", f"padded_fixed{fixed_tile}", "tile_dynamic"),
+        columns=(
+            "n", "original", "padded_dynamic", f"padded_fixed{fixed_tile}",
+            "tile_dynamic",
+        ),
         rows=rows,
         notes=(
             f"Dynamic tile selection from [{tile_range.min_tile}, "

@@ -110,7 +110,10 @@ def run_measured(
         )
     return ExperimentResult(
         name="fig5_6_measured",
-        title="Strassen-Winograd implementations, host wall-clock (normalised to DGEFMM)",
+        title=(
+            "Strassen-Winograd implementations, host wall-clock "
+            "(normalised to DGEFMM)"
+        ),
         columns=_COLUMNS,
         rows=_norm_rows(sizes, times),
         notes=(
@@ -174,7 +177,10 @@ def run_modeled(
     ]
     return ExperimentResult(
         name=f"fig{'5' if m.name.startswith('alpha') else '6'}_modeled",
-        title=f"Strassen-Winograd implementations, modelled on {m.name} (normalised to DGEFMM)",
+        title=(
+            f"Strassen-Winograd implementations, modelled on {m.name} "
+            "(normalised to DGEFMM)"
+        ),
         columns=_COLUMNS,
         rows=rows,
         notes=(

@@ -64,7 +64,10 @@ def run(
     return ExperimentResult(
         name="fig7",
         title="Morton conversion time as % of total execution",
-        columns=("n", "t_to_morton", "t_compute", "t_from_morton", "t_total", "convert_pct"),
+        columns=(
+            "n", "t_to_morton", "t_compute", "t_from_morton", "t_total",
+            "convert_pct",
+        ),
         rows=rows,
         notes=(
             "Paper: ~15% for small matrices dropping to ~5% for large ones "

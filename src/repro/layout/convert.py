@@ -5,193 +5,140 @@ the result back at the end (Section 3.5), measuring the cost at 5-15% of
 total execution time (Figure 7).  Transposition — the BLAS ``op(X)``
 parameter — is fused into the conversion so a single core routine suffices.
 
-Two implementations coexist, selected per call site:
-
-* The **tile loop** walks the ``4**depth`` leaf tiles in z-order and
-  block-copies each as one 2-D slice assignment (zero-filling tiles that
-  straddle the logical boundary).  No setup cost; per-tile Python overhead.
-* The **index table** path (:class:`ConversionTable`) precomputes the
-  Morton-buffer offset of every logical element once, after which a
-  conversion is a handful of vectorised gather/scatter copies with no
-  Python loop at all.  This is what a cached :class:`repro.engine`
-  plan amortises: the O(n^2) int64 table is built at plan-compile time, so
-  the warm path pays only the copies.  It wins when the tile count is
-  large (depth >= ~4) and the operand is not far beyond cache; the engine
-  calibrates both paths per plan and keeps the faster one.
+A conversion is a few strided block copies.  An aligned block of
+``2^k x 2^k`` leaf tiles is one contiguous range of the Morton buffer;
+read in C order as a ``(2,)*2k + (tile_c, tile_r)`` array, its axes are
+the row and column bit of each level (row bit first, as in Figure 1),
+then the column and row inside a column-major tile.  The dense block,
+split along both axes into ``(2,)*k + (tile_r,)`` and
+``(2,)*k + (tile_c,)`` and transposed into that order, indexes the same
+elements — so one ``np.copyto`` between the two views converts the whole
+block.  :func:`_blocks` covers the logical region with whole aligned
+blocks plus single tiles clipped along a padded edge, once per geometry:
+one block at 1024x1024 (tile 32, depth 5), 79 at 513x513 (tile 33,
+depth 4).  Both views carry an optional leading stack axis, which the
+batch forms use.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .matrix import BatchMortonMatrix, MortonMatrix
-from .morton import element_offsets
-from .tiles import iter_tiles
 
 __all__ = [
     "dense_to_morton",
     "morton_to_dense",
     "dense_to_morton_batch",
     "morton_to_dense_batch",
-    "dense_to_morton_quadrants",
-    "pack_morton_quarter",
-    "ConversionTable",
-    "conversion_table",
-    "calibration_key",
 ]
 
+#: Deepest block level copied as one view pair.  A stacked block view has
+#: ``2k + 3`` axes and numpy 1.x allows 32, so deeper aligned blocks are
+#: split into their quadrants.
+_MAX_LEVEL = 14
 
-class ConversionTable:
-    """Precomputed Morton offsets of every logical element of one geometry.
 
-    ``offsets[i, j]`` is the flat Morton-buffer position of logical element
-    ``(i, j)``; ``flat_c`` / ``flat_f`` are its row-major / column-major
-    ravellings, paired with same-order ravellings of the dense side so a
-    whole conversion becomes one ``take``/scatter.  Immutable and shareable
-    across threads.
+class _Block(NamedTuple):
+    """One block copy: where it sits in both layouts, and how to view it."""
+
+    span: slice  #: the block's range of the Morton buffer
+    shape: tuple  #: that range as ``(2,)*2k + (tile_c, tile_r)``
+    clip: tuple  #: index of a clipped edge tile's logical part, else ()
+    rows: slice  #: the block's dense rows
+    cols: slice  #: and columns
+    split: tuple  #: the dense block as ``(2,)*k + (r,) + (2,)*k + (c,)``
+    order: tuple  #: axes taking ``split`` to Morton order, per lead count
+
+
+@lru_cache(maxsize=64)
+def _blocks(rows: int, cols: int, tile_r: int, tile_c: int,
+            depth: int) -> tuple[_Block, ...]:
+    """The block copies covering one geometry's logical region.
+
+    A quadtree node wholly inside the logical region is one block; a leaf
+    tile straddling the edge is one block clipped to its logical part; a
+    node wholly in the pad holds no block.  Blocks are listed in buffer
+    order.
     """
+    out: list[_Block] = []
 
-    def __init__(self, rows: int, cols: int, tile_r: int, tile_c: int,
-                 depth: int) -> None:
-        self.rows, self.cols = rows, cols
-        self.tile_r, self.tile_c, self.depth = tile_r, tile_c, depth
-        ii = np.arange(rows, dtype=np.int64)[:, None]
-        jj = np.arange(cols, dtype=np.int64)[None, :]
-        offs = element_offsets(ii, jj, tile_r, tile_c, depth)
-        offs.setflags(write=False)
-        self.offsets = offs
-        self.flat_c = offs.reshape(-1)  # row-major pairing (view)
-        self.flat_f = np.ascontiguousarray(offs.T).reshape(-1)
-        self.flat_f.setflags(write=False)
-        self._quad: np.ndarray | None = None
-        self._qpairs: dict = {}
+    def visit(off: int, r0: int, c0: int, k: int) -> None:
+        h = min(tile_r << k, rows - r0)
+        w = min(tile_c << k, cols - c0)
+        if h <= 0 or w <= 0:
+            return
+        whole = h == tile_r << k and w == tile_c << k
+        if k == 0 or (whole and k <= _MAX_LEVEL):
+            r, c = (tile_r, tile_c) if k else (h, w)
+            order = [x for i in range(k) for x in (i, k + 1 + i)]
+            order += [2 * k + 1, k]
+            out.append(_Block(
+                span=slice(off, off + ((tile_r * tile_c) << 2 * k)),
+                shape=(2,) * (2 * k) + (tile_c, tile_r),
+                clip=() if whole else (slice(0, w), slice(0, h)),
+                rows=slice(r0, r0 + h),
+                cols=slice(c0, c0 + w),
+                split=(2,) * k + (r,) + (2,) * k + (c,),
+                order=(tuple(order), (0, *(x + 1 for x in order))),
+            ))
+            return
+        quarter = (tile_r * tile_c) << 2 * (k - 1)
+        for z in range(4):
+            visit(off + z * quarter, r0 + (z >> 1) * (tile_r << (k - 1)),
+                  c0 + (z & 1) * (tile_c << (k - 1)), k - 1)
 
-    @property
-    def padded_size(self) -> int:
-        """Flat Morton-buffer length of this geometry (pads included)."""
-        return (self.tile_r << self.depth) * (self.tile_c << self.depth)
-
-    @property
-    def quad_offsets(self) -> np.ndarray:
-        """Morton offsets of one quadrant's *relative* element grid.
-
-        A quadrant of a depth-``d`` Morton matrix is a contiguous quarter
-        of the buffer holding the same recursive layout one level down, so
-        the within-quadrant offset of relative element ``(i, j)`` is the
-        depth ``d - 1`` Morton offset — identical for all four quadrants.
-        One ``(padded_rows/2, padded_cols/2)`` table therefore serves
-        every quadrant destination of the fused packing path.  Built
-        lazily (only fused plans pay for it) and cached; requires
-        ``depth >= 1``.
-        """
-        if self.depth < 1:
-            raise ValueError("quad_offsets needs depth >= 1")
-        quad = self._quad
-        if quad is None:
-            h2 = (self.tile_r << self.depth) >> 1
-            w2 = (self.tile_c << self.depth) >> 1
-            ii = np.arange(h2, dtype=np.int64)[:, None]
-            jj = np.arange(w2, dtype=np.int64)[None, :]
-            quad = element_offsets(ii, jj, self.tile_r, self.tile_c,
-                                   self.depth - 1)
-            quad.setflags(write=False)
-            self._quad = quad
-        return quad
-
-    def quarter_pairs(self, quad, order: str):
-        """Paired flat (Morton, source) indices of one quadrant's elements.
-
-        ``buf[morton_idx] = flat_src[src_idx]`` scatters the logical
-        elements of quadrant ``quad`` from a flattened dense source —
-        ``src.reshape(-1)`` for ``order="C"``, ``src.T.reshape(-1)`` for
-        ``order="F"`` — into their Morton positions.  Lets the fused
-        packing path convert the one quadrant left over after its
-        contiguous-half scatter with two 1-D fancy operations instead of
-        a strided 2-D one.  Built lazily per ``(quad, order)`` and
-        cached; empty arrays for a fully-padded quadrant.
-        """
-        key = (tuple(quad), order)
-        pairs = self._qpairs.get(key)
-        if pairs is None:
-            qr, qc = quad
-            h2 = (self.tile_r << self.depth) >> 1
-            w2 = (self.tile_c << self.depth) >> 1
-            r0, c0 = qr * h2, qc * w2
-            h = min(max(self.rows - r0, 0), h2)
-            w = min(max(self.cols - c0, 0), w2)
-            offs = self.offsets[r0 : r0 + h, c0 : c0 + w]
-            ii = np.arange(r0, r0 + h, dtype=np.int64)[:, None]
-            jj = np.arange(c0, c0 + w, dtype=np.int64)[None, :]
-            src_pos = ii * self.cols + jj if order == "C" \
-                else jj * self.rows + ii
-            if order == "F":
-                offs, src_pos = offs.T, src_pos.T
-            idx_m = np.ascontiguousarray(offs).reshape(-1)
-            idx_s = np.ascontiguousarray(src_pos).reshape(-1)
-            idx_m.setflags(write=False)
-            idx_s.setflags(write=False)
-            pairs = (idx_m, idx_s)
-            self._qpairs[key] = pairs
-        return pairs
-
-    @property
-    def nbytes(self) -> int:
-        quad = self._quad
-        return (
-            self.offsets.nbytes
-            + self.flat_f.nbytes
-            + (0 if quad is None else quad.nbytes)
-            + sum(m.nbytes + s.nbytes for m, s in self._qpairs.values())
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ConversionTable({self.rows}x{self.cols}, tile "
-            f"{self.tile_r}x{self.tile_c}, depth {self.depth}, "
-            f"{self.nbytes >> 10} KiB)"
-        )
+    visit(0, 0, 0, depth)
+    return tuple(out)
 
 
-@lru_cache(maxsize=8)
-def conversion_table(rows: int, cols: int, tile_r: int, tile_c: int,
-                     depth: int) -> ConversionTable:
-    """Small shared cache of tables; engine plans hold their own references."""
-    return ConversionTable(rows, cols, tile_r, tile_c, depth)
+def _morton_view(buf: np.ndarray, b: _Block) -> np.ndarray:
+    """Block ``b`` of a Morton buffer (or ``(B, elems)`` stack) in C order."""
+    m = buf[..., b.span].reshape(buf.shape[:-1] + b.shape)
+    return m[(Ellipsis, *b.clip)] if b.clip else m
 
 
-def calibration_key(rows: int, cols: int, tile_r: int, tile_c: int,
-                    depth: int, dtype: str = "float64") -> str:
-    """Stable identity of one conversion site's loop-vs-indexed question.
+def _dense_view(dense: np.ndarray, b: _Block) -> np.ndarray:
+    """Block ``b`` of a dense matrix (or stack), in Morton axis order.
 
-    The engine calibrates each plan site (loop path vs index-table path)
-    by timing; the answer depends only on the conversion geometry and the
-    element width, so this key lets the outcome persist across plans,
-    evictions, sessions and processes (the plan store's ``calibrations``
-    section).
+    The view must alias ``dense`` — a copy would silently drop writes
+    into it — and a split of strided axes always does; a violation
+    raises.
     """
-    return (
-        f"{int(rows)}x{int(cols)}:t{int(tile_r)}x{int(tile_c)}:"
-        f"d{int(depth)}:{dtype}"
-    )
+    lead = dense.shape[:-2]
+    d = dense[..., b.rows, b.cols].reshape(lead + b.split)
+    if not np.may_share_memory(d, dense):
+        raise RuntimeError("dense block split is not a view")
+    return d.transpose(b.order[len(lead)])
 
 
-def _indexed_to_morton(src: np.ndarray, out: MortonMatrix,
-                       table: ConversionTable) -> None:
-    """Scatter ``src`` (logical orientation) into ``out`` via the table."""
-    buf = out.buf
-    if src.flags.f_contiguous:
-        buf[table.flat_f] = src.T.reshape(-1)
-    elif src.flags.c_contiguous:
-        buf[table.flat_c] = src.reshape(-1)
-    else:
-        buf[table.offsets] = src  # exotic strides: 2-D fancy scatter
+def _block_views(dense: np.ndarray, buf: np.ndarray, geometry):
+    """``(dense view, Morton view)`` of every block of ``geometry``."""
+    for b in _blocks(*geometry):
+        yield _dense_view(dense, b), _morton_view(buf, b)
+
+
+def _geometry(m) -> tuple[int, int, int, int, int]:
+    return (m.rows, m.cols, m.tile_r, m.tile_c, m.depth)
+
+
+def _op_source(a, dtype, shape, transpose: bool) -> np.ndarray:
+    """``op(a)`` as an array of ``dtype``, checked against ``shape``."""
+    a = np.asarray(a, dtype=dtype)
+    if a.ndim != 2:
+        raise ValueError(f"expected 2-D input, got ndim={a.ndim}")
+    src = a.T if transpose else a
+    if src.shape != shape:
+        raise ValueError(f"op(a) shape {src.shape} != destination {shape}")
+    return src
 
 
 def dense_to_morton(
     a: np.ndarray, out: MortonMatrix, transpose: bool = False,
-    zero_pad: bool = True, table: ConversionTable | None = None,
+    zero_pad: bool = True,
 ) -> MortonMatrix:
     """Copy dense ``a`` (or its transpose) into Morton matrix ``out``.
 
@@ -201,66 +148,29 @@ def dense_to_morton(
     has stayed zero since (the engine's pooled operand buffers maintain
     exactly this invariant, so repeated conversions touch only the logical
     elements).
-
-    ``table`` switches to the precomputed-index path (it must describe
-    ``out``'s geometry).
     """
-    a = np.asarray(a, dtype=out.buf.dtype)
-    if a.ndim != 2:
-        raise ValueError(f"expected 2-D input, got ndim={a.ndim}")
-    src = a.T if transpose else a
-    if src.shape != out.shape:
-        raise ValueError(f"op(a) shape {src.shape} != destination {out.shape}")
-
-    if table is not None:
-        if (table.rows, table.cols) != out.shape or (
-            table.tile_r, table.tile_c, table.depth
-        ) != (out.tile_r, out.tile_c, out.depth):
-            raise ValueError(f"{table!r} does not describe destination {out!r}")
-        if zero_pad and out.size != out.rows * out.cols:
-            out.buf[:] = 0.0  # indexed writes touch only logical elements
-        _indexed_to_morton(src, out, table)
-        return out
-
-    rows, cols = out.rows, out.cols
-    tr, tc = out.tile_r, out.tile_c
-    buf = out.buf
-    tile_elems = tr * tc
-    for t in iter_tiles(out.depth, tr, tc):
-        r0, c0 = t.row0, t.col0
-        dest = buf[t.offset : t.offset + tile_elems]
-        r1 = min(r0 + tr, rows)
-        c1 = min(c0 + tc, cols)
-        if r1 <= r0 or c1 <= c0:
-            # Tile entirely inside the pad.
-            if zero_pad:
-                dest[:] = 0.0
-            continue
-        tile2d = dest.reshape(tc, tr).T  # Fortran-order view of the tile
-        if r1 - r0 == tr and c1 - c0 == tc:
-            tile2d[:, :] = src[r0:r1, c0:c1]
-        else:
-            if zero_pad:
-                dest[:] = 0.0
-            tile2d[: r1 - r0, : c1 - c0] = src[r0:r1, c0:c1]
+    src = _op_source(a, out.buf.dtype, out.shape, transpose)
+    if zero_pad and out.size != out.rows * out.cols:
+        out.buf.fill(0.0)  # the block copies write logical elements only
+    for d, m in _block_views(src, out.buf, _geometry(out)):
+        np.copyto(m, d)
     return out
 
 
 def morton_to_dense(
-    m: MortonMatrix, out: np.ndarray | None = None,
-    table: ConversionTable | None = None, beta: float = 0.0,
+    m: MortonMatrix, out: np.ndarray | None = None, beta: float = 0.0,
 ) -> np.ndarray:
     """Copy Morton matrix ``m`` back to a dense array of its logical shape.
 
     A fresh destination is allocated in Fortran order (the layout the BLAS
-    interface traffics in); pass ``out`` to write into an existing array.
-    ``table`` behaves as in :func:`dense_to_morton`.
+    interface traffics in); pass ``out`` to write into an existing array
+    of any strides.
 
     ``beta`` fuses the GEMM accumulate into the conversion: the result is
-    ``out = m + beta * out`` — elementwise identical to the legacy
-    ``out *= beta; out += dense(m)`` two-pass (each element is scaled then
-    added independently), but the destination is traversed once instead of
-    three times.  Requires ``out``.
+    ``out = m + beta * out``, formed block by block as ``out *= beta;
+    out += m`` — each element is scaled then added, exactly as a
+    whole-matrix two-pass would, but the destination is traversed in one
+    sweep of blocks.  Requires ``out``.
     """
     if out is None:
         if beta != 0.0:
@@ -268,266 +178,48 @@ def morton_to_dense(
         out = np.empty((m.rows, m.cols), dtype=m.buf.dtype, order="F")
     elif out.shape != m.shape:
         raise ValueError(f"out shape {out.shape} != logical shape {m.shape}")
-
-    if table is not None:
-        if (table.rows, table.cols) != m.shape or (
-            table.tile_r, table.tile_c, table.depth
-        ) != (m.tile_r, m.tile_c, m.depth):
-            raise ValueError(f"{table!r} does not describe source {m!r}")
-        buf = m.buf
-        if out.flags.f_contiguous:
-            flat_idx, flat_out = table.flat_f, out.T.reshape(-1)
-        elif out.flags.c_contiguous:
-            flat_idx, flat_out = table.flat_c, out.reshape(-1)
-        else:
-            if beta != 0.0:
-                out *= beta
-                out += buf[table.offsets]
-            else:
-                out[...] = buf[table.offsets]
-            return out
+    for d, v in _block_views(out, m.buf, _geometry(m)):
         if beta != 0.0:
-            flat_out *= beta
-            flat_out += buf[flat_idx]
+            d *= beta
+            d += v
         else:
-            np.take(buf, flat_idx, out=flat_out)
-        return out
-
-    tr, tc = m.tile_r, m.tile_c
-    tile_elems = tr * tc
-    for t in iter_tiles(m.depth, tr, tc):
-        r0, c0 = t.row0, t.col0
-        if r0 >= m.rows or c0 >= m.cols:
-            continue
-        r1 = min(r0 + tr, m.rows)
-        c1 = min(c0 + tc, m.cols)
-        tile2d = m.buf[t.offset : t.offset + tile_elems].reshape(tc, tr).T
-        if beta != 0.0:
-            out[r0:r1, c0:c1] *= beta
-            out[r0:r1, c0:c1] += tile2d[: r1 - r0, : c1 - c0]
-        else:
-            out[r0:r1, c0:c1] = tile2d[: r1 - r0, : c1 - c0]
+            np.copyto(d, v)
     return out
 
 
 def dense_to_morton_batch(
     arrs, out: BatchMortonMatrix, transpose: bool = False,
-    table: ConversionTable | None = None,
 ) -> BatchMortonMatrix:
     """Convert ``len(arrs)`` same-geometry dense arrays into a Morton stack.
 
-    One :class:`ConversionTable` (built once per plan) is broadcast over
-    the batch axis: every item is one lean vectorised scatter through the
-    shared index vector — no per-item table build, calibration, tile
-    loop, or validation re-run.  ``out``'s rows must already have zeroed
-    pads (the pooled batch buffers maintain this invariant: the batched
-    recursion never writes operand stacks); indexed writes touch only
-    logical elements.  Without a table, falls back to the per-item tile
-    loop.
+    Item ``i`` fills row ``i`` of ``out``.  ``out``'s rows must already
+    have zeroed pads (the pooled batch stacks maintain this invariant: the
+    batched recursion never writes operand stacks); only logical elements
+    are written.  The stack's block views are built once per call, so
+    each item costs one view and one copy per block.
     """
     n = len(arrs)
     if n > out.batch:
         raise ValueError(f"{n} items exceed batch capacity {out.batch}")
-
-    if table is None:
-        for i in range(n):
-            dense_to_morton(arrs[i], out.item(i), transpose=transpose)
-        return out
-    dtype = out.buf.dtype
-    shape = (out.rows, out.cols)
+    stack = out.buf[:n]
+    blocks = [(b, _morton_view(stack, b)) for b in _blocks(*_geometry(out))]
     for i in range(n):
-        src = np.asarray(arrs[i], dtype=dtype)
-        if transpose:
-            src = src.T
-        if src.shape != shape:
-            raise ValueError(f"op(a) shape {src.shape} != destination {shape}")
-        row = out.buf[i]
-        if src.flags.f_contiguous:
-            row[table.flat_f] = src.T.reshape(-1)
-        elif src.flags.c_contiguous:
-            row[table.flat_c] = src.reshape(-1)
-        else:
-            row[table.offsets] = src
+        src = _op_source(arrs[i], out.buf.dtype, out.shape, transpose)
+        for b, m in blocks:
+            np.copyto(m[i], _dense_view(src, b))
     return out
 
 
-def morton_to_dense_batch(
-    m: BatchMortonMatrix, n_items: int,
-    table: ConversionTable | None = None,
-) -> list:
+def morton_to_dense_batch(m: BatchMortonMatrix, n_items: int) -> list:
     """Convert the first ``n_items`` rows of a Morton stack back to dense.
 
-    Returns Fortran-order arrays (the BLAS interface layout), one per
-    item.  With a table, the whole batch is gathered in **one** 2-D
-    advanced-indexing call — ``buf[:n, idx]`` — which runs a single C
-    loop over the stack (~6x faster than per-item ``take`` calls); the
-    returned arrays are F-contiguous per-item views of that one freshly
-    allocated block, owned by the caller (nothing aliases the stack).
-    The tile-loop fallback mirrors :func:`dense_to_morton_batch`.
+    Returns one Fortran-order array per item (the BLAS interface layout):
+    F-contiguous views of one freshly allocated block, filled by one
+    stacked copy per conversion block and owned by the caller (nothing
+    aliases the stack).
     """
-    if table is not None:
-        blk = m.buf[:n_items][:, table.flat_f]
-        return [
-            blk[i].reshape(m.cols, m.rows).T for i in range(n_items)
-        ]
-    return [morton_to_dense(m.item(i)) for i in range(n_items)]
-
-
-# ------------------------------------------------------- fused packing
-
-_ALL_QUADS = {(0, 0), (0, 1), (1, 0), (1, 1)}
-
-
-def _quad_extent(table: ConversionTable, qr: int, qc: int):
-    """Padded half-dims and the quadrant's logical extent (may be 0)."""
-    h2 = (table.tile_r << table.depth) >> 1
-    w2 = (table.tile_c << table.depth) >> 1
-    h = min(max(table.rows - qr * h2, 0), h2)
-    w = min(max(table.cols - qc * w2, 0), w2)
-    return h2, w2, h, w
-
-
-def _check_fused_geometry(a: np.ndarray, out_shape, table: ConversionTable,
-                          geo, transpose: bool) -> np.ndarray:
-    if a.ndim != 2:
-        raise ValueError(f"expected 2-D input, got ndim={a.ndim}")
-    src = a.T if transpose else a
-    if src.shape != out_shape:
-        raise ValueError(f"op(a) shape {src.shape} != destination {out_shape}")
-    if (table.rows, table.cols) != out_shape or (
-        table.tile_r, table.tile_c, table.depth
-    ) != geo:
-        raise ValueError(f"{table!r} does not describe the destination")
-    if table.depth < 1:
-        raise ValueError("fused packing needs depth >= 1")
-    return src
-
-
-def dense_to_morton_quadrants(
-    a: np.ndarray, out: MortonMatrix, quads, transpose: bool = False,
-    zero_pad: bool = True, table: ConversionTable | None = None,
-) -> MortonMatrix:
-    """Convert only the listed quadrants of ``op(a)`` into ``out``.
-
-    The fused packing path's partner to :func:`dense_to_morton`: the
-    quadrants an execution actually consumes as plain Morton operands are
-    scattered here, while the remaining quadrant's buffer slot receives a
-    packed operand sum (:func:`pack_morton_quarter`) instead of a copy —
-    the reason the fused path converts one quarter less per operand.
-    ``quads`` is an iterable of ``(qr, qc)`` quadrant coordinates; each
-    converted quadrant's buffer slot is written exactly as
-    :func:`dense_to_morton` would have written it (same elements, same
-    zero pads — a pure copy either way, so results are bit-identical).
-    Requires a ``table`` describing ``out``.
-    """
-    a = np.asarray(a, dtype=out.buf.dtype)
-    if table is None:
-        raise ValueError("dense_to_morton_quadrants requires a table")
-    geo = (out.tile_r, out.tile_c, out.depth)
-    src = _check_fused_geometry(a, out.shape, table, geo, transpose)
-    rows, cols = out.rows, out.cols
-    quarter = out.size // 4
-    buf = out.buf
-    quads = tuple(quads)
-    if zero_pad:
-        for qr, qc in quads:
-            h2, w2, h, w = _quad_extent(table, qr, qc)
-            if h < h2 or w < w2:
-                z = (qr << 1) | qc
-                buf[z * quarter : (z + 1) * quarter] = 0.0
-
-    skip = _ALL_QUADS - set(quads)
-    if len(quads) == 3 and len(skip) == 1 and (
-        src.flags.c_contiguous or src.flags.f_contiguous
-    ):
-        # Fast path for the fused-packing shape (all quadrants but one):
-        # the included region is one contiguous half of the source — the
-        # row half (C order) or column half (F order) not containing the
-        # skipped quadrant — plus one quadrant.  The half scatters
-        # through a contiguous slice of the full flat pairing at the
-        # same per-element cost as a whole-matrix indexed conversion;
-        # the leftover quadrant uses its cached index pairs.
-        (sr, sc), = skip
-        if src.flags.c_contiguous:
-            flat_idx, flat_src = table.flat_c, src.reshape(-1)
-            hh = min((table.tile_r << table.depth) >> 1, rows)
-            sl = (slice(0, hh * cols) if sr == 1
-                  else slice(hh * cols, rows * cols))
-            rem = (sr, 1 - sc)
-        else:
-            flat_idx, flat_src = table.flat_f, src.T.reshape(-1)
-            ww = min((table.tile_c << table.depth) >> 1, cols)
-            sl = (slice(0, ww * rows) if sc == 1
-                  else slice(ww * rows, rows * cols))
-            rem = (1 - sr, sc)
-        buf[flat_idx[sl]] = flat_src[sl]
-        order = "C" if src.flags.c_contiguous else "F"
-        idx_m, idx_s = table.quarter_pairs(rem, order)
-        if idx_m.size:
-            buf[idx_m] = flat_src[idx_s]
-        return out
-
-    for qr, qc in quads:
-        h2, w2, h, w = _quad_extent(table, qr, qc)
-        if h and w:
-            r0, c0 = qr * h2, qc * w2
-            buf[table.offsets[r0 : r0 + h, c0 : c0 + w]] = (
-                src[r0 : r0 + h, c0 : c0 + w]
-            )
-    return out
-
-
-def pack_morton_quarter(
-    dst: np.ndarray, a: np.ndarray, op: str, quad0, quad1,
-    table: ConversionTable, transpose: bool = False,
-) -> None:
-    """Fused convert-and-add: scatter ``Q0 <op> Q1`` into a quarter buffer.
-
-    ``Q0``/``Q1`` are quadrants (``(qr, qc)`` coordinates) of the *dense*
-    operand ``op(a)``; ``dst`` is a flat Morton quarter buffer (an operand
-    quadrant slot or one level of recursion scratch).  One read of each
-    source quadrant produces the Winograd operand sum directly in Morton
-    order — the separate full-size add pass over already-converted
-    quadrants disappears.
-
-    Bit-identity with the two-pass path is maintained region by region:
-    where both quadrants have logical elements the scatter stores
-    ``np.add``/``np.subtract`` of the same two values the two-pass ufunc
-    saw; where exactly one side is pad the literal ``x + 0.0`` /
-    ``0.0 - x`` is computed (matching IEEE-754 signed-zero behaviour of
-    adding a zeroed pad); where both are pad the destination holds the
-    ``+0.0`` that ``0 +/- 0`` produces.
-    """
-    a = np.asarray(a, dtype=dst.dtype)
-    geo = (table.tile_r, table.tile_c, table.depth)
-    src = _check_fused_geometry(a, (table.rows, table.cols), table, geo,
-                                transpose)
-    ufunc = np.add if op == "+" else np.subtract
-    quad = table.quad_offsets
-    (qr0, qc0), (qr1, qc1) = quad0, quad1
-    h2, w2, h0, w0 = _quad_extent(table, qr0, qc0)
-    _, _, h1, w1 = _quad_extent(table, qr1, qc1)
-    s0 = src[qr0 * h2 : qr0 * h2 + h0, qc0 * w2 : qc0 * w2 + w0]
-    s1 = src[qr1 * h2 : qr1 * h2 + h1, qc1 * w2 : qc1 * w2 + w1]
-    hc, wc = min(h0, h1), min(w0, w1)
-    dst[:] = 0.0
-    if hc and wc:
-        dst[quad[:hc, :wc]] = ufunc(s0[:hc, :wc], s1[:hc, :wc])
-
-    # The two quadrants' logical regions share the (hc, wc) core; each
-    # remainder (disjoint from the other's) pairs with the other side's
-    # zeroed pad.
-    def remainder(s, h, w, left):
-        if h and w > wc:
-            part = s[:, wc:w]
-            dst[quad[:h, wc:w]] = (
-                ufunc(part, 0.0) if left else ufunc(0.0, part)
-            )
-        if wc and h > hc:
-            part = s[hc:h, :wc]
-            dst[quad[hc:h, :wc]] = (
-                ufunc(part, 0.0) if left else ufunc(0.0, part)
-            )
-
-    remainder(s0, h0, w0, True)
-    remainder(s1, h1, w1, False)
+    blk = np.empty((n_items, m.cols, m.rows), dtype=m.buf.dtype)
+    for d, v in _block_views(blk.transpose(0, 2, 1), m.buf[:n_items],
+                             _geometry(m)):
+        np.copyto(d, v)
+    return [blk[i].T for i in range(n_items)]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .padding import TileRange, Tiling, select_tiling
+from .padding import TileRange, Tiling
 
 __all__ = ["MortonMatrix", "BatchMortonMatrix", "staggered_buffer"]
 

@@ -117,7 +117,8 @@ def element_offsets(i, j, tile_r: int, tile_c: int, depth: int):
     ``tile_c * 2**depth``).  The offset combines the Morton rank of the tile
     with the column-major position inside the tile::
 
-        off = z(i // tile_r, j // tile_c) * tile_r*tile_c + (j % tile_c)*tile_r + (i % tile_r)
+        off = (z(i // tile_r, j // tile_c) * tile_r*tile_c
+               + (j % tile_c)*tile_r + (i % tile_r))
     """
     ii = np.asarray(i, dtype=np.int64)
     jj = np.asarray(j, dtype=np.int64)

@@ -15,7 +15,7 @@ for the exhaustive check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "TileRange",
@@ -94,7 +94,8 @@ class Tiling:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
         if self.padded < self.n:
             raise ValueError(
-                f"tile {self.tile} * 2^{self.depth} = {self.padded} cannot hold n={self.n}"
+                f"tile {self.tile} * 2^{self.depth} = {self.padded} "
+                f"cannot hold n={self.n}"
             )
 
 

@@ -1,4 +1,4 @@
-"""Tile-grid enumeration helpers shared by conversion and trace generation.
+"""Tile-grid enumeration helpers shared by the pad check and trace generation.
 
 The tile grid of a depth-``d`` Morton matrix is always square,
 ``2**d x 2**d`` (a GEMM unfolds every dimension to the same depth), so the
@@ -44,8 +44,7 @@ def tile_spans(
     """Cached ``(row0, col0, offset)`` arrays for all tiles in z-order.
 
     The vectorised twin of :func:`iter_tiles`: one array triple instead of
-    ``4**depth`` ``TileSpan`` objects, shared by the conversion loop and
-    the precomputed-index conversion tables.
+    ``4**depth`` ``TileSpan`` objects.
     """
     ti, tj = zorder_table(depth)
     row0 = ti * tile_r

@@ -1,7 +1,7 @@
 """Structured execution tracing and invariant checking for the engine.
 
-Performance layers (low-memory schedules, stacked batching, fused
-packing) turned the engine into a pooled-buffer system whose failure
+Performance layers (low-memory schedules, stacked batching, pooled
+buffers) turned the engine into a pooled-buffer system whose failure
 paths are invisible to end-to-end timing.  This package makes the
 *actual* execution observable — the same methodological stance as the
 paper's ATOM-instrumented cache traces and the BLIS Strassen
@@ -9,7 +9,7 @@ instrumentation of Huang et al.: claims about the algorithm live or die
 on traces of what really ran.
 
 * :mod:`repro.observe.trace` — a per-session ring buffer of typed events
-  (:class:`Tracer`): plan compile/hit/evict, conversions, packing, S/T/U
+  (:class:`Tracer`): plan compile/hit/evict, conversions, S/T/U
   additions, leaf products, relabels, accumulates, executions, plan-store
   lookups and autotune trials, each stamped with a monotonic timestamp and
   thread id.  Disabled-mode cost at every instrumented site is a single

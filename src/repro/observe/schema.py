@@ -16,7 +16,9 @@ consumer or document bumps ``TRACE_SCHEMA_VERSION`` and the ``version``
 const below.  Version 2 dropped the kinds nothing emits any more
 (``batch_stripe``, ``worker_start``/``worker_steal``/``worker_finish``,
 ``error``, ``cancel``) and ``exec``'s ``parallel`` field, so version-1
-documents carrying them no longer validate.
+documents carrying them no longer validate.  Version 3 dropped ``pack``
+(the fused convert-and-add packing it timed is gone) and ``convert``'s
+``indexed``/``fused`` data.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ __all__ = [
 ]
 
 #: Current trace-document version (the ``version`` field of every dump).
-TRACE_SCHEMA_VERSION = 2
+TRACE_SCHEMA_VERSION = 3
 
 #: The closed vocabulary of event kinds (the schema rejects others).
 EVENT_KINDS = (
@@ -42,7 +44,6 @@ EVENT_KINDS = (
     "exec",           # one plan execution completed (phase breakdown)
     "accumulate",     # a beta-scaled fold of a product into a live C
     "relabel",        # a transpose served by Morton quadrant relabeling
-    "pack",           # a fused convert-and-add packing pass (additive, v1)
     "store_lookup",   # a plan-store consult during key resolution (additive, v1)
     "autotune_trial", # one timed candidate execution of the autotuner (additive, v1)
 )

@@ -78,13 +78,17 @@ class TraceEvent:
 class Tracer:
     """A thread-safe, fixed-capacity event buffer with observer hooks.
 
+    The default ``capacity`` holds one traced default-plan call at n=1024
+    (about 58.8k events); the deque grows only as events arrive, so an
+    idle or untraced tracer holds nothing.
+
     Created (always) by :class:`repro.engine.GemmSession`; ``enabled``
     starts False unless the session was built with ``trace=True`` and can
     be toggled at any time — instrumented sites check it per emission, so
     enabling mid-stream starts capturing immediately.
     """
 
-    def __init__(self, capacity: int = 8192, enabled: bool = False) -> None:
+    def __init__(self, capacity: int = 1 << 16, enabled: bool = False) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity

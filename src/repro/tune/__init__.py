@@ -8,8 +8,7 @@ on-disk database of per-shape plan decisions and calibration artifacts;
 pruning via :mod:`repro.cachesim.rank`, then interleaved on-host timing)
 and writes the winners back.  A :class:`repro.engine.GemmSession` opened
 against a warm store replays every decision — truncation point,
-memory, kernel, conversion-path calibration, accumulate-scratch cap —
-with zero per-site calibration runs.
+memory, kernel, accumulate-scratch cap — with no trial runs.
 
 Run ``python -m repro.tune --help`` for the command-line tuner.
 """

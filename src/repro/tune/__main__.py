@@ -71,19 +71,12 @@ def main(argv=None) -> int:
         "--margin", type=float, default=0.01,
         help="fraction a challenger must beat the default by (default: 0.01)",
     )
-    parser.add_argument(
-        "--no-fused-pack", action="store_true",
-        help="tune with fused convert-and-add packing disabled",
-    )
     args = parser.parse_args(argv)
 
     from ..engine.session import GemmSession
 
     store_path = args.store or os.environ.get(PLAN_STORE_ENV, "").strip()
-    session = GemmSession(
-        plan_store=store_path or None,
-        fused_pack=not args.no_fused_pack,
-    )
+    session = GemmSession(plan_store=store_path or None)
     kernels = (
         tuple(k.strip() for k in args.kernels.split(",") if k.strip())
         if args.kernels else None

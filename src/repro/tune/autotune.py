@@ -20,9 +20,7 @@ a database tunes query plans:
 4. **Persist** — the winner (which must beat the default's median by
    more than ``margin``, else the default wins — hysteresis keeps noisy
    ties on the safe side) is recorded in the plan store together with
-   the leaf kernels' current accumulate-scratch cap, and every
-   conversion-site calibration verdict observed during the trials rides
-   along automatically (the trial session shares the store).
+   the leaf kernels' current accumulate-scratch cap.
 
 By default the searched space is **bit-identity preserving**: memory
 variations produce bit-identical results by construction, and ``(T, d)``
@@ -210,7 +208,7 @@ def autotune(
     """Tune ``shapes`` in the context of ``session``; persist to its store.
 
     ``session`` provides the defaults being tuned *against* (policy,
-    kernel, variant, memory, ``fused_pack``) and normally the
+    kernel, variant, memory) and normally the
     :class:`~repro.tune.store.PlanStore` that receives the winners
     (``store=`` overrides it; with neither, results live only in the
     returned :class:`TuneResult`).  ``machine`` picks the offline pruning
@@ -224,9 +222,8 @@ def autotune(
     feasible ``(T, d)`` grid and ``kernels=`` adds leaf-kernel choices —
     both can change result bits; see the module docstring.
 
-    Trial executions run in a *scratch* session sharing the store (so
-    conversion-site calibrations persist) and the tracer (so
-    ``autotune_trial`` events land in the owner's trace).
+    Trial executions run in a *scratch* session that leaves the store
+    alone; their ``autotune_trial`` events land in the owner's trace.
     """
     # Imported here, not at module level: the cache simulator (and the
     # analysis package it pulls in) costs every ``import repro`` otherwise.
@@ -240,7 +237,6 @@ def autotune(
     machine = resolve_machine(machine)
     the_store = store if store is not None else session.plan_store
     variant = session.default_variant
-    fused_pack = session.fused_pack
 
     # Bit-identity-preserving default axis.  A non-winograd session
     # default cannot vary memory at all.
@@ -298,8 +294,7 @@ def autotune(
             ))
 
         # One scratch trial context: per-call policy always explicit, so
-        # nothing here consults the store — but site calibrations made
-        # during the trials are recorded through it.
+        # nothing here consults the store.
         a = np.asfortranarray(rng.standard_normal((m, k)), dtype=dtype)
         b = np.asfortranarray(rng.standard_normal((k, n)), dtype=dtype)
         medians: dict[str, float] = {}
@@ -307,8 +302,7 @@ def autotune(
             capacity=max(len(cands) + 1, 4),
             kernel=session.default_kernel,
             variant=variant,
-            fused_pack=fused_pack,
-            plan_store=the_store,
+            plan_store=None,
         ) as trial:
             def run_once(c: Candidate) -> float:
                 t0 = time.perf_counter()
@@ -319,8 +313,8 @@ def autotune(
                 )
                 return time.perf_counter() - t0
 
-            # Warm-up: compile every plan and let the conversion-site
-            # calibration settle before any timed round.
+            # Warm-up: compile every plan and touch its buffers before
+            # any timed round.
             for c in cands:
                 run_once(c)
                 run_once(c)
@@ -411,7 +405,7 @@ def autotune(
                     measured_seconds=medians[winner.label],
                     source="autotune",
                 ),
-                dtype=dtype, variant=variant, fused_pack=fused_pack,
+                dtype=dtype, variant=variant,
             )
             the_store.set_artifact("accumulate_cap", get_accumulate_cap())
 

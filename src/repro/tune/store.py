@@ -5,10 +5,8 @@ same per-shape decisions — truncation point ``(T, d)``, memory
 schedule, leaf kernel — and throws them away at exit.
 A production system warms up *once*: this module serializes those
 decisions to a versioned on-disk JSON document shared across sessions and
-processes (the query-planner pattern), alongside the calibration
-artifacts the engine otherwise re-measures per plan site (the
-:class:`~repro.layout.convert.ConversionTable` loop-vs-indexed outcomes
-and the leaf kernels' accumulate-scratch cap).
+processes (the query-planner pattern), alongside calibration artifacts
+such as the leaf kernels' accumulate-scratch cap.
 
 Design constraints, in order:
 
@@ -33,31 +31,29 @@ The document schema (``version`` 1)::
       "schema": "repro.plan_store",
       "version": 1,
       "entries": {
-        "513x513x513:float64:winograd:fp=True": {
+        "513x513x513:float64:winograd": {
           "tile_m": 33, "tile_k": 33, "tile_n": 33, "depth": 4,
           "memory": "two_temp", "kernel": "numpy",
           "modelled_seconds": 0.41, "measured_seconds": 0.052,
           "source": "autotune"
         }, ...
       },
-      "calibrations": {
-        "513x513x513:t33x33:d4:float64": {"mode": "indexed",
-                                          "baseline": 0.0021}, ...
-      },
       "artifacts": {"accumulate_cap": 1048576}
     }
 
 Entry keys are :func:`shape_key` strings — the *calling context* of a
-lookup: GEMM dims, computation dtype, recursion variant and the
-session's ``fused_pack`` mode.  The stored decision supplies what the
-planner would otherwise choose heuristically: the per-dimension
-truncation tiles and depth (applied as a pinned
+lookup: GEMM dims, computation dtype and recursion variant.  The stored
+decision supplies what the planner would otherwise choose heuristically:
+the per-dimension truncation tiles and depth (applied as a pinned
 :class:`~repro.core.truncation.TruncationPolicy`), the memory schedule
-and the leaf kernel.  An entry written by an older build may still carry
-a ``"schedule"`` field; it loads with that field ignored, and the next
-:meth:`PlanStore.flush` rewrites it without it.  Calibration keys are
-:func:`repro.layout.convert.calibration_key` strings — pure conversion
-geometry, shared by every plan that converts that geometry.
+and the leaf kernel.
+
+Documents written by older builds still load.  An entry may carry a
+``"schedule"`` field, or a key ending in ``:fp=True``/``:fp=False`` (a
+fused-packing mode that no longer exists; where both twins exist the
+``fp=True`` one, the old default, wins); a ``"calibrations"`` section of
+conversion-site verdicts is ignored.  Such a document counts as dirty,
+so the next :meth:`PlanStore.flush` rewrites it in the current form.
 """
 
 from __future__ import annotations
@@ -115,16 +111,38 @@ def shape_key(
     m: int, k: int, n: int,
     dtype: str = "float64",
     variant: str = "winograd",
-    fused_pack=True,
 ) -> str:
     """The store key of one lookup context.
 
     Encodes everything that changes which decision is *applicable*: the
-    GEMM dims, the computation dtype, the recursion variant and the
-    session's ``fused_pack`` mode (fusion shifts the conversion/add cost
-    balance, so a decision tuned under one mode does not transfer).
+    GEMM dims, the computation dtype and the recursion variant.
     """
-    return f"{int(m)}x{int(k)}x{int(n)}:{dtype}:{variant}:fp={fused_pack}"
+    return f"{int(m)}x{int(k)}x{int(n)}:{dtype}:{variant}"
+
+
+def _current_decisions(entries: dict) -> dict:
+    """The decisions in ``entries`` that parse, keyed by current
+    :func:`shape_key` strings.
+
+    An older build suffixed each key with its fused-packing mode
+    (``:fp=True``/``:fp=False``).  The suffix is dropped; of two twins the
+    ``fp=True`` entry wins, and a current key beats both.  Only entries
+    that parse compete, so a malformed winner never hides a valid twin.
+    """
+    out: dict = {}
+    ranks: dict = {}
+    for key, entry in entries.items():
+        decision = _parse_decision(entry)
+        if decision is None:
+            continue
+        base, sep, mode = key.rpartition(":fp=")
+        if sep:
+            rank = 1 if mode == "True" else 0
+        else:
+            base, rank = key, 2
+        if rank > ranks.get(base, -1):
+            out[base], ranks[base] = decision, rank
+    return out
 
 
 @dataclass(frozen=True)
@@ -233,9 +251,9 @@ class PlanStore:
     nothing.  All methods are thread-safe; cross-*process* safety is the
     job of :meth:`flush` (advisory lock + atomic replace).  In-memory
     state is a cache over the file: :meth:`lookup` answers from memory,
-    :meth:`record`/:meth:`record_calibration`/:meth:`set_artifact` mark
-    entries dirty, and :meth:`flush` merges the dirty set over whatever
-    is on disk at that moment.
+    :meth:`record`/:meth:`set_artifact` mark entries dirty, and
+    :meth:`flush` merges the dirty set over whatever is on disk at that
+    moment.
     """
 
     def __init__(self, path: "str | os.PathLike[str]") -> None:
@@ -243,11 +261,11 @@ class PlanStore:
         self._lock = threading.RLock()
         self._loaded = False
         self._entries: dict[str, StoredDecision] = {}
-        self._calibrations: dict[str, dict] = {}
         self._artifacts: dict[str, object] = {}
         self._dirty_entries: set[str] = set()
-        self._dirty_calibrations: set[str] = set()
         self._dirty_artifacts: set[str] = set()
+        # The document read holds older-build content to rewrite.
+        self._legacy = False
 
     # -------------------------------------------------------------- resolve
 
@@ -285,23 +303,15 @@ class PlanStore:
         ``overwrite=False`` keeps any in-memory value over the disk's
         (locally recorded state is newer than what was read); malformed
         individual entries are skipped so one bad record cannot poison
-        the rest of a mostly-good store.
+        the rest of a mostly-good store.  Older-build content (see the
+        module docstring) marks the store dirty.
         """
-        for key, entry in (doc.get("entries") or {}).items():
-            if not overwrite and key in self._entries:
-                continue
-            try:
-                self._entries[key] = StoredDecision.from_doc(entry)
-            except (KeyError, TypeError, ValueError):
-                continue
-        for key, cal in (doc.get("calibrations") or {}).items():
-            if not overwrite and key in self._calibrations:
-                continue
-            if isinstance(cal, dict) and cal.get("mode") in ("indexed", "loop"):
-                self._calibrations[key] = {
-                    "mode": cal["mode"],
-                    "baseline": float(cal.get("baseline", 0.0)),
-                }
+        raw = doc.get("entries") or {}
+        if "calibrations" in doc or any(":fp=" in key for key in raw):
+            self._legacy = True
+        for key, decision in _current_decisions(raw).items():
+            if overwrite or key not in self._entries:
+                self._entries[key] = decision
         for key, value in (doc.get("artifacts") or {}).items():
             if not overwrite and key in self._artifacts:
                 continue
@@ -317,9 +327,7 @@ class PlanStore:
         """True when in-memory state has not been flushed to disk."""
         with self._lock:
             return bool(
-                self._dirty_entries
-                or self._dirty_calibrations
-                or self._dirty_artifacts
+                self._dirty_entries or self._dirty_artifacts or self._legacy
             )
 
     # -------------------------------------------------------------- entries
@@ -328,25 +336,21 @@ class PlanStore:
         self, m: int, k: int, n: int,
         dtype: str = "float64",
         variant: str = "winograd",
-        fused_pack=True,
     ) -> StoredDecision | None:
         """The stored decision for one lookup context, or ``None``."""
         self._ensure_loaded()
         with self._lock:
-            return self._entries.get(
-                shape_key(m, k, n, dtype, variant, fused_pack)
-            )
+            return self._entries.get(shape_key(m, k, n, dtype, variant))
 
     def record(
         self, m: int, k: int, n: int,
         decision: StoredDecision,
         dtype: str = "float64",
         variant: str = "winograd",
-        fused_pack=True,
     ) -> str:
         """Store a decision for one lookup context; returns its key."""
         self._ensure_loaded()
-        key = shape_key(m, k, n, dtype, variant, fused_pack)
+        key = shape_key(m, k, n, dtype, variant)
         with self._lock:
             self._entries[key] = decision
             self._dirty_entries.add(key)
@@ -357,33 +361,6 @@ class PlanStore:
         self._ensure_loaded()
         with self._lock:
             return dict(self._entries)
-
-    # --------------------------------------------------------- calibrations
-
-    def lookup_calibration(self, site_key: str) -> dict | None:
-        """The persisted loop-vs-indexed outcome for one conversion site.
-
-        Returns ``{"mode": "indexed" | "loop", "baseline": seconds}`` or
-        ``None`` when the site has never been calibrated.
-        """
-        self._ensure_loaded()
-        with self._lock:
-            return self._calibrations.get(site_key)
-
-    def record_calibration(
-        self, site_key: str, mode: str, baseline: float = 0.0
-    ) -> None:
-        """Persist one conversion site's calibration outcome."""
-        if mode not in ("indexed", "loop"):
-            raise ValueError(
-                f"calibration mode must be 'indexed' or 'loop', got {mode!r}"
-            )
-        self._ensure_loaded()
-        with self._lock:
-            self._calibrations[site_key] = {
-                "mode": mode, "baseline": float(baseline),
-            }
-            self._dirty_calibrations.add(site_key)
 
     # ------------------------------------------------------------ artifacts
 
@@ -428,10 +405,6 @@ class PlanStore:
             self._ensure_loaded()
             entries = {k: self._entries[k] for k in self._dirty_entries
                        if k in self._entries}
-            calibrations = {
-                k: self._calibrations[k] for k in self._dirty_calibrations
-                if k in self._calibrations
-            }
             artifacts = {k: self._artifacts[k] for k in self._dirty_artifacts
                          if k in self._artifacts}
         handle = self._locked_file()
@@ -440,21 +413,20 @@ class PlanStore:
             doc = {
                 "schema": STORE_SCHEMA,
                 "version": STORE_VERSION,
-                "entries": dict(disk.get("entries") or {}),
-                "calibrations": dict(disk.get("calibrations") or {}),
+                # Disk records are rewritten in the current form: one that
+                # fails to parse would survive every future merge
+                # otherwise, and one from an older build may carry keys
+                # or fields this one dropped.
+                "entries": {
+                    k: d.as_doc() for k, d in _current_decisions(
+                        disk.get("entries") or {}
+                    ).items()
+                },
                 "artifacts": dict(disk.get("artifacts") or {}),
-            }
-            # Rewrite disk records in the current form: one that fails to
-            # parse would survive every future merge otherwise, and one
-            # from an older build may carry fields this one dropped.
-            parsed = {k: _parse_decision(v) for k, v in doc["entries"].items()}
-            doc["entries"] = {
-                k: d.as_doc() for k, d in parsed.items() if d is not None
             }
             doc["entries"].update(
                 {k: d.as_doc() for k, d in entries.items()}
             )
-            doc["calibrations"].update(calibrations)
             doc["artifacts"].update(artifacts)
             fd, tmp_name = tempfile.mkstemp(
                 prefix=self.path.name + ".", suffix=".tmp",
@@ -476,8 +448,8 @@ class PlanStore:
                 # entries too, then clear the dirty sets.
                 self._absorb_doc(doc, overwrite=False)
                 self._dirty_entries.clear()
-                self._dirty_calibrations.clear()
                 self._dirty_artifacts.clear()
+                self._legacy = False
         finally:
             if fcntl is not None:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)

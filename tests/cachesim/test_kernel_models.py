@@ -1,6 +1,5 @@
 """Unit tests for the two leaf-kernel trace models (jki vs blocked)."""
 
-import numpy as np
 import pytest
 
 from repro.cachesim.cache import CacheConfig
@@ -13,7 +12,7 @@ from repro.cachesim.tracegen import (
     modgemm_trace,
 )
 from repro.cachesim.vectorized import DirectMappedCache
-from repro.layout.padding import TileRange, select_common_tiling
+from repro.layout.padding import select_common_tiling
 
 
 class TestBlockedTrace:

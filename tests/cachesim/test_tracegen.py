@@ -1,6 +1,5 @@
 """Unit tests for the instrumented trace generators (the ATOM substitute)."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.flops import (
@@ -23,7 +22,7 @@ from repro.cachesim.tracegen import (
 from repro.core.winograd import winograd_multiply
 from repro.core.workspace import Workspace
 from repro.layout.matrix import MortonMatrix
-from repro.layout.padding import TileRange, select_common_tiling
+from repro.layout.padding import select_common_tiling
 
 
 class TestMatmulTrace:

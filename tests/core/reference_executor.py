@@ -92,8 +92,7 @@ class ViewOps:
         return lambda *args, **kw: fn(*(m.buf for m in args), **kw)
 
 
-def reference_run(table, a, b, c, ops, workspace=None, alpha=1.0,
-                  prepacked=False) -> None:
+def reference_run(table, a, b, c, ops, workspace=None, alpha=1.0) -> None:
     """``c = alpha . a . b`` with ``table``, descending through view objects.
 
     ``ops`` is a view-vocabulary backend (wrap array backends in
@@ -128,7 +127,7 @@ def reference_run(table, a, b, c, ops, workspace=None, alpha=1.0,
     levels = [level_slots(d) for d in range(a.depth)]
     leaf = bind_pass(ops, "leaf_mult")
     passes = {op: bind_pass(ops, op) for op in table.ops}
-    program = table._programs[prepacked]
+    program = table._program
     finals = {
         op: bind_pass(ops, op, alpha) for op, final, *_ in program if final
     }
@@ -156,8 +155,8 @@ def reference_run(table, a, b, c, ops, workspace=None, alpha=1.0,
         ]
 
     if a.depth > 1:
-        inner = bind(table._programs[False], rec, passes)
-        last = bind(table._programs[False], leaf, passes)
+        inner = bind(program, rec, passes)
+        last = bind(program, leaf, passes)
     top = bind(program, rec if a.depth > 1 else leaf, finals)
     execute(top, (*quadrants(a), *quadrants(b), *quadrants(c), *levels[-1]))
 

@@ -9,34 +9,22 @@ warm execute must build no per-node matrix objects at all.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cachesim.trace import TraceCollector
 from repro.cachesim.tracegen import TraceOps
 from repro.core.ops import NumpyOps
 from repro.core.strassen import STRASSEN_TABLE
-from repro.core.winograd import FUSED_PACKS_A, FUSED_PACKS_B, SCHEDULE_TABLES
+from repro.core.winograd import SCHEDULE_TABLES
 from repro.engine import GemmSession
 from repro.layout import matrix, relabel
 from repro.layout.padding import select_common_tiling
-from repro.layout.relabel import quadrant_slices, transposed_view
+from repro.layout.relabel import transposed_view
 
 from .reference_executor import Transposed, ViewOps, morton, reference_run
 
 TABLES = {**SCHEDULE_TABLES, "strassen": STRASSEN_TABLE}
-
-
-def _fill_packs(table, a, b, c, ws):
-    """Form the top level's packed sums in place, as fused conversion does."""
-    sums = {}
-    for m, packs in ((a, FUSED_PACKS_A), (b, FUSED_PACKS_B)):
-        quads = quadrant_slices(m.buf)
-        for label, sign, (r0, c0), (r1, c1) in packs:
-            ufunc = np.add if sign == "+" else np.subtract
-            sums[label] = ufunc(quads[2 * r0 + c0], quads[2 * r1 + c1])
-    for label, dst in table.pack_buffers(a, b, c, ws).items():
-        dst[...] = sums[label]
 
 
 @settings(max_examples=80, deadline=None)
@@ -45,21 +33,17 @@ def _fill_packs(table, a, b, c, ws):
     depth=st.integers(0, 4),
     tiles=st.tuples(*[st.integers(1, 3)] * 3),
     alpha=st.sampled_from([1.0, 0.5]),
-    prepacked=st.booleans(),
     trans=st.tuples(st.booleans(), st.booleans()),
     batch=st.sampled_from([None, 1, 3]),
     dtype=st.sampled_from([np.float64, np.float32]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_bit_identical_to_view_reference(name, depth, tiles, alpha, prepacked,
-                                         trans, batch, dtype, seed):
+def test_bit_identical_to_view_reference(name, depth, tiles, alpha, trans,
+                                         batch, dtype, seed):
     table = TABLES[name]
     if table.in_place:
         tiles = (tiles[0],) * 3
         trans, batch = (False, False), None
-    if prepacked:
-        assume(table.pack_slots is not None and depth >= 1)
-        trans = (False, False)
     tm, tk, tn = tiles
     rng = np.random.default_rng(seed)
     lead = () if batch is None else (batch,)
@@ -80,8 +64,6 @@ def test_bit_identical_to_view_reference(name, depth, tiles, alpha, prepacked,
         ws = table.workspace(depth, tm, tk, tn, dtype=dtype, cap=batch)
         if batch is not None:
             ws = ws.view(0, batch)
-        if prepacked:
-            _fill_packs(table, a, b, c, ws)
         executor(a, b, c, ws)
         return c.buf
 
@@ -90,14 +72,14 @@ def test_bit_identical_to_view_reference(name, depth, tiles, alpha, prepacked,
             a = transposed_view(a)
         if trans[1]:
             b = transposed_view(b)
-        table.run(a, b, c, NumpyOps(), ws, alpha, prepacked)
+        table.run(a, b, c, NumpyOps(), ws, alpha)
 
     def reference(a, b, c, ws):
         if trans[0]:
             a = Transposed(a)
         if trans[1]:
             b = Transposed(b)
-        reference_run(table, a, b, c, ViewOps(NumpyOps()), ws, alpha, prepacked)
+        reference_run(table, a, b, c, ViewOps(NumpyOps()), ws, alpha)
 
     assert np.array_equal(run(lowered), run(reference))
 

@@ -5,17 +5,17 @@ power of alpha per term).  The real executor runs the real table over
 real depth-1 buffers and a real workspace; the symbolic backend keys each
 value on the address of the buffer it lives in, so the executor's own
 slicing, leaf views and scratch aliasing (two_temp's S/P) are exactly
-what is checked, for the derived variants — prepacked top level, alpha on
-the final writes — too.
+what is checked, for the derived variants — alpha on the final writes,
+relabeled (transposed) A and B — too.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.strassen import STRASSEN_TABLE
-from repro.core.winograd import FUSED_PACKS_A, FUSED_PACKS_B, SCHEDULE_TABLES
+from repro.core.winograd import SCHEDULE_TABLES
 from repro.layout.matrix import MortonMatrix
-from repro.layout.relabel import quadrant_slices
+from repro.layout.relabel import quadrant_slices, transposed_view
 
 
 def _addr(x):
@@ -94,38 +94,34 @@ def _depth1():
 
 QUADS_AB = [f"{m}{i}{j}" for m in "AB" for i in (1, 2) for j in (1, 2)]
 
+# The engine relabels a transposed A or B only for the out-of-place
+# Winograd tables; in-place ones and Strassen always see plain operands.
 VARIANTS = [
-    (name, prepacked, alpha)
+    (name, relabeled, alpha)
     for name in SCHEDULE_TABLES
-    for prepacked in (False, True)
+    for relabeled in (False, True)
     for alpha in (1.0, 0.5)
+    if not (relabeled and SCHEDULE_TABLES[name].in_place)
 ] + [("strassen", False, 1.0), ("strassen", False, 0.5)]
 
 
-@pytest.mark.parametrize("name,prepacked,alpha", VARIANTS)
-def test_table_computes_every_c_quadrant(name, prepacked, alpha):
+@pytest.mark.parametrize("name,relabeled,alpha", VARIANTS)
+def test_table_computes_every_c_quadrant(name, relabeled, alpha):
     table = STRASSEN_TABLE if name == "strassen" else SCHEDULE_TABLES[name]
     a, b, c = _depth1()
     ws = table.workspace(1, 2, 2, 2)
     ops = SymOps()
     quads = {}
     for side, m in (("A", a), ("B", b), ("C", c)):
+        # A relabeled operand stores its op-geometry 12 and 21 swapped.
         for (i, j), q in zip(((1, 1), (1, 2), (2, 1), (2, 2)),
-                             quadrant_slices(m.buf)):
+                             quadrant_slices(m.buf, relabeled and side != "C")):
             quads[f"{side}{i}{j}"] = q
     for slot in QUADS_AB:
         ops.vals[_addr(quads[slot])] = {((slot,), 0): 1}
-    if prepacked:
-        # Place the packed sums where the fused conversion would.
-        packs = {}
-        for side, table_packs in (("A", FUSED_PACKS_A), ("B", FUSED_PACKS_B)):
-            for label, sign, (r0, c0), (r1, c1) in table_packs:
-                x = ops.vals[_addr(quads[f"{side}{r0 + 1}{c0 + 1}"])]
-                y = ops.vals[_addr(quads[f"{side}{r1 + 1}{c1 + 1}"])]
-                packs[label] = _combine((1, x), (1 if sign == "+" else -1, y))
-        for label, buf in table.pack_buffers(a, b, c, ws).items():
-            ops.vals[_addr(buf)] = packs[label]
-    table.run(a, b, c, ops, ws, alpha=alpha, prepacked=prepacked)
+    if relabeled:
+        a, b = transposed_view(a), transposed_view(b)
+    table.run(a, b, c, ops, ws, alpha=alpha)
     power = int(alpha != 1.0)
     for i in (1, 2):
         for j in (1, 2):

@@ -1,12 +1,13 @@
-"""Engine-level tests of fused convert-and-add packing + the kernel registry.
+"""Engine-level tests of the unfused top level, and the kernel registry.
 
-The load-bearing property: a fused plan produces *bitwise identical*
-results to the two-pass plan on every execution path — all three memory
-schedules — because packing performs the same floating-point additions
-on the same values, merely sourced from the dense operand instead of
-the converted quadrants.  Stacked batches never fuse.  The trace
-contract then proves the fusion actually happened: top-level add passes
-disappear and four ``pack`` events take their place.
+Fused convert-and-add packing is gone: conversion is a pure block copy,
+and the recursion forms the top level's S1/S3/T1/T3 sums with its own
+add passes at every level.  The load-bearing property stays the one the
+fused path was held to: the engine's product is *bitwise identical* to
+the two-pass reference — operands converted by a gather through
+:func:`~repro.layout.morton.element_offsets`, the step table run by
+:func:`winograd_multiply` — on all three memory schedules, and stacked
+batches match per-item products.
 """
 
 import numpy as np
@@ -23,13 +24,15 @@ from repro.blas import (
     register_kernel,
     set_accumulate_cap,
 )
+from repro.core.truncation import TruncationPolicy
+from repro.core.winograd import winograd_multiply
 from repro.engine import GemmSession
 from repro.errors import KernelError
-from repro.observe import validate_trace
+from repro.layout.matrix import MortonMatrix
+from repro.layout.morton import element_offsets
 
-# Forces tile 8 / depth >= 1 on the small sizes hypothesis explores, so
-# the fused path is actually exercised (default policy truncates to
-# depth 0 below n=65).
+# Forces tile 8 / depth >= 1 on the small sizes hypothesis explores (the
+# default policy truncates to depth 0 below n=65).
 POLICY = 8
 
 dims = st.integers(min_value=16, max_value=48)
@@ -50,23 +53,45 @@ def _operands(rng, m, k, n, dtype=np.float64):
     return a, b
 
 
+def _two_pass(a, b, memory):
+    """The reference: gather-converted operands, the table's own adds."""
+    tm, tk, tn = TruncationPolicy.coerce(POLICY).plan(
+        a.shape[0], a.shape[1], b.shape[1]
+    )
+
+    def morton(x, tr, tc):
+        r, c = x.shape
+        buf = np.zeros(tr.padded * tc.padded, dtype=x.dtype)
+        offs = element_offsets(np.arange(r)[:, None], np.arange(c)[None, :],
+                               tr.tile, tc.tile, tr.depth)
+        buf[offs] = x
+        return MortonMatrix(buf=buf, rows=r, cols=c, tile_r=tr.tile,
+                            tile_c=tc.tile, depth=tr.depth)
+
+    am, bm = morton(a, tm, tk), morton(b, tk, tn)
+    cm = MortonMatrix(buf=np.empty(tm.padded * tn.padded, dtype=a.dtype),
+                      rows=a.shape[0], cols=b.shape[1], tile_r=tm.tile,
+                      tile_c=tn.tile, depth=tm.depth)
+    winograd_multiply(am, bm, cm, memory=memory)
+    offs = element_offsets(np.arange(cm.rows)[:, None],
+                           np.arange(cm.cols)[None, :],
+                           cm.tile_r, cm.tile_c, cm.depth)
+    return cm.buf[offs]
+
+
 class TestBitIdentity:
     @settings(max_examples=40, deadline=None)
     @given(m=dims, k=dims, n=dims, seed=seeds, memory=memories,
            dtype=dtypes)
     def test_fused_matches_two_pass(self, m, k, n, seed, memory, dtype):
+        # Engine product == gather-converted step-table reference, bitwise.
         rng = np.random.default_rng(seed)
         a, b = _operands(rng, m, k, n, dtype)
-        with GemmSession(policy=POLICY, fused_pack="always",
-                         memory=memory) as s:
-            plan = s.plan(m, k, n)
-            assert plan._fused, "grid geometry must trip the fused gate"
+        with GemmSession(policy=POLICY, memory=memory) as s:
+            assert s.plan(m, k, n).tilings[0].depth >= 1
             c1 = s.multiply(a, b)
             c1b = s.multiply(a, b)  # warm (cached-plan) rerun
-        with GemmSession(policy=POLICY, fused_pack=False,
-                         memory=memory) as s:
-            assert not s.plan(m, k, n)._fused
-            c0 = s.multiply(a, b)
+        c0 = _two_pass(a.astype(c1.dtype), b.astype(c1.dtype), memory)
         assert _bits(c1) == _bits(c0)
         assert _bits(c1b) == _bits(c0)
 
@@ -74,125 +99,51 @@ class TestBitIdentity:
     @given(n=dims, nb=batch_sizes, seed=seeds,
            memory=st.sampled_from(["classic", "two_temp"]), dtype=dtypes)
     def test_batch_fused_matches_two_pass(self, n, nb, seed, memory, dtype):
-        # Stacked batches never fuse; each item still matches its fused
-        # per-item product bit for bit.
+        # Each item of a stacked batch matches its per-item product bit
+        # for bit.
         rng = np.random.default_rng(seed)
         pairs = [_operands(rng, n, n, n, dtype) for _ in range(nb)]
-        with GemmSession(policy=POLICY, fused_pack="always",
-                         memory=memory) as s:
+        with GemmSession(policy=POLICY, memory=memory) as s:
             batched = s.multiply_many(pairs)
-            before = s.stats()
-            if before.batched_executes:
-                assert before.fused_packs == 0
-            fused = [s.multiply(a, b) for a, b in pairs]
-            assert s.stats().fused_packs - before.fused_packs == 4 * nb
-        for c1, c0 in zip(batched, fused):
+            single = [s.multiply(a, b) for a, b in pairs]
+        for c1, c0 in zip(batched, single):
             assert _bits(c1) == _bits(c0)
 
     @pytest.mark.parametrize("memory", ["classic", "ip_overwrite"])
     def test_transposes_alpha_beta(self, rng, memory):
-        # classic relabels transposed operands (fusion steps aside);
-        # ip_overwrite packs straight from the transposed dense source.
+        # classic relabels transposed operands; ip_overwrite converts
+        # straight from the transposed dense source.  Either way the
+        # product matches the call on explicitly transposed copies.
         a = rng.standard_normal((20, 16))
         b = rng.standard_normal((24, 20))
         c = rng.standard_normal((16, 24))
-        kw = dict(op_a="t", op_b="t", alpha=0.5, beta=-1.5)
-        with GemmSession(policy=POLICY, fused_pack="always",
-                         memory=memory) as s:
-            c1 = s.multiply(a, b, c.copy(), **kw)
-        with GemmSession(policy=POLICY, fused_pack=False, memory=memory) as s:
-            c0 = s.multiply(a, b, c.copy(), **kw)
+        with GemmSession(policy=POLICY, memory=memory) as s:
+            c1 = s.multiply(a, b, c.copy(), op_a="t", op_b="t", alpha=0.5,
+                            beta=-1.5)
+            c0 = s.multiply(a.T.copy(), b.T.copy(), c.copy(), alpha=0.5,
+                            beta=-1.5)
         assert _bits(c1) == _bits(c0)
 
 
-# Top-level "add" events each path loses to fusion: the four S1/S3/T1/T3
-# passes, since every addition pass emits exactly one event.
-ADD_DELTAS = [
-    ("classic", None, 4),
-    ("two_temp", None, 4),
-    ("ip_overwrite", None, 4),
-    ("classic", "sequential", 4),
-]
-
-
-class TestTraceContract:
-    def _events(self, rng, memory, schedule, fused):
-        a, b = _operands(rng, 16, 16, 16)
-        with GemmSession(policy=POLICY, trace=True, memory=memory,
-                         fused_pack="always" if fused else False) as s:
-            s.multiply(a, b, schedule=schedule)
-            validate_trace(s.trace.dump())
-            return s.trace.events()
-
-    @pytest.mark.parametrize("memory,schedule,delta", ADD_DELTAS)
-    def test_pack_events_replace_top_level_adds(self, rng, memory, schedule,
-                                                delta):
-        ev_f = self._events(rng, memory, schedule, fused=True)
-        ev_u = self._events(rng, memory, schedule, fused=False)
-        packs_f = [ev for ev in ev_f if ev.kind == "pack"]
-        assert len(packs_f) == 4
-        assert {ev.label for ev in packs_f} == {"S1", "S3", "T1", "T3"}
-        assert all(
-            ev.data and ev.data.get("seconds") is not None for ev in packs_f
-        )
-        assert not any(ev.kind == "pack" for ev in ev_u)
-        adds_f = sum(ev.kind == "add" for ev in ev_f)
-        adds_u = sum(ev.kind == "add" for ev in ev_u)
-        assert adds_u - adds_f == delta
-
-    def test_fused_convert_events_flagged(self, rng):
-        ev = self._events(rng, "classic", None, fused=True)
-        conv = {e.label: e for e in ev if e.kind == "convert"}
-        assert {"a", "b", "c"} <= set(conv)
-        for side in ("a", "b"):
-            assert conv[side].data and conv[side].data.get("fused") is True
-
 class TestGate:
-    def test_default_requires_table_depth(self):
-        # Default fused_pack=True follows the table heuristic: elementwise
-        # gathers only win at depth >= CONVERT_TABLE_MIN_DEPTH.
-        with GemmSession() as s:
-            assert not s.plan(96, 96, 96)._fused  # depth 2
-            assert s.plan(513, 513, 513)._fused  # depth 4
-        with GemmSession(policy=POLICY) as s:
-            assert not s.plan(16, 16, 16)._fused  # depth 1
-
-    def test_always_fuses_any_recursion(self):
-        with GemmSession(policy=POLICY, fused_pack="always") as s:
-            assert s.plan(16, 16, 16)._fused
-
-    def test_false_never_fuses(self):
-        with GemmSession(fused_pack=False) as s:
-            assert not s.plan(513, 513, 513)._fused
-
     def test_invalid_value_rejected(self):
-        with pytest.raises(ValueError, match="fused_pack"):
-            GemmSession(fused_pack="maybe")
-
-    def test_strassen_variant_not_fused(self):
-        # Fusion encodes the Winograd S/T schedule specifically.
-        with GemmSession(fused_pack="always", policy=POLICY) as s:
-            assert not s.plan(16, 16, 16, variant="strassen")._fused
+        # fused_pack= is gone: every value it took is now a TypeError.
+        for value in (True, False, "always"):
+            with pytest.raises(TypeError, match="fused_pack"):
+                GemmSession(fused_pack=value)
 
 
 class TestStats:
     def test_fused_pack_and_convert_counters(self, rng):
+        # Conversion time is counted; no packing counter exists.
         a, b = _operands(rng, 16, 16, 16)
-        with GemmSession(policy=POLICY, fused_pack="always") as s:
+        with GemmSession(policy=POLICY) as s:
             s.multiply(a, b)
             s.multiply(a, b)
             st_ = s.stats()
-            assert st_.fused_packs == 8  # 4 packs per execution
-            assert st_.convert_seconds >= 0.0
-            assert 0.0 <= st_.convert_fraction <= 1.0
-            s.multiply_many([_operands(rng, 16, 16, 16) for _ in range(3)])
-            assert s.stats().fused_packs == 8  # batches never fuse
-
-    def test_unfused_counts_zero(self, rng):
-        a, b = _operands(rng, 16, 16, 16)
-        with GemmSession(policy=POLICY, fused_pack=False) as s:
-            s.multiply(a, b)
-            assert s.stats().fused_packs == 0
+            assert not hasattr(st_, "fused_packs")
+            assert st_.convert_seconds > 0.0
+            assert 0.0 < st_.convert_fraction < 1.0
 
     def test_idle_session_fraction_is_zero(self):
         with GemmSession() as s:

@@ -1,5 +1,7 @@
 """Engine integration of the memory-schedule dimension."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,24 @@ class TestScratchAccounting:
             st = s.stats()
             assert st.peak_scratch_bytes == peak
             assert st.scratch_bytes_allocated >= peak
+
+
+class TestFirstCallPeak:
+    def test_first_call_peak_is_pooled_plus_output(self, rng):
+        # Conversion needs no memory of its own: a fresh session's first
+        # 513 multiply peaks at its pooled Morton operands, product and
+        # workspace plus the dense output it returns.
+        a, b = square(rng, 513)
+        tracemalloc.start()
+        try:
+            s = GemmSession()
+            c = s.multiply(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pooled = s.plan(513, 513, 513).pooled_bytes
+        s.close()
+        assert peak <= 1.05 * (pooled + c.nbytes)
 
 
 class TestMortonPooledOutput:

@@ -1,44 +1,24 @@
-"""Engine x plan-store integration: precedence, key resolution, calibration.
-
-The regression at the heart of this file: a plan's conversion-site
-loop-vs-indexed calibration used to live only on the plan object, so an
-LRU eviction threw the measured verdict away and the next compile of the
-same geometry re-ran both trial executions.  With a plan store attached,
-the verdict persists — across evictions and across sessions.
-"""
+"""Engine x plan-store integration: precedence, key resolution, artifacts,
+and documents written by older builds."""
 
 from __future__ import annotations
 
 import json
 
 import numpy as np
-import pytest
 
 from repro.blas.kernels import get_accumulate_cap, get_kernel, set_accumulate_cap
 from repro.engine.session import GemmSession
-from repro.layout.convert import calibration_key
 from repro.observe.schema import EVENT_KINDS, validate_trace
 from repro.tune.store import (
     STORE_SCHEMA, STORE_VERSION, PlanStore, StoredDecision, shape_key,
 )
 
-# Sites calibrate only at depth >= CONVERT_TABLE_MIN_DEPTH (3); 129 at
-# the default dynamic policy splits to depth 3 (tile 17) or similar only
-# for larger n, so use fused_pack=False + an explicit fixed policy that
-# forces depth >= 3 on a small matrix to keep the test fast.
-N = 136  # 17 * 2**3
-POLICY = 17  # fixed tile 17 -> depth 3 at n=136
-
-
-def _operands(n=N, seed=3):
+def _operands(n, seed=3):
     rng = np.random.default_rng(seed)
     a = np.asfortranarray(rng.standard_normal((n, n)))
     b = np.asfortranarray(rng.standard_normal((n, n)))
     return a, b
-
-
-def _site_modes(plan):
-    return {name: site.mode for name, site in plan._sites.items()}
 
 
 class TestPrecedence:
@@ -173,66 +153,61 @@ class TestKeyResolution:
         assert old["memory"] == "two_temp" and old["kernel"] == "blocked"
         assert shape_key(64, 64, 64) in entries
 
-
-class TestCalibrationPersistence:
-    def test_verdict_survives_eviction(self, tmp_path):
-        """The PR's regression test: eviction no longer re-trials."""
-        a, b = _operands()
-        store = PlanStore(tmp_path / "p.json")
-        with GemmSession(
-            capacity=1, plan_store=store, fused_pack=False,
-        ) as s:
-            s.multiply(a, b, policy=POLICY)
-            s.multiply(a, b, policy=POLICY)  # trial run -> verdicts decided
-            modes = set(_site_modes(s.plan(N, N, N, policy=POLICY)).values())
-            assert modes <= {"indexed", "loop"} and modes
-            # Evict the plan, then recompile the same geometry.
-            s.plan(64, 64, 64, policy=8)
-            plan = s.plan(N, N, N, policy=POLICY)
-            # Preseeded from the store: no site is back in baseline/trial.
-            for mode in _site_modes(plan).values():
-                assert mode == "indexed"
-            # "loop" verdicts skip the site (and its table) entirely:
-            # every surviving site is indexed, none needs a trial.
-
-    def test_without_store_eviction_retrials(self, tmp_path):
-        """The pre-store behaviour this PR fixes, kept as a contrast."""
-        a, b = _operands()
-        with GemmSession(capacity=1, plan_store=None, fused_pack=False) as s:
-            s.multiply(a, b, policy=POLICY)
-            s.multiply(a, b, policy=POLICY)
-            s.plan(64, 64, 64, policy=8)  # evict
-            plan = s.plan(N, N, N, policy=POLICY)
-            for mode in _site_modes(plan).values():
-                assert mode == "baseline"  # recalibration from scratch
-
-    def test_verdict_survives_sessions(self, tmp_path):
-        a, b = _operands()
+    def test_fused_pack_era_store_loads_and_flushes_current_form(
+        self, tmp_path,
+    ):
+        # Older stores keyed each entry by fused-packing mode and kept a
+        # "calibrations" section of conversion-site verdicts.  The
+        # entries still apply (the fp=True twin, the old default, wins
+        # over its fp=False twin unless it is malformed); the section is
+        # ignored; and a flush rewrites the document with neither.
         path = tmp_path / "p.json"
-        with GemmSession(plan_store=path, fused_pack=False) as s:
-            s.multiply(a, b, policy=POLICY)
-            s.multiply(a, b, policy=POLICY)
-            decided = _site_modes(s.plan(N, N, N, policy=POLICY))
-        # A fresh process-like session against the flushed store.
-        with GemmSession(plan_store=path, fused_pack=False) as warm:
-            plan = warm.plan(N, N, N, policy=POLICY)
-            warm_modes = _site_modes(plan)
-            for name, mode in warm_modes.items():
-                assert mode == "indexed"
-                assert decided.get(name) == "indexed"
-            # Sites decided "loop" were dropped: no table was even built.
-            loop_names = {
-                n_ for n_, m_ in decided.items() if m_ == "loop"
-            }
-            assert loop_names.isdisjoint(warm_modes)
-
-    def test_calibration_key_is_stable(self):
-        assert calibration_key(136, 136, 17, 17, 3) == (
-            "136x136:t17x17:d3:float64"
-        )
-        assert calibration_key(136, 136, 17, 17, 3, dtype="float32") != (
-            calibration_key(136, 136, 17, 17, 3)
-        )
+        old_key = "96x96x96:float64:winograd"
+        path.write_text(json.dumps({
+            "schema": STORE_SCHEMA, "version": STORE_VERSION,
+            "entries": {
+                old_key + ":fp=False": {
+                    "tile_m": 24, "tile_k": 24, "tile_n": 24, "depth": 2,
+                    "memory": "classic",
+                },
+                old_key + ":fp=True": {
+                    "tile_m": 12, "tile_k": 12, "tile_n": 12, "depth": 3,
+                    "memory": "two_temp", "kernel": "blocked",
+                },
+                "64x64x64:float64:winograd:fp=False": {
+                    "tile_m": 16, "tile_k": 16, "tile_n": 16, "depth": 2,
+                },
+                "128x128x128:float64:winograd:fp=True": {"tile_m": "x"},
+                "128x128x128:float64:winograd:fp=False": {
+                    "tile_m": 32, "tile_k": 32, "tile_n": 32, "depth": 2,
+                },
+            },
+            "calibrations": {
+                "96x96:t12x12:d3:float64": {"mode": "indexed",
+                                            "baseline": 0.001},
+            },
+            "artifacts": {"accumulate_cap": get_accumulate_cap()},
+        }))
+        store = PlanStore(path)
+        a, b = _operands(96)
+        with GemmSession(plan_store=store) as s:
+            plan = s.plan(96, 96, 96)
+            assert [t.tile for t in plan.tilings] == [12, 12, 12]
+            assert plan.key.memory == "two_temp"
+            assert plan.key.kernel is get_kernel("blocked")
+            assert np.allclose(s.multiply(a, b), a @ b)
+            assert s.plan(64, 64, 64).tilings[0].tile == 16
+            assert s.plan(128, 128, 128).tilings[0].tile == 32
+            assert s.stats().store_misses == 0
+        doc = json.loads(path.read_text())
+        assert "calibrations" not in doc
+        assert sorted(doc["entries"]) == [
+            shape_key(128, 128, 128), shape_key(64, 64, 64),
+            shape_key(96, 96, 96),
+        ]
+        assert doc["entries"][shape_key(96, 96, 96)]["tile_m"] == 12
+        assert doc["entries"][shape_key(128, 128, 128)]["tile_m"] == 32
+        assert not PlanStore(path).dirty
 
 
 class TestArtifacts:

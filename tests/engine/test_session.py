@@ -285,50 +285,6 @@ class TestDefaultSession:
         assert np.array_equal(session.multiply(a, b), modgemm(a, b))
 
 
-class TestConversionCalibration:
-    def test_conversion_calibration_counters(self, rng):
-        # 513 -> tile 33 / depth 4: tables are built, and after the
-        # exec-1 baseline the indexed path is tried on exec 2.  With
-        # fused packing (the default) the a/b sides always gather through
-        # the fused tables, so only the c site calibrates loop-vs-indexed.
-        a = rng.standard_normal((513, 513))
-        b = rng.standard_normal((513, 513))
-        with GemmSession() as s:
-            plan = s.plan(513, 513, 513)
-            assert set(plan._sites) == {"c"}
-            assert set(plan._ftables) == {"a", "b"}
-            ref = s.multiply(a, b)
-            assert s.stats().indexed_conversions == 0  # baseline pass
-            c2 = s.multiply(a, b)
-            assert np.array_equal(c2, ref)  # paths are bit-identical
-            st = s.stats()
-            assert st.indexed_conversions == 1  # trial pass, c site
-            for _ in range(2):
-                assert np.array_equal(s.multiply(a, b), ref)
-
-    def test_conversion_calibration_counters_unfused(self, rng):
-        # fused_pack=False restores the legacy three-site calibration.
-        a = rng.standard_normal((513, 513))
-        b = rng.standard_normal((513, 513))
-        with GemmSession(fused_pack=False) as s:
-            plan = s.plan(513, 513, 513)
-            assert set(plan._sites) == {"a", "b", "c"}
-            assert plan._ftables == {}
-            ref = s.multiply(a, b)
-            assert s.stats().indexed_conversions == 0  # baseline pass
-            c2 = s.multiply(a, b)
-            assert np.array_equal(c2, ref)  # paths are bit-identical
-            st = s.stats()
-            assert st.indexed_conversions == 3  # trial pass, all sites
-            for _ in range(2):
-                assert np.array_equal(s.multiply(a, b), ref)
-
-    def test_shallow_plans_skip_tables(self):
-        with GemmSession() as s:
-            plan = s.plan(96, 96, 96)  # depth < CONVERT_TABLE_MIN_DEPTH
-            assert plan._sites == {}
-
-
 class TestCloseDuringMultiply:
     """close() racing in-flight multiplies must neither hang nor corrupt.
 

@@ -5,7 +5,6 @@ exercised by the benchmark harness.  Each test asserts the *qualitative*
 facts the paper reports, not absolute numbers.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis.timing import TimingProtocol

@@ -1,10 +1,8 @@
 """Integration tests: the full pipelines, public API surface, and CLI."""
 
 import numpy as np
-import pytest
 
 import repro
-from repro.analysis.timing import TimingProtocol
 from repro.cachesim import CacheHierarchy, SimulatorSink, scale_machine, ATOM_EXPERIMENT
 from repro.cachesim.tracegen import dgefmm_trace, modgemm_trace
 from repro.experiments.__main__ import main

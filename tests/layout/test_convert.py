@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.layout.convert import (
-    ConversionTable,
-    conversion_table,
-    dense_to_morton,
-    morton_to_dense,
-)
+from repro.layout.convert import _blocks, dense_to_morton, morton_to_dense
 from repro.layout.matrix import MortonMatrix
+from repro.layout.morton import element_offsets
 from repro.layout.padding import TileRange, select_common_tiling
 
 
@@ -90,51 +86,59 @@ class TestValidation:
             morton_to_dense(m, out=np.empty((9, 10)))
 
 
-def table_for(m: MortonMatrix) -> ConversionTable:
-    return ConversionTable(m.rows, m.cols, m.tile_r, m.tile_c, m.depth)
+def gathered(m: MortonMatrix) -> np.ndarray:
+    """``m``'s logical elements gathered through :func:`element_offsets`."""
+    ii = np.arange(m.rows)[:, None]
+    jj = np.arange(m.cols)[None, :]
+    return m.buf[element_offsets(ii, jj, m.tile_r, m.tile_c, m.depth)]
+
+
+def blocks_for(m: MortonMatrix):
+    return _blocks(m.rows, m.cols, m.tile_r, m.tile_c, m.depth)
 
 
 class TestConversionTable:
-    """The precomputed-index path must agree exactly with the tile loop."""
+    """The cached per-geometry block table must place every element where
+    :func:`element_offsets` says it lives."""
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_roundtrip_matches_loop(self, rng, shape):
+        # Block copies agree with an element_offsets gather both ways.
         a = rng.standard_normal(shape)
-        loop = empty_for(*shape)
-        indexed = empty_for(*shape)
-        dense_to_morton(a, loop)
-        dense_to_morton(a, indexed, table=table_for(indexed))
-        assert np.array_equal(indexed.buf, loop.buf)
-        assert np.array_equal(
-            morton_to_dense(indexed, table=table_for(indexed)), a
-        )
+        m = empty_for(*shape)
+        dense_to_morton(a, m)
+        assert np.array_equal(gathered(m), a)
+        assert np.array_equal(morton_to_dense(m), a)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_source_contiguity_dispatch(self, rng, order):
+        # C- and F-order sources convert through the same block views.
         a = np.asarray(rng.standard_normal((65, 63)), order=order)
         m = empty_for(65, 63)
-        dense_to_morton(a, m, table=table_for(m))
+        dense_to_morton(a, m)
+        assert np.array_equal(gathered(m), a)
         assert np.array_equal(morton_to_dense(m), a)
 
     def test_strided_source_fallback(self, rng):
+        # A non-contiguous source splits into block views too.
         big = rng.standard_normal((130, 126))
         a = big[::2, ::2]  # non-contiguous view
         assert not (a.flags.c_contiguous or a.flags.f_contiguous)
         m = empty_for(65, 63)
-        dense_to_morton(a, m, table=table_for(m))
+        dense_to_morton(a, m)
         assert np.array_equal(morton_to_dense(m), a)
 
     def test_transpose_fusion(self, rng):
         a = rng.standard_normal((40, 70))
         m = empty_for(70, 40)
-        dense_to_morton(a, m, transpose=True, table=table_for(m))
-        assert np.array_equal(morton_to_dense(m), a.T)
+        dense_to_morton(a, m, transpose=True)
+        assert np.array_equal(gathered(m), a.T)
 
     def test_pad_zeroed(self, rng):
         a = rng.standard_normal((150, 150))  # pads to 152
         m = empty_for(150, 150)
         m.buf[:] = np.nan
-        dense_to_morton(a, m, table=table_for(m))
+        dense_to_morton(a, m)
         assert not np.any(np.isnan(m.buf))
         assert m.pad_is_zero()
 
@@ -142,43 +146,62 @@ class TestConversionTable:
         a = rng.standard_normal((150, 150))
         m = empty_for(150, 150)
         dense_to_morton(a, m)  # establishes a zero pad
-        dense_to_morton(a * 2, m, zero_pad=False, table=table_for(m))
+        m.buf[-1] = 7.0  # the last tile is pure pad: must stay untouched
+        dense_to_morton(a * 2, m, zero_pad=False)
+        assert m.buf[-1] == 7.0
+        m.buf[-1] = 0.0
         assert m.pad_is_zero()
         assert np.array_equal(morton_to_dense(m), a * 2)
 
     def test_geometry_mismatch_rejected(self, rng):
         a = rng.standard_normal((64, 64))
-        m = empty_for(64, 64)
-        wrong = ConversionTable(63, 64, m.tile_r, m.tile_c, m.depth)
+        m = empty_for(63, 64)
         with pytest.raises(ValueError):
-            dense_to_morton(a, m, table=wrong)
-        dense_to_morton(a, m)
+            dense_to_morton(a, m)
+        dense_to_morton(a[:63], m)
         with pytest.raises(ValueError):
-            morton_to_dense(m, table=wrong)
+            morton_to_dense(m, out=np.empty((64, 64)))
 
     def test_morton_to_dense_out_orders(self, rng):
         a = rng.standard_normal((65, 63))
         m = empty_for(65, 63)
         dense_to_morton(a, m)
-        tab = table_for(m)
         for order in ("C", "F"):
             out = np.empty((65, 63), order=order)
-            assert np.array_equal(morton_to_dense(m, out=out, table=tab), a)
-        strided = np.empty((130, 63))[::2]
-        assert np.array_equal(morton_to_dense(m, out=strided, table=tab), a)
+            assert np.array_equal(morton_to_dense(m, out=out), a)
+        base = np.zeros((130, 63))
+        strided = base[::2]
+        assert morton_to_dense(m, out=strided) is strided
+        assert np.array_equal(base[::2], a)  # written through the view
+        assert not base[1::2].any()
 
     def test_shared_cache_returns_same_table(self):
-        t1 = conversion_table(64, 64, 16, 16, 2)
-        t2 = conversion_table(64, 64, 16, 16, 2)
+        t1 = _blocks(64, 64, 16, 16, 2)
+        t2 = _blocks(64, 64, 16, 16, 2)
         assert t1 is t2
-        assert t1.nbytes > 0
+        assert len(t1) == 1  # a whole aligned matrix is one block
 
     def test_tables_are_immutable(self):
-        tab = conversion_table(64, 64, 16, 16, 2)
-        with pytest.raises(ValueError):
-            tab.offsets[0, 0] = 1
-        with pytest.raises(ValueError):
-            tab.flat_f[0] = 1
+        # The cached block list is shared, so it must not be mutable.
+        tab = _blocks(65, 63, 17, 16, 2)
+        with pytest.raises(TypeError):
+            tab[0] = tab[1]
+        with pytest.raises(AttributeError):
+            tab[0].span = slice(0, 1)
+
+    def test_deep_blocks_fit_numpy_dimension_limit(self):
+        # A level-k block view has 2k + 2 axes (2k + 3 stacked); numpy
+        # 1.x allows 32, so a whole depth-16 matrix splits into its
+        # sixteen level-14 blocks.
+        tab = _blocks(1 << 16, 1 << 16, 1, 1, 16)
+        assert len(tab) == 16
+        assert all(len(b.shape) + 1 <= 32 for b in tab)
+
+    @pytest.mark.parametrize("n,blocks", [(96, 1), (1024, 1), (513, 79),
+                                          (769, 79), (900, 79)])
+    def test_block_counts(self, n, blocks):
+        m = empty_for(n, n)
+        assert len(blocks_for(m)) == blocks
 
 
 class TestMortonToDenseOut:

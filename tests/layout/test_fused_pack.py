@@ -1,21 +1,20 @@
-"""Unit tests for the fused convert-and-add packing primitives.
+"""Quadrant-level properties of the dense <-> Morton conversion.
 
-The contract under test: :func:`pack_morton_quarter` scatters a Winograd
-operand sum directly from the dense source, bit-identical to converting
-both quadrants and running the flat ufunc over their buffer slots —
-including the signed-zero behaviour of padded regions.
+Fused convert-and-add packing is gone: the recursion now forms the top
+level's S1/S3/T1/T3 sums with flat ufuncs over the converted quadrants'
+buffer slots.  What those sums read is therefore fixed here: each
+quarter of a converted buffer is, bit for bit, the depth-``d - 1``
+Morton form of its dense quadrant (offsets relative to the quarter's
+start, pads zero, signed zeros kept), and the conversion's cached block
+list covers each logical element exactly once.
 """
 
 import numpy as np
 import pytest
 
-from repro.layout.convert import (
-    ConversionTable,
-    dense_to_morton,
-    dense_to_morton_quadrants,
-    pack_morton_quarter,
-)
+from repro.layout.convert import _blocks, dense_to_morton, morton_to_dense
 from repro.layout.matrix import MortonMatrix
+from repro.layout.morton import element_offsets
 
 # (rows, cols, tile_r, tile_c, depth) geometries: exact fits, padded
 # remainders in one or both axes, and non-square tiles.
@@ -42,130 +41,107 @@ def _bits(x):
 
 def _dense(rng, rows, cols):
     a = rng.standard_normal((rows, cols))
-    # Signed zeros must survive the fused remainder algebra exactly.
+    # Signed zeros must survive the conversion exactly.
     a[a < -2.2] = -0.0
     a[a > 2.2] = 0.0
     return a
 
 
+def _offsets(rows, cols, tile_r, tile_c, depth):
+    return element_offsets(np.arange(rows)[:, None], np.arange(cols)[None, :],
+                           tile_r, tile_c, depth)
+
+
+def _quadrants(rows, cols, tile_r, tile_c, depth):
+    """``(z, row slice, col slice)`` of each quadrant's logical part."""
+    h2, w2 = tile_r << (depth - 1), tile_c << (depth - 1)
+    for qr in (0, 1):
+        for qc in (0, 1):
+            h = min(max(rows - qr * h2, 0), h2)
+            w = min(max(cols - qc * w2, 0), w2)
+            yield ((qr << 1) | qc, slice(qr * h2, qr * h2 + h),
+                   slice(qc * w2, qc * w2 + w))
+
+
 class TestQuadOffsets:
+    """Quadrant-relative Morton offsets, and the cached block list."""
+
     @pytest.mark.parametrize("geom", GEOMETRIES)
     def test_matches_quadrant_relative_offsets(self, geom):
         rows, cols, tr, tc, depth = geom
-        table = ConversionTable(rows, cols, tr, tc, depth)
-        quad = table.quad_offsets
-        h2 = (tr << depth) >> 1
-        w2 = (tc << depth) >> 1
-        assert quad.shape == (h2, w2)
-        quarter = table.padded_size // 4
-        for qr in (0, 1):
-            for qc in (0, 1):
-                z = (qr << 1) | qc
-                h = min(max(rows - qr * h2, 0), h2)
-                w = min(max(cols - qc * w2, 0), w2)
-                if not (h and w):
-                    continue
-                full = table.offsets[qr * h2 : qr * h2 + h,
-                                     qc * w2 : qc * w2 + w]
-                assert np.array_equal(full - z * quarter, quad[:h, :w])
-
-    def test_depth_zero_rejected(self):
-        table = ConversionTable(4, 4, 4, 4, 0)
-        with pytest.raises(ValueError):
-            table.quad_offsets
+        full = _offsets(rows, cols, tr, tc, depth)
+        quarter = (tr << depth) * (tc << depth) // 4
+        for z, rs, cs in _quadrants(rows, cols, tr, tc, depth):
+            h, w = rs.stop - rs.start, cs.stop - cs.start
+            if not (h and w):
+                continue
+            quad = _offsets(h, w, tr, tc, depth - 1)
+            assert np.array_equal(full[rs, cs] - z * quarter, quad), z
 
     def test_cached_and_counted(self):
-        table = ConversionTable(16, 16, 4, 4, 2)
-        before = table.nbytes
-        quad = table.quad_offsets
-        assert table.quad_offsets is quad  # lazy, built once
-        assert table.nbytes == before + quad.nbytes
-        assert not quad.flags.writeable
+        for geom in GEOMETRIES:
+            blocks = _blocks(*geom)
+            assert _blocks(*geom) is blocks  # built once per geometry
+            # Slices and shape tuples only: no per-element index arrays.
+            assert not any(isinstance(v, np.ndarray) for b in blocks for v in b)
+            rows, cols = geom[:2]
+            counts = [(b.rows.stop - b.rows.start) * (b.cols.stop - b.cols.start)
+                      for b in blocks]
+            assert sum(counts) == rows * cols  # every element copied once
+            starts = [b.span.start for b in blocks]
+            assert starts == sorted(starts)  # listed in buffer order
+            assert all(b.span.stop <= n.span.start
+                       for b, n in zip(blocks, blocks[1:]))
 
 
 class TestDenseToMortonQuadrants:
+    """Each quarter of a converted buffer is its dense quadrant's Morton
+    form one level down."""
+
     @pytest.mark.parametrize("geom", GEOMETRIES)
     @pytest.mark.parametrize("transpose", [False, True])
     def test_converted_quadrants_bit_identical(self, rng, geom, transpose):
         rows, cols, tr, tc, depth = geom
         src = _dense(rng, cols, rows) if transpose else _dense(rng, rows, cols)
-        table = ConversionTable(rows, cols, tr, tc, depth)
-        ref = _mm(rows, cols, tr, tc, depth)
-        dense_to_morton(src, ref, transpose=transpose)
-        out = _mm(rows, cols, tr, tc, depth)
-        quads = ((0, 0), (0, 1), (1, 1))
-        dense_to_morton_quadrants(
-            src, out, quads, transpose=transpose, table=table
-        )
-        quarter = out.size // 4
-        for qr, qc in quads:
-            z = (qr << 1) | qc
-            sl = slice(z * quarter, (z + 1) * quarter)
-            assert _bits(out.buf[sl]) == _bits(ref.buf[sl]), (qr, qc)
-
-    def test_requires_table(self):
-        out = _mm(16, 16, 4, 4, 2)
-        with pytest.raises(ValueError, match="table"):
-            dense_to_morton_quadrants(np.zeros((16, 16)), out, ((0, 0),))
-
-    def test_rejects_mismatched_table(self):
-        out = _mm(16, 16, 4, 4, 2)
-        table = ConversionTable(13, 11, 4, 3, 2)
-        with pytest.raises(ValueError):
-            dense_to_morton_quadrants(
-                np.zeros((16, 16)), out, ((0, 0),), table=table
-            )
-
-
-class TestPackMortonQuarter:
-    @pytest.mark.parametrize("geom", GEOMETRIES)
-    @pytest.mark.parametrize("transpose", [False, True])
-    @pytest.mark.parametrize("op,q0,q1", [
-        ("+", (1, 0), (1, 1)),  # S1 = A21 + A22
-        ("-", (0, 0), (1, 0)),  # S3 = A11 - A21
-        ("-", (0, 1), (0, 0)),  # T1 = B12 - B11
-        ("-", (1, 1), (0, 1)),  # T3 = B22 - B12
-    ])
-    def test_bit_identical_to_two_pass(self, rng, geom, transpose, op, q0, q1):
-        rows, cols, tr, tc, depth = geom
-        src = _dense(rng, cols, rows) if transpose else _dense(rng, rows, cols)
-        table = ConversionTable(rows, cols, tr, tc, depth)
-        # Two-pass reference: full conversion, then the flat ufunc over
-        # the two quadrants' buffer slots (what ops.add/ops.sub do).
         full = _mm(rows, cols, tr, tc, depth)
         dense_to_morton(src, full, transpose=transpose)
         quarter = full.size // 4
+        for z, rs, cs in _quadrants(rows, cols, tr, tc, depth):
+            h, w = rs.stop - rs.start, cs.stop - cs.start
+            slot = full.buf[z * quarter : (z + 1) * quarter]
+            if not (h and w):
+                assert not slot.any(), z  # a quadrant wholly in the pad
+                continue
+            part = src[cs, rs] if transpose else src[rs, cs]
+            quad = _mm(h, w, tr, tc, depth - 1)
+            dense_to_morton(part, quad, transpose=transpose)
+            assert _bits(slot) == _bits(quad.buf), z
 
-        def slot(q):
-            z = (q[0] << 1) | q[1]
-            return full.buf[z * quarter : (z + 1) * quarter]
 
-        ufunc = np.add if op == "+" else np.subtract
-        ref = ufunc(slot(q0), slot(q1))
-        dst = np.full(quarter, np.nan)  # poison: must be fully rewritten
-        pack_morton_quarter(dst, src, op, q0, q1, table, transpose=transpose)
-        assert _bits(dst) == _bits(ref)
+class TestPackMortonQuarter:
+    """Signed zeros, zero pads and shape checks of a block-copy
+    conversion."""
 
     def test_signed_zero_pad_rows(self):
-        # 5x4 over 4x4 tiles, depth 1: the bottom quadrants have one
-        # logical row against three pad rows; -0.0 inputs exercise the
-        # literal x - 0.0 / 0.0 - x remainder algebra.
+        # 5x4 over 4x4 tiles, depth 1: the bottom quadrants hold one
+        # logical row over three pad rows, the operands of S3 = A11 - A21.
+        # Logical -0.0 must keep its sign bit and every pad must be +0.0,
+        # even over a poisoned buffer.
         rows, cols, tr, tc, depth = 5, 4, 4, 4, 1
         a = np.full((rows, cols), -0.0)
-        table = ConversionTable(rows, cols, tr, tc, depth)
         full = _mm(rows, cols, tr, tc, depth)
+        full.buf[:] = np.nan
         dense_to_morton(a, full)
-        quarter = full.size // 4
-        ref = np.subtract(
-            full.buf[0:quarter], full.buf[2 * quarter : 3 * quarter]
-        )
-        dst = np.empty(quarter)
-        pack_morton_quarter(dst, a, "-", (0, 0), (1, 0), table)
-        assert _bits(dst) == _bits(ref)
+        logical = np.zeros(full.size, dtype=bool)
+        logical[_offsets(rows, cols, tr, tc, depth)] = True
+        assert _bits(full.buf[logical]) == _bits(np.full(rows * cols, -0.0))
+        pad = full.buf[~logical]
+        assert _bits(pad) == _bits(np.zeros(pad.size))
+        assert _bits(morton_to_dense(full)) == _bits(a)
 
     def test_rejects_wrong_shape(self):
-        table = ConversionTable(16, 16, 4, 4, 2)
-        dst = np.empty(table.padded_size // 4)
+        out = _mm(16, 16, 4, 4, 2)
         with pytest.raises(ValueError):
-            pack_morton_quarter(dst, np.zeros((8, 8)), "+", (1, 0), (1, 1),
-                                table)
+            dense_to_morton(np.zeros((8, 8)), out)
+        with pytest.raises(ValueError):
+            morton_to_dense(out, np.zeros((8, 8)))

@@ -148,10 +148,9 @@ class TestSessionTracing:
         a = rng.standard_normal((66, 66))
         b = rng.standard_normal((66, 66))
         c = rng.standard_normal((66, 66))
-        with GemmSession(capacity=1, trace=True, trace_capacity=1 << 16,
-                         fused_pack="always",
+        with GemmSession(capacity=1, trace=True,
                          plan_store=tmp_path / "plans.json") as s:
-            # compile, store_lookup, convert, pack, add, leaf, exec
+            # compile, store_lookup, convert, add, leaf, exec
             s.multiply(a, b)
             s.multiply(a, b)  # plan_hit
             # relabel, accumulate; the new plan evicts the first
@@ -175,13 +174,7 @@ class TestSessionTracing:
         convert_labels = {
             ev.label for ev in events if ev.kind == "convert"
         }
-        # Fused packing converts each side separately (batch-a/batch-b);
-        # the unfused path emits one combined batch-in event.
-        assert "batch-out" in convert_labels
-        assert (
-            {"batch-a", "batch-b"} <= convert_labels
-            or "batch-in" in convert_labels
-        )
+        assert convert_labels == {"batch-in", "batch-out"}
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
     def test_one_leaf_event_per_leaf_product(self, rng, depth):
@@ -220,6 +213,26 @@ class TestSessionTracing:
             n = len(s.trace.events())
             s.multiply(a, b)
             assert len(s.trace.events()) == n
+
+    def test_default_capacity_holds_a_paper_size_call(self, rng):
+        # One traced default-plan 513 multiply emits ~8.4k events (most of
+        # them add and leaf events): the default buffer keeps all of them.
+        a = rng.standard_normal((513, 513))
+        b = rng.standard_normal((513, 513))
+        with GemmSession(trace=True) as s:
+            s.multiply(a, b)
+            kinds = {ev.kind for ev in s.trace.events()}
+            assert s.trace.dropped == 0
+        assert {"plan_compile", "convert", "add", "leaf", "exec"} <= kinds
+        assert "pack" not in EVENT_KINDS
+
+    def test_convert_events_carry_only_seconds(self, rng):
+        a = rng.standard_normal((64, 64))
+        with GemmSession(policy=8, trace=True) as s:
+            s.multiply(a, a)
+            conv = [ev for ev in s.trace.events() if ev.kind == "convert"]
+        assert [ev.label for ev in conv] == ["a", "b", "c"]
+        assert all(set(ev.data) == {"seconds"} for ev in conv)
 
     def test_trace_capacity_forwarded(self):
         s = GemmSession(trace=True, trace_capacity=3)

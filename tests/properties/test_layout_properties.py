@@ -3,7 +3,13 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.layout.matrix import MortonMatrix
+from repro.layout.convert import (
+    dense_to_morton,
+    dense_to_morton_batch,
+    morton_to_dense,
+    morton_to_dense_batch,
+)
+from repro.layout.matrix import BatchMortonMatrix, MortonMatrix
 from repro.layout.morton import (
     compact_bits,
     deinterleave2,
@@ -100,3 +106,94 @@ def test_element_offsets_bijective(tile_r, tile_c, depth):
     j = np.tile(np.arange(cols), rows)
     off = element_offsets(i, j, tile_r, tile_c, depth)
     assert np.array_equal(np.sort(off), np.arange(rows * cols))
+
+
+def _bits(x):
+    x = np.ascontiguousarray(x)
+    return x.view(np.uint32 if x.dtype == np.float32 else np.uint64)
+
+
+def _laid_out(x, layout):
+    """``x`` as an array of the given storage layout (same values)."""
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "C":
+        return np.ascontiguousarray(x)
+    big = np.zeros((2 * x.shape[0], 3 * x.shape[1]), dtype=x.dtype)
+    big[::2, ::3] = x
+    return big[::2, ::3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    depth=st.integers(0, 4),
+    tiles=st.tuples(st.integers(1, 13), st.integers(1, 13)),
+    fill=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    source=st.sampled_from(["F", "C", "strided", "transposed"]),
+    out_layout=st.sampled_from([None, "F", "C", "strided"]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    beta=st.sampled_from([0.0, 1.0, -1.0, 0.5]),
+    batch=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_conversions_match_offset_gather(depth, tiles, fill, source,
+                                         out_layout, dtype, beta, batch,
+                                         seed):
+    """Every conversion, in either direction and stacked or not, equals a
+    gather through :func:`element_offsets` bit for bit, and pads stay 0."""
+    tr, tc = tiles
+    rows = 1 + int(fill[0] * (min(200, tr << depth) - 1))
+    cols = 1 + int(fill[1] * (min(200, tc << depth) - 1))
+    rng = np.random.default_rng(seed)
+    offs = element_offsets(np.arange(rows)[:, None], np.arange(cols)[None, :],
+                           tr, tc, depth)
+    padded = (tr << depth) * (tc << depth)
+    pad = np.ones(padded, dtype=bool)
+    pad[offs.ravel()] = False
+    transpose = source == "transposed"
+
+    def src_of(x):
+        return np.ascontiguousarray(x.T) if transpose else _laid_out(x, source)
+
+    xs = [rng.standard_normal((rows, cols)).astype(dtype)
+          for _ in range(batch or 1)]
+    if batch is None:
+        m = MortonMatrix(buf=np.full(padded, np.nan, dtype=dtype), rows=rows,
+                         cols=cols, tile_r=tr, tile_c=tc, depth=depth)
+        dense_to_morton(src_of(xs[0]), m, transpose=transpose)
+        assert np.array_equal(_bits(m.buf[offs]), _bits(xs[0]))
+        assert not m.buf[pad].any()
+        y = rng.standard_normal((rows, cols)).astype(dtype)
+        dense_to_morton(src_of(y), m, transpose=transpose, zero_pad=False)
+        assert np.array_equal(_bits(m.buf[offs]), _bits(y))
+        assert not m.buf[pad].any()
+        if out_layout is None:
+            got = morton_to_dense(m)
+            assert got.flags.f_contiguous
+            want = y
+        else:
+            c0 = rng.standard_normal((rows, cols)).astype(dtype)
+            want = c0.copy()
+            out = _laid_out(c0, out_layout)
+            got = morton_to_dense(m, out=out, beta=beta)
+            assert got is out
+            if beta != 0.0:
+                want *= dtype(beta)
+                want += m.buf[offs]
+            else:
+                want[...] = m.buf[offs]
+        assert np.array_equal(_bits(got), _bits(want))
+        return
+    bm = BatchMortonMatrix(buf=np.zeros((batch, padded), dtype=dtype),
+                           rows=rows, cols=cols, tile_r=tr, tile_c=tc,
+                           depth=depth)
+    for arrs in ([src_of(x) for x in xs], np.stack([src_of(x) for x in xs])):
+        bm.buf[:] = 0.0
+        dense_to_morton_batch(arrs, bm, transpose=transpose)
+        for i, x in enumerate(xs):
+            assert np.array_equal(_bits(bm.buf[i][offs]), _bits(x))
+            assert not bm.buf[i][pad].any()
+    outs = morton_to_dense_batch(bm, batch)
+    for got, row in zip(outs, bm.buf):
+        assert got.flags.f_contiguous
+        assert np.array_equal(_bits(got), _bits(row[offs]))

@@ -29,7 +29,6 @@ def test_roundtrip(tmp_path):
     path = tmp_path / "plans.json"
     store = PlanStore(path)
     store.record(513, 513, 513, DEC)
-    store.record_calibration("513x513:t33x33:d4:float64", "indexed", 0.002)
     store.set_artifact("accumulate_cap", 1 << 20)
     assert store.dirty
     assert store.flush() == path
@@ -37,8 +36,6 @@ def test_roundtrip(tmp_path):
     fresh = PlanStore(path)
     dec = fresh.lookup(513, 513, 513)
     assert dec == DEC
-    cal = fresh.lookup_calibration("513x513:t33x33:d4:float64")
-    assert cal == {"mode": "indexed", "baseline": 0.002}
     assert fresh.get_artifact("accumulate_cap") == 1 << 20
     assert not fresh.dirty
 
@@ -50,7 +47,6 @@ def test_lookup_key_discriminates(tmp_path):
     assert store.lookup(513, 513, 514) is None
     assert store.lookup(513, 513, 513, dtype="float32") is None
     assert store.lookup(513, 513, 513, variant="strassen") is None
-    assert store.lookup(513, 513, 513, fused_pack=False) is None
 
 
 def test_decision_policy_pins_tiling():
@@ -213,12 +209,6 @@ def test_resolve_precedence(tmp_path, monkeypatch):
     # Empty env value means disabled.
     monkeypatch.setenv("REPRO_PLAN_STORE", "   ")
     assert PlanStore.resolve() is None
-
-
-def test_record_calibration_validates_mode(tmp_path):
-    store = PlanStore(tmp_path / "plans.json")
-    with pytest.raises(ValueError, match="indexed"):
-        store.record_calibration("some-key", "baseline")
 
 
 def test_pinned_policy_rejects_bad_geometry():
