@@ -8,13 +8,19 @@ PYTHON ?= python
 TIMEOUT_FLAGS := $(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null \
 	&& echo "--timeout=120 --timeout-method=thread")
 
-.PHONY: install test lint bench bench-ab bench-smoke tune-smoke trace-demo figures quick-figures clean
+.PHONY: install test test-ids lint bench bench-ab bench-smoke tune-smoke trace-demo figures quick-figures clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ $(TIMEOUT_FLAGS)
+
+# Test ids collected at BASE (a git ref) but missing from the working
+# tree; exits 1 when any is missing.
+test-ids:
+	@test -n "$(BASE)" || { echo "usage: make test-ids BASE=<git-ref>" >&2; exit 2; }
+	$(PYTHON) tools/test_ids.py --base "$(BASE)"
 
 lint:
 	$(PYTHON) -m ruff check src tests benchmarks examples

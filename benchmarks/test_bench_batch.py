@@ -2,8 +2,8 @@
 
 Runs same-geometry batches through the three dispatch paths
 
-* **batched** — ``multiply_many(..., batch="auto")``: one stacked-Morton
-  :class:`BatchPlan` recursion over the whole ``(B, ...)`` stack,
+* **batched** — ``multiply_many(..., batch="auto")``: one stacked plan's
+  recursion over the whole ``(B, ...)`` Morton stack,
 * **threaded** — ``multiply_many(..., batch=False)``: the per-item thread
   pool, where same-geometry items serialise on their shared plan's lock,
 * **loop** — a plain sequential ``session.multiply`` per item,

@@ -9,8 +9,8 @@ is not JSON, does not match the schema the stacked-batch benchmark
 emits, or violates the batched-dispatch guarantees:
 
 * every row must be bit-identical across the three dispatch paths,
-* every row must have run at least one stacked :class:`BatchPlan`
-  execution (``batched_executes >= 1``),
+* every row must have run at least one stacked-plan execution
+  (``batched_executes >= 1``),
 * the batched path must reach at least 3x the per-item thread-pool
   path's items/sec for every 96x96 cell with batch >= 32.
 

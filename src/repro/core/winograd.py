@@ -80,7 +80,7 @@ import numpy as np
 from ..layout.matrix import MortonMatrix
 from ..layout.relabel import PLAIN_ORDER, RELABEL_ORDER, transposed_view
 from .ops import NumpyOps, WinogradOps
-from .workspace import BatchWorkspace, Workspace
+from .workspace import Workspace
 
 __all__ = [
     "winograd_multiply",
@@ -170,27 +170,26 @@ class StepTable:
     def workspace(
         self, depth: int, tile_m: int, tile_k: int, tile_n: int,
         dtype=np.float64, cap: "int | None" = None, stagger: int = 0,
-    ) -> "Workspace | BatchWorkspace":
+    ) -> Workspace:
         """Scratch for this table over a depth-``depth`` recursion.
 
         Every level holds the table's scratch slots in its ``layout``
-        (``two_temp`` backs S and P with one buffer).  ``cap`` stacks
-        ``cap`` rows of it for the batched path, as a
-        :class:`~repro.core.workspace.BatchWorkspace` whose buffers
-        continue the ``stagger`` sequence.
+        (``two_temp`` backs S and P with one buffer).  ``cap`` and
+        ``stagger`` stack and offset its buffers for the batched path
+        (:class:`~repro.core.workspace.Workspace`).
         """
-        kw = dict(with_q="Q" in self.scratch, schedule=self.layout, dtype=dtype)
-        if cap is None:
-            return Workspace(depth, tile_m, tile_k, tile_n, **kw)
-        return BatchWorkspace(
-            cap, depth, tile_m, tile_k, tile_n, stagger=stagger, **kw
+        return Workspace(
+            depth, tile_m, tile_k, tile_n, with_q="Q" in self.scratch,
+            schedule=self.layout, dtype=dtype, cap=cap, stagger=stagger,
         )
 
     def _scratch(self, workspace, depth: int, shapes: dict) -> tuple:
         """The raw scratch buffers whose slots have depth ``depth``.
 
         ``shapes`` maps each operand kind to the buffer shape its slots
-        must have; a workspace of another layout or geometry is rejected.
+        must have; a stacked workspace serves a ``(B, elems)`` batch from
+        its first ``B`` rows.  A workspace of another layout or geometry
+        is rejected.
         """
         if not self.scratch:
             return ()
@@ -202,15 +201,18 @@ class StepTable:
                 f"the {self.name!r} schedule needs a workspace built with "
                 f"schedule={self.layout!r}{q}"
             )
-        bufs = tuple(v.buf for v in views)
-        for slot, buf in zip(self.scratch, bufs):
-            want = shapes[SCRATCH_SLOTS[slot]]
+        bufs = []
+        for slot, view in zip(self.scratch, views):
+            want, buf = shapes[SCRATCH_SLOTS[slot]], view.buf
+            if buf.ndim == len(want) == 2:
+                buf = buf[: want[0]]
             if buf.shape != want:
                 raise ValueError(
                     f"workspace slot {slot} at depth {depth} holds "
                     f"{buf.shape} elements; the operands need {want}"
                 )
-        return bufs
+            bufs.append(buf)
+        return tuple(bufs)
 
     # ------------------------------------------------------------- executor
 
@@ -226,7 +228,7 @@ class StepTable:
         """Execute ``c = alpha . a . b`` over Morton operands.
 
         ``a``/``b`` may be plain, relabeled (:class:`TransposedView`) or
-        batch-stacked; they are lowered to their raw buffers once, here,
+        stacked; they are lowered to their raw buffers once, here,
         and :meth:`execute` runs the recursion on those.
         """
         self.execute(
@@ -279,8 +281,6 @@ class StepTable:
                 depth, tm, tk, tn, dtype=np.result_type(x.dtype, y.dtype),
                 cap=lead[0] if lead else None,
             )
-            if lead:
-                workspace = workspace.view(0, lead[0])
         levels = [
             self._scratch(workspace, d, _level_shapes(tiles, d, lead))
             for d in range(depth)
@@ -542,13 +542,13 @@ def winograd_multiply(
     ``memory="ip_overwrite"`` **the contents of** ``a`` **and** ``b``
     **are destroyed** and no workspace is used.
 
-    The operands may equally be same-shape
-    :class:`~repro.layout.matrix.BatchMortonMatrix` stacks (with a
-    batch-stacked workspace view): the executor slices the last axis of
-    their ``(B, elems)`` buffers, so one call then multiplies the whole
-    batch — every addition a single ufunc over ``(B, elems)`` slabs,
-    every leaf product one batched ``matmul`` — with per-item results
-    bit-identical to the unbatched path (same addition order throughout).
+    The operands may equally be same-shape stacked Morton matrices
+    (``(B, elems)`` buffers, with a workspace stacked to at least ``B``
+    rows): the executor slices the last axis of the buffers, so one call
+    then multiplies the whole batch — every addition a single ufunc over
+    ``(B, elems)`` slabs, every leaf product one batched ``matmul`` — with
+    per-item results bit-identical to the unbatched path (same addition
+    order throughout).
     ``ip_overwrite`` is not offered for batches (the batched path never
     clobbers operands).
     """

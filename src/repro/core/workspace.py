@@ -23,18 +23,21 @@ The layouts (``schedule=``):
 * ``ip_overwrite`` — **no** scratch at all: the schedule clobbers the A
   and B quadrants themselves.
 
+A workspace built with ``cap`` stacks ``cap`` rows of every buffer for
+the batched path: each slot is then a stacked Morton view, and the
+executor runs a batch of ``B <= cap`` items on the first ``B`` rows.
 ``Workspace.nbytes`` reports the true allocation (aliased views counted
-once); ``total_bytes`` is kept as a backwards-compatible alias.
+once).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..layout.matrix import BatchMortonMatrix, MortonMatrix, staggered_buffer
+from ..layout.matrix import MortonMatrix, staggered_buffer
 from ..observe.validate import POISON
 
-__all__ = ["Workspace", "BatchWorkspace", "WORKSPACE_SCHEDULES"]
+__all__ = ["Workspace", "WORKSPACE_SCHEDULES"]
 
 #: Scratch layouts a :class:`Workspace` can be built for.
 WORKSPACE_SCHEDULES = ("classic", "two_temp", "ip_overwrite")
@@ -65,7 +68,7 @@ def _layout(
 def _view(buf: np.ndarray, depth: int, tile_r: int, tile_c: int):
     """Morton view of ``buf``'s leading elements (per row of a 2-D stack)."""
     n = (tile_r << depth) * (tile_c << depth)
-    return (MortonMatrix if buf.ndim == 1 else BatchMortonMatrix)(
+    return MortonMatrix(
         buf=buf[..., :n],
         rows=tile_r << depth,
         cols=tile_c << depth,
@@ -109,7 +112,11 @@ class Workspace:
     matrices of a depth-``d - j`` problem).
 
     ``schedule`` selects the per-level layout (see module docstring); an
-    ``ip_overwrite`` workspace owns no levels and no bytes.
+    ``ip_overwrite`` workspace owns no levels and no bytes.  ``cap``
+    stacks ``cap`` rows of every buffer; ``stagger > 0`` gives the
+    buffers distinct stagger indices counting up from it
+    (:func:`~repro.layout.matrix.staggered_buffer`), so their rows never
+    share cache sets.
     """
 
     def __init__(
@@ -121,6 +128,8 @@ class Workspace:
         with_q: bool = False,
         schedule: str = "classic",
         dtype=np.float64,
+        cap: int | None = None,
+        stagger: int = 0,
     ) -> None:
         if schedule not in WORKSPACE_SCHEDULES:
             raise ValueError(
@@ -135,11 +144,16 @@ class Workspace:
         self.depth = depth
         self.schedule = schedule
         self.levels = []
-        if schedule != "ip_overwrite":
-            for d in range(depth - 1, -1, -1):
-                layout = _layout(schedule, with_q, d, tile_m, tile_k, tile_n)
-                bufs = [np.empty(n, dtype=dtype) for n, _ in layout]
-                self.levels.append(_Level(d, layout, bufs))
+        if schedule == "ip_overwrite":
+            return
+        lead = () if cap is None else (cap,)
+        for d in range(depth - 1, -1, -1):
+            layout = _layout(schedule, with_q, d, tile_m, tile_k, tile_n)
+            bufs = []
+            for n, _ in layout:
+                bufs.append(staggered_buffer((*lead, n), dtype, stagger))
+                stagger += 1 if stagger else 0
+            self.levels.append(_Level(d, layout, bufs))
 
     def at(self, child_depth: int) -> _Level:
         """Scratch whose matrices have the given (child) depth."""
@@ -149,11 +163,6 @@ class Workspace:
     def nbytes(self) -> int:
         """Bytes actually allocated (aliased two_temp views counted once)."""
         return sum(lv.nbytes for lv in self.levels)
-
-    @property
-    def total_bytes(self) -> int:
-        """Backwards-compatible alias for :attr:`nbytes`."""
-        return self.nbytes
 
     @property
     def buffer_count(self) -> int:
@@ -177,113 +186,3 @@ class Workspace:
     def poison_intact(self, value: float = POISON) -> bool:
         """True iff no scratch element changed since :meth:`poison`."""
         return all(bool((buf == value).all()) for buf in self._buffers())
-
-
-class _BatchWorkspaceView:
-    """Duck-types :class:`Workspace` for one ``[lo, hi)`` row range.
-
-    Each view's levels are row slices of the shared raw arrays, so a
-    view costs no extra memory.
-    """
-
-    __slots__ = ("schedule", "depth", "levels")
-
-    def __init__(self, schedule: str, depth: int, levels: list) -> None:
-        self.schedule = schedule
-        self.depth = depth
-        self.levels = levels
-
-    def at(self, child_depth: int) -> _Level:
-        return self.levels[self.depth - 1 - child_depth]
-
-
-class BatchWorkspace:
-    """Batch-stacked scratch for ``cap`` same-geometry recursions at once.
-
-    The raw backing arrays are ``(cap, elems)`` — one scratch row per batch
-    item — and :meth:`view` carves ``[lo, hi)`` row-range adapters whose
-    levels hold :class:`~repro.layout.matrix.BatchMortonMatrix` views.  The
-    ``two_temp`` aliasing (A-shaped X doubling as the C-shaped P1 slot)
-    carries over as two column-prefix views of the same rows.
-    ``ip_overwrite`` is rejected: the batched path never clobbers operands.
-    """
-
-    def __init__(
-        self,
-        cap: int,
-        depth: int,
-        tile_m: int,
-        tile_k: int,
-        tile_n: int,
-        with_q: bool = False,
-        schedule: str = "classic",
-        dtype=np.float64,
-        stagger: int = 0,
-    ) -> None:
-        if schedule not in ("classic", "two_temp"):
-            raise ValueError(
-                f"BatchWorkspace supports 'classic' and 'two_temp', not {schedule!r}"
-            )
-        if with_q and schedule != "classic":
-            raise ValueError("with_q requires the classic schedule")
-        self.cap = cap
-        self.depth = depth
-        self.schedule = schedule
-        self.dtype = np.dtype(dtype)
-        self._raw: list[tuple] = []  # per level, outermost first
-        self._views: dict[tuple[int, int], _BatchWorkspaceView] = {}
-        # Stack rows are large power-of-two-multiple allocations, so give
-        # every buffer a distinct stagger index (continuing from the
-        # caller's base) to keep their rows off common cache sets.
-        def alloc(elems: int) -> np.ndarray:
-            nonlocal stagger
-            buf = staggered_buffer((cap, elems), dtype, stagger)
-            stagger += 1 if stagger else 0
-            return buf
-
-        for d in range(depth - 1, -1, -1):
-            layout = _layout(schedule, with_q, d, tile_m, tile_k, tile_n)
-            self._raw.append((d, layout, [alloc(n) for n, _ in layout]))
-
-    def view(self, lo: int, hi: int) -> _BatchWorkspaceView:
-        """Workspace adapter over batch rows ``[lo, hi)`` (cached)."""
-        if not (0 <= lo < hi <= self.cap):
-            raise ValueError(f"stripe [{lo}, {hi}) outside capacity {self.cap}")
-        key = (lo, hi)
-        cached = self._views.get(key)
-        if cached is not None:
-            return cached
-        levels = [
-            _Level(d, layout, [buf[lo:hi] for buf in bufs])
-            for d, layout, bufs in self._raw
-        ]
-        view = _BatchWorkspaceView(self.schedule, self.depth, levels)
-        self._views[key] = view
-        return view
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes actually allocated (aliased two_temp views counted once)."""
-        return sum(arr.nbytes for arr in self._buffers())
-
-    @property
-    def total_bytes(self) -> int:
-        return self.nbytes
-
-    @property
-    def buffer_count(self) -> int:
-        """Distinct stacked scratch arrays allocated."""
-        return sum(1 for _ in self._buffers())
-
-    def _buffers(self):
-        for _, _, bufs in self._raw:
-            yield from bufs
-
-    def poison(self, value: float = POISON) -> None:
-        """Fill every stacked scratch row with the quiescence sentinel."""
-        for arr in self._buffers():
-            arr.fill(value)
-
-    def poison_intact(self, value: float = POISON) -> bool:
-        """True iff no stacked scratch element changed since :meth:`poison`."""
-        return all(bool((arr == value).all()) for arr in self._buffers())

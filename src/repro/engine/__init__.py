@@ -16,7 +16,7 @@ geometry.  This is the serving-workload fast path: create one
     plan = session.plan(513, 513, 513)    # or compile a plan explicitly
     c = plan.execute(a, b)
 
-    results = session.multiply_many([(a1, b1), (a2, b2)])   # thread pool
+    results = session.multiply_many([(a1, b1), (a2, b2)])   # stacked if same shape
     print(session.stats())                # hits/misses, bytes pooled, ...
 
 :func:`repro.modgemm` and :func:`repro.modgemm_morton` are thin wrappers
@@ -29,7 +29,6 @@ from .expr import Mat, MatChain, chain_order
 from .spec import GemmSpec
 from .plan import (
     BATCH_CAP_MAX,
-    BatchPlan,
     CompiledPlan,
     PlanKey,
     batch_size_class,
@@ -45,7 +44,6 @@ from .session import (
 
 __all__ = [
     "BATCH_CAP_MAX",
-    "BatchPlan",
     "batch_size_class",
     "chain_order",
     "CompiledPlan",

@@ -9,12 +9,17 @@ recompute per call for a fixed problem geometry:
 * the Morton-order operand and product buffers, allocated once with their
   pads zeroed once — repeated conversions then touch only logical
   elements (``dense_to_morton(..., zero_pad=False)``);
-* the per-level :class:`Workspace` shared across executions;
-* the resolved leaf kernel and recursion variant.
+* the per-level :class:`~repro.core.workspace.Workspace` shared across
+  executions;
+* the resolved leaf kernel and the step table of its recursion variant
+  and memory schedule.
 
 ``plan.execute(a, b, ...)`` then runs the full BLAS contract against the
-frozen geometry, allocating only the dense output.  Plans serialise their
-own executions with an internal lock, so one plan shared by many threads
+frozen geometry, allocating only the dense output.  A plan compiled with
+an integer ``cap`` gives every pooled buffer a leading batch axis of
+``cap`` rows and runs up to ``cap`` same-geometry problems through one
+recursion (:meth:`CompiledPlan.execute_batch`).  Plans serialise their own
+executions with an internal lock, so one plan shared by many threads
 (e.g. via :meth:`GemmSession.multiply_many`) never corrupts its pooled
 buffers.
 """
@@ -40,7 +45,6 @@ from ..core.winograd import (
     resolve_memory,
     winograd_multiply,
 )
-from ..core.workspace import Workspace
 from ..errors import BatchItemError, KernelError, PlanError, ShapeError
 from ..layout.convert import (
     dense_to_morton,
@@ -48,14 +52,13 @@ from ..layout.convert import (
     morton_to_dense,
     morton_to_dense_batch,
 )
-from ..layout.matrix import BatchMortonMatrix, MortonMatrix
+from ..layout.matrix import MortonMatrix
 from ..layout.padding import Tiling
-from ..layout.relabel import transposed_view
 from ..observe.validate import check_pad_zero, check_quiescent
 from .spec import GemmSpec
 
 __all__ = [
-    "PlanKey", "CompiledPlan", "BatchPlan", "batch_size_class",
+    "PlanKey", "CompiledPlan", "batch_size_class",
     "resolve_variant", "VARIANTS", "BATCH_CAP_MAX",
 ]
 
@@ -66,8 +69,8 @@ def _step_table(variant: str, memory: str) -> StepTable:
 
 
 #: Largest stacked-batch capacity class; bigger batches execute in chunks
-#: of this size, so one cached :class:`BatchPlan` serves any batch length
-#: while its pooled stacks stay bounded (3 operand stacks + workspace).
+#: of this size, so one cached stacked plan serves any batch length while
+#: its pooled stacks stay bounded (3 operand stacks + workspace).
 BATCH_CAP_MAX = 32
 
 
@@ -147,10 +150,24 @@ class CompiledPlan:
 
     Created by :meth:`GemmSession.plan`; execute with
     :meth:`execute` (full dgemm semantics) as many times as desired.
+
+    An integer ``cap`` (1 included) compiles a *stacked* plan, as
+    :meth:`GemmSession.multiply_many` does per :func:`batch_size_class`:
+    the operand, product and scratch buffers gain a leading axis of
+    ``cap`` rows, and :meth:`execute_batch` runs up to ``cap`` problems
+    through **one** recursion — every addition a single ufunc over
+    ``(B, elems)`` slabs, every leaf product one batched ``matmul`` over a
+    ``(B, T, T)`` stack.  Results are bit-identical to executing the items
+    one by one: the table, the executor and the addition order are the
+    same, only the leading axis differs.  A stacked plan needs a
+    well-behaved tiling and a table that never writes its operands (not
+    ``ip_overwrite``), since the stacks' zero pads must survive across
+    executions.
     """
 
-    def __init__(self, key: PlanKey, session) -> None:
+    def __init__(self, key: PlanKey, session, cap: int | None = None) -> None:
         self.key = key
+        self.cap = cap
         self.session = session
         self._lock = threading.Lock()
         self._cache_hit = False  # updated by the session on each lookup
@@ -164,13 +181,23 @@ class CompiledPlan:
         #: np.float64 buffers allocated while compiling (operands, product,
         #: workspace levels) — constant afterwards.
         self.buffers_allocated = 0
+        self._table = _step_table(key.variant, resolve_memory(key.memory))
         self.tilings: tuple[Tiling, Tiling, Tiling] | None = key.policy.plan(
             key.m, key.k, key.n
         )
+        if cap is not None and self._table.in_place:
+            raise PlanError(
+                f"the batched path cannot use memory={self._table.name!r} "
+                "(it would clobber the pooled operand stacks)"
+            )
+        if cap is not None and self.tilings is None:
+            raise PlanError(
+                f"{key.m}x{key.k}x{key.n} needs the panelled path; "
+                "the batched path serves well-behaved tilings only"
+            )
         self._a_mm = self._b_mm = self._c_mm = None
-        self._a_eff = self._b_eff = None
-        self._relabel_a = self._relabel_b = False
-        self._workspace: Workspace | None = None
+        self._relabeled = (False, False)
+        self._workspace = None
         self._rezero_operands = False
         self._panels = None
         self._panel_plans = None
@@ -184,13 +211,12 @@ class CompiledPlan:
     def _compile_well_behaved(self) -> None:
         tm, tk, tn = self.tilings
         key = self.key
-        memory = resolve_memory(key.memory)
-        table = _step_table(key.variant, memory)
+        table = self._table
         if table.in_place and tm.depth > 0 and not (
             tm.tile == tk.tile == tn.tile
         ):
             raise PlanError(
-                f"memory={memory!r} needs uniform tile geometry; the "
+                f"memory={table.name!r} needs uniform tile geometry; the "
                 f"policy chose tiles {tm.tile}/{tk.tile}/{tn.tile} for "
                 f"{key.m}x{key.k}x{key.n}"
             )
@@ -201,34 +227,39 @@ class CompiledPlan:
         # *relabeling*: its Morton buffer keeps the operand's native
         # orientation (so the dense->Morton conversion is the same
         # straight copy a non-transposed run pays — zero extra passes)
-        # and the recursion sees it through a TransposedView.  Strassen
-        # and ip_overwrite plans are not relabel-threaded; they keep the
+        # and the executor descends it in relabeled order.  Strassen and
+        # ip_overwrite plans are not relabel-threaded; they keep the
         # legacy transpose-fused conversion.
         dt = key.spec.np_dtype
         relabel_ok = key.variant == "winograd" and not table.in_place
-        self._relabel_a = bool(key.spec.trans_a and relabel_ok)
-        self._relabel_b = bool(key.spec.trans_b and relabel_ok)
-        if self._relabel_a:
-            self._a_mm = MortonMatrix.zeros(key.k, key.m, tk, tm, dtype=dt)
-            self._a_eff = transposed_view(self._a_mm)
-        else:
-            self._a_mm = MortonMatrix.zeros(key.m, key.k, tm, tk, dtype=dt)
-            self._a_eff = self._a_mm
-        if self._relabel_b:
-            self._b_mm = MortonMatrix.zeros(key.n, key.k, tn, tk, dtype=dt)
-            self._b_eff = transposed_view(self._b_mm)
-        else:
-            self._b_mm = MortonMatrix.zeros(key.k, key.n, tk, tn, dtype=dt)
-            self._b_eff = self._b_mm
-        self._c_mm = MortonMatrix.empty(key.m, key.n, tm, tn, dtype=dt)
+        ra = bool(key.spec.trans_a and relabel_ok)
+        rb = bool(key.spec.trans_b and relabel_ok)
+        self._relabeled = (ra, rb)
+        # Stacks are large power-of-two-multiple allocations; distinct
+        # stagger indices keep same-item rows of A/B/C (and the workspace
+        # buffers, which continue the sequence) from ever landing
+        # cache-set-congruent — the paper's Section 4 conflict problem
+        # resurfacing at the batch level.  A single item's buffers stay
+        # plain allocations: offsets growing with the buffer count would
+        # add up to 1 MiB of never-touched bytes to a deep plan.
+        stagger = 0 if self.cap is None else 1
+        a_dims = (key.k, key.m, tk, tm) if ra else (key.m, key.k, tm, tk)
+        b_dims = (key.n, key.k, tn, tk) if rb else (key.k, key.n, tk, tn)
+        self._a_mm = MortonMatrix.zeros(*a_dims, dt, cap=self.cap, stagger=stagger)
+        self._b_mm = MortonMatrix.zeros(*b_dims, dt, cap=self.cap, stagger=2 * stagger)
+        self._c_mm = MortonMatrix.empty(
+            key.m, key.n, tm, tn, dt, cap=self.cap, stagger=3 * stagger
+        )
         self.buffers_allocated += 3
         # ip_overwrite leaves garbage in the operand pads after every
         # execution; such plans must re-zero A/B before each conversion.
         self._rezero_operands = table.in_place and (
             self._a_mm.size > key.m * key.k or self._b_mm.size > key.k * key.n
         )
+        self._tiles = (tm.tile, tk.tile, tn.tile)
+        self._depth = tm.depth
         self._workspace = table.workspace(
-            tm.depth, tm.tile, tk.tile, tn.tile, dtype=dt
+            tm.depth, *self._tiles, dtype=dt, cap=self.cap, stagger=4 * stagger
         )
         self.buffers_allocated += self._workspace.buffer_count
 
@@ -306,6 +337,11 @@ class CompiledPlan:
         """Run a pre-validated :class:`GemmProblem` through the plan."""
         key = self.key
         spec = key.spec
+        if self.cap is not None:
+            raise PlanError(
+                f"this plan stacks {self.cap} items; run them through "
+                "execute_batch"
+            )
         if (p.m, p.k, p.n) != (key.m, key.k, key.n):
             raise ShapeError(
                 f"operands give GEMM dims {(p.m, p.k, p.n)}, but this plan "
@@ -382,6 +418,7 @@ class CompiledPlan:
         """
         key = self.key
         tr = self._ops.trace
+        relabel_a, relabel_b = self._relabeled
         with self._lock:
             if self._debug:
                 self._debug_pre()
@@ -393,22 +430,22 @@ class CompiledPlan:
                 self._a_mm.buf.fill(0.0)
                 self._b_mm.buf.fill(0.0)
             # A relabel-served transpose converts the operand in its
-            # native orientation (a straight copy); the recursion reads
-            # the buffer through the compile-time TransposedView.
-            conv_trans_a = transpose_a and not self._relabel_a
-            conv_trans_b = transpose_b and not self._relabel_b
+            # native orientation (a straight copy); the executor reads
+            # the buffer in relabeled order.
             if tr is not None and tr.enabled:
-                if self._relabel_a:
+                if relabel_a:
                     tr.emit("relabel", label="a")
-                if self._relabel_b:
+                if relabel_b:
                     tr.emit("relabel", label="b")
             t0 = time.perf_counter()
             dense_to_morton(
-                a, self._a_mm, transpose=conv_trans_a, zero_pad=False
+                a, self._a_mm, transpose=transpose_a and not relabel_a,
+                zero_pad=False,
             )
             ta = time.perf_counter()
             dense_to_morton(
-                b, self._b_mm, transpose=conv_trans_b, zero_pad=False
+                b, self._b_mm, transpose=transpose_b and not relabel_b,
+                zero_pad=False,
             )
             if tr is not None and tr.enabled:
                 tb = time.perf_counter()
@@ -421,18 +458,11 @@ class CompiledPlan:
                 # ip_overwrite re-zero above included).
                 check_pad_zero(self._a_mm, "a")
                 check_pad_zero(self._b_mm, "b")
-            if key.variant == "winograd":
-                winograd_multiply(
-                    self._a_eff, self._b_eff, self._c_mm,
-                    ops=self._ops, workspace=self._workspace,
-                    memory=key.memory, alpha=key.spec.alpha,
-                )
-            else:
-                strassen_multiply(
-                    self._a_mm, self._b_mm, self._c_mm,
-                    ops=self._ops, workspace=self._workspace,
-                    alpha=key.spec.alpha,
-                )
+            self._table.execute(
+                self._a_mm.buf, self._b_mm.buf, self._c_mm.buf, self._tiles,
+                self._depth, self._ops, self._workspace, key.spec.alpha,
+                self._relabeled,
+            )
             t2 = time.perf_counter()
             beta = key.spec.beta if c_out is not None else 0.0
             d = morton_to_dense(self._c_mm, out=c_out, beta=beta)
@@ -449,6 +479,205 @@ class CompiledPlan:
         rec.compute += t2 - t1
         rec.from_morton += t3 - t2
         return d
+
+    def execute_batch(
+        self,
+        problems: list[GemmProblem],
+        cs: list,
+        timings: PhaseTimings | None = None,
+        indices=None,
+    ) -> list[np.ndarray]:
+        """Run validated same-geometry problems through one stacked recursion.
+
+        Needs a stacked plan and at most ``cap`` problems, which occupy
+        stack rows ``[0, n)``.  ``cs[i]`` is item ``i``'s output operand
+        (or ``None``); results come back in input order with full
+        per-item ``alpha``/``beta`` semantics applied.
+
+        ``indices`` maps chunk positions back to the *caller's* item
+        numbering (``indices[i]`` is the input index of ``problems[i]``;
+        defaults to ``0..n-1``).  Any failure attributable to one item —
+        geometry validation, output scaling — raises
+        :class:`repro.errors.BatchItemError` carrying that input index
+        with the original exception chained; a multi-item failure reports
+        the smallest affected index.  Whatever happens, the pooled stacks
+        are left quiescent (the lock is released only at phase
+        boundaries), so the plan stays reusable after an error.
+        """
+        key = self.key
+        spec = key.spec
+        n_items = len(problems)
+        if n_items == 0:
+            return []
+        if indices is None:
+            indices = range(n_items)
+        if self.cap is None:
+            raise PlanError("a single-item plan has no batch axis; use execute")
+        if n_items > self.cap:
+            raise PlanError(
+                f"batch of {n_items} exceeds this plan's capacity {self.cap}"
+            )
+        for i, p in enumerate(problems):
+            if (p.m, p.k, p.n) != (key.m, key.k, key.n):
+                cause = ShapeError(
+                    f"operands give GEMM dims {(p.m, p.k, p.n)}, but this "
+                    f"batch plan is compiled for {(key.m, key.k, key.n)}"
+                )
+                raise BatchItemError(indices[i], cause) from cause
+            trans = (p.op_a is OpKind.TRANS, p.op_b is OpKind.TRANS)
+            if trans != (spec.trans_a, spec.trans_b):
+                cause = PlanError(
+                    f"ops {(p.op_a.value, p.op_b.value)} do not match the "
+                    f"plan spec's transposes {(spec.trans_a, spec.trans_b)}"
+                )
+                raise BatchItemError(indices[i], cause) from cause
+            # alpha is folded into the one shared recursion, so it cannot
+            # vary per item; beta is a per-item epilogue and may.
+            if p.alpha != spec.alpha:
+                cause = PlanError(
+                    f"alpha={p.alpha} does not match the batch plan spec's "
+                    f"alpha={spec.alpha}"
+                )
+                raise BatchItemError(indices[i], cause) from cause
+        rec = PhaseTimings()
+        extras = _ExecExtras()
+        relabel_a, relabel_b = self._relabeled
+        tr = self._ops.trace
+        with self._lock:
+            if self._debug:
+                self._debug_pre()
+            fused0 = self._ops.fused_adds
+            if tr is not None and tr.enabled:
+                if relabel_a:
+                    tr.emit("relabel", label="batch-a", items=n_items)
+                if relabel_b:
+                    tr.emit("relabel", label="batch-b", items=n_items)
+            t0 = time.perf_counter()
+            dense_to_morton_batch(
+                [p.a for p in problems], self._a_mm,
+                transpose=spec.trans_a and not relabel_a,
+            )
+            dense_to_morton_batch(
+                [p.b for p in problems], self._b_mm,
+                transpose=spec.trans_b and not relabel_b,
+            )
+            t1 = time.perf_counter()
+            if tr is not None and tr.enabled:
+                tr.emit(
+                    "convert", label="batch-in", seconds=t1 - t0,
+                    items=n_items,
+                )
+            if self._debug:
+                # Phase boundary: every occupied stack row's pad must be
+                # exactly zero before the shared recursion runs over it.
+                for i in range(n_items):
+                    check_pad_zero(self._a_mm.item(i), f"a[{indices[i]}]")
+                    check_pad_zero(self._b_mm.item(i), f"b[{indices[i]}]")
+            self._table.execute(
+                self._a_mm.buf[:n_items], self._b_mm.buf[:n_items],
+                self._c_mm.buf[:n_items], self._tiles, self._depth,
+                self._ops, self._workspace, spec.alpha, self._relabeled,
+            )
+            t2 = time.perf_counter()
+            if spec.beta == 0.0:
+                # Stacked copy to fresh dense arrays; per-item beta (a
+                # directly-invoked batch may carry one) is applied in the
+                # post-lock epilogue below.
+                outs = morton_to_dense_batch(self._c_mm, n_items)
+                results = first_err = None
+            else:
+                # The spec's accumulate: each item's product is folded
+                # into its caller C in one fused scale-and-add sweep of
+                # the conversion — never a separate full-matrix pass.
+                outs = None
+                results, first_err = self._fused_convert_out(
+                    problems, cs, indices
+                )
+            t3 = time.perf_counter()
+            if tr is not None and tr.enabled:
+                tr.emit(
+                    "convert", label="batch-out", seconds=t3 - t2,
+                    items=n_items,
+                )
+                if spec.beta != 0.0:
+                    tr.emit(
+                        "accumulate", label="batch-c",
+                        beta=float(spec.beta), items=n_items,
+                    )
+            extras.fused_adds = self._ops.fused_adds - fused0
+            if self._debug:
+                self._debug_post()
+        rec.to_morton = t1 - t0
+        rec.compute = t2 - t1
+        rec.from_morton = t3 - t2
+        if timings is not None:
+            timings.to_morton += rec.to_morton
+            timings.compute += rec.compute
+            timings.from_morton += rec.from_morton
+        self.session._record_execution(self, rec, extras, items=n_items)
+        if results is None:
+            # beta == 0 epilogue: alpha is already folded into the
+            # recursion, so only the per-item beta/copy-back remains.
+            results = []
+            first_err = None
+            for i, (p, c, d) in enumerate(zip(problems, cs, outs)):
+                try:
+                    if p.beta != 0.0:
+                        c *= p.beta
+                        c += d
+                        r = c
+                    elif c is not None:
+                        c[...] = d
+                        r = c
+                    else:
+                        r = d
+                except Exception as exc:  # noqa: BLE001 - re-raised with index
+                    # Finish the remaining items (their outputs are
+                    # already computed) before reporting the smallest
+                    # failing index.
+                    if first_err is None:
+                        err = BatchItemError(indices[i], exc)
+                        err.__cause__ = exc
+                        first_err = err
+                    results.append(None)
+                    continue
+                results.append(r)
+        if first_err is not None:
+            raise first_err
+        return results
+
+    def _fused_convert_out(self, problems, cs, indices):
+        """Per-item fused beta conversion (lock held); returns results/error.
+
+        Items whose ``beta`` is 0 (or whose C cannot take the computation
+        dtype directly) fall back to a fresh gather plus copy-back; a
+        failing item (e.g. a read-only C) is recorded and the rest still
+        convert, keeping the pooled stacks quiescent.
+        """
+        dt = self.key.spec.np_dtype
+        results = []
+        first_err: BatchItemError | None = None
+        for i, p in enumerate(problems):
+            c = cs[i]
+            try:
+                if c is not None and (p.beta != 0.0 or c.dtype == dt):
+                    r = morton_to_dense(self._c_mm.item(i), out=c, beta=p.beta)
+                else:
+                    d = morton_to_dense(self._c_mm.item(i))
+                    if c is not None:
+                        c[...] = d
+                        r = c
+                    else:
+                        r = d
+            except Exception as exc:  # noqa: BLE001 - re-raised with index
+                if first_err is None:
+                    err = BatchItemError(indices[i], exc)
+                    err.__cause__ = exc
+                    first_err = err
+                results.append(None)
+                continue
+            results.append(r)
+        return results, first_err
 
     # ----------------------------------------------------- debug invariants
 
@@ -507,8 +736,9 @@ class CompiledPlan:
         *extra* memory the selected ``memory`` schedule is accountable
         for: the geometric series over recursion levels (classic
         ``|A|/4 + |B|/4 + 2|C|/4`` per level, two_temp
-        ``max(|A|,|C|)/4 + |B|/4``, ip_overwrite zero).  Panelled plans
-        report the sum over their distinct sub-plans.
+        ``max(|A|,|C|)/4 + |B|/4``, ip_overwrite zero), times ``cap`` for
+        a stacked plan.  Panelled plans report the sum over their
+        distinct sub-plans.
         """
         if self.tilings is None:
             seen: set[int] = set()
@@ -518,9 +748,7 @@ class CompiledPlan:
                     seen.add(id(sub))
                     total += sub.scratch_bytes
             return total
-        if self._workspace is not None:
-            return self._workspace.nbytes
-        return 0
+        return self._workspace.nbytes
 
     @property
     def _own_scratch_bytes(self) -> int:
@@ -537,353 +765,14 @@ class CompiledPlan:
             if mm is not None:
                 total += mm.buf.nbytes
         if self._workspace is not None:
-            total += self._workspace.total_bytes
+            total += self._workspace.nbytes
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         key = self.key
         shape = "panelled" if self.tilings is None else "well-behaved"
+        stack = "" if self.cap is None else f" x{self.cap}"
         return (
-            f"CompiledPlan({key.m}x{key.k}x{key.n}, {key.spec}, "
-            f"{key.variant}, {shape})"
-        )
-
-
-class BatchPlan:
-    """A stacked-Morton execution plan for many same-geometry problems.
-
-    Owns pooled batch-major stacks — operand/product
-    :class:`BatchMortonMatrix` buffers of capacity ``cap`` (a
-    :func:`batch_size_class`) plus a :class:`BatchWorkspace` — and executes
-    whole batches through **one** Winograd/Strassen recursion: every
-    addition is a single ufunc over ``(B, elems)`` slabs and every leaf
-    product one batched ``matmul`` over a ``(B, T, T)`` stack.  Results
-    are bit-identical to per-item :meth:`CompiledPlan.execute` — the
-    recursion code and addition order are literally the same, only the
-    leading batch axis differs.
-
-    Conversion copies each item's blocks into its stack row, and the
-    products back out as one stacked copy per block into a single dense
-    allocation (:mod:`repro.layout.convert`).
-
-    Cached in the session's LRU alongside :class:`CompiledPlan`, keyed by
-    ``(PlanKey, cap)``; eviction releases the stacks.  Requires a
-    well-behaved tiling and ``memory != "ip_overwrite"`` (the batched
-    recursion never clobbers operands — the pooled stacks' zero pads must
-    survive across executions).
-    """
-
-    def __init__(self, key: PlanKey, cap: int, session) -> None:
-        self.key = key
-        self.cap = cap
-        self.session = session
-        self._lock = threading.Lock()
-        self._cache_hit = False
-        memory = resolve_memory(key.memory)
-        table = _step_table(key.variant, memory)
-        if table.in_place:
-            raise PlanError(
-                f"the batched path cannot use memory={memory!r} "
-                "(it would clobber the pooled operand stacks)"
-            )
-        self.tilings = key.policy.plan(key.m, key.k, key.n)
-        if self.tilings is None:
-            raise PlanError(
-                f"{key.m}x{key.k}x{key.n} needs the panelled path; "
-                "the batched path serves well-behaved tilings only"
-            )
-        tm, tk, tn = self.tilings
-        dt = key.spec.np_dtype
-        self._debug = bool(getattr(session, "debug", False))
-        self._poisoned = False
-        self._ops = NumpyOps(
-            key.kernel,
-            trace=getattr(session, "trace", None),
-            validate=self._debug,
-        )
-        # Stacks are large power-of-two-multiple allocations; distinct
-        # stagger indices keep same-item rows of A/B/C (and the workspace
-        # buffers, which continue the sequence) from ever landing
-        # cache-set-congruent — the paper's Section 4 conflict problem
-        # resurfacing at the batch level.
-        #
-        # As on the per-item path, a transposed operand of a Winograd
-        # plan keeps its stack in *native* orientation (straight-copy
-        # conversion) and the stacked recursion reads it through a
-        # TransposedView; Strassen stays transpose-fused-conversion.
-        self._relabel_a = bool(key.spec.trans_a and key.variant == "winograd")
-        self._relabel_b = bool(key.spec.trans_b and key.variant == "winograd")
-        if self._relabel_a:
-            self._a = BatchMortonMatrix.zeros(
-                cap, key.k, key.m, tk, tm, dtype=dt, stagger=1
-            )
-        else:
-            self._a = BatchMortonMatrix.zeros(
-                cap, key.m, key.k, tm, tk, dtype=dt, stagger=1
-            )
-        if self._relabel_b:
-            self._b = BatchMortonMatrix.zeros(
-                cap, key.n, key.k, tn, tk, dtype=dt, stagger=2
-            )
-        else:
-            self._b = BatchMortonMatrix.zeros(
-                cap, key.k, key.n, tk, tn, dtype=dt, stagger=2
-            )
-        self._c = BatchMortonMatrix.zeros(
-            cap, key.m, key.n, tm, tn, dtype=dt, stagger=3
-        )
-        self.buffers_allocated = 3
-        self._ws = table.workspace(
-            tm.depth, tm.tile, tk.tile, tn.tile, dtype=dt, cap=cap, stagger=4
-        )
-        self.buffers_allocated += self._ws.buffer_count
-        # Row-range views are pure geometry; reuse them across executions.
-        self._rows: dict = {}
-
-    # ------------------------------------------------------------- execute
-
-    def _run(self, n_items: int) -> None:
-        """One stacked recursion over batch rows ``[0, n_items)``."""
-        views = self._rows.get(n_items)
-        if views is None:
-            a = self._a.stripe(0, n_items)
-            b = self._b.stripe(0, n_items)
-            if self._relabel_a:
-                a = transposed_view(a)
-            if self._relabel_b:
-                b = transposed_view(b)
-            views = self._rows[n_items] = (
-                a, b,
-                self._c.stripe(0, n_items),
-                self._ws.view(0, n_items),
-            )
-        a, b, c, ws = views
-        alpha = self.key.spec.alpha
-        if self.key.variant == "winograd":
-            winograd_multiply(
-                a, b, c, ops=self._ops, workspace=ws,
-                memory=self.key.memory, alpha=alpha,
-            )
-        else:
-            strassen_multiply(
-                a, b, c, ops=self._ops, workspace=ws, alpha=alpha
-            )
-
-    def execute_batch(
-        self,
-        problems: list[GemmProblem],
-        cs: list,
-        timings: PhaseTimings | None = None,
-        indices=None,
-    ) -> list[np.ndarray]:
-        """Run validated same-geometry problems through the stacked path.
-
-        ``cs[i]`` is item ``i``'s output operand (or ``None``); results
-        come back in input order with full per-item ``alpha``/``beta``
-        semantics applied.
-
-        ``indices`` maps chunk positions back to the *caller's* item
-        numbering (``indices[i]`` is the input index of ``problems[i]``;
-        defaults to ``0..n-1``).  Any failure attributable to one item —
-        geometry validation, output scaling — raises
-        :class:`repro.errors.BatchItemError` carrying that input index
-        with the original exception chained; a multi-item failure reports
-        the smallest affected index.  Whatever happens, the pooled stacks
-        are left quiescent (the lock is released only at phase
-        boundaries), so the plan stays reusable after an error.
-        """
-        key = self.key
-        spec = key.spec
-        n_items = len(problems)
-        if n_items == 0:
-            return []
-        if indices is None:
-            indices = range(n_items)
-        if n_items > self.cap:
-            raise PlanError(
-                f"batch of {n_items} exceeds this plan's capacity {self.cap}"
-            )
-        for i, p in enumerate(problems):
-            if (p.m, p.k, p.n) != (key.m, key.k, key.n):
-                cause = ShapeError(
-                    f"operands give GEMM dims {(p.m, p.k, p.n)}, but this "
-                    f"batch plan is compiled for {(key.m, key.k, key.n)}"
-                )
-                raise BatchItemError(indices[i], cause) from cause
-            trans = (p.op_a is OpKind.TRANS, p.op_b is OpKind.TRANS)
-            if trans != (spec.trans_a, spec.trans_b):
-                cause = PlanError(
-                    f"ops {(p.op_a.value, p.op_b.value)} do not match the "
-                    f"plan spec's transposes {(spec.trans_a, spec.trans_b)}"
-                )
-                raise BatchItemError(indices[i], cause) from cause
-            # alpha is folded into the one shared recursion, so it cannot
-            # vary per item; beta is a per-item epilogue and may.
-            if p.alpha != spec.alpha:
-                cause = PlanError(
-                    f"alpha={p.alpha} does not match the batch plan spec's "
-                    f"alpha={spec.alpha}"
-                )
-                raise BatchItemError(indices[i], cause) from cause
-        rec = PhaseTimings()
-        transpose_a = spec.trans_a and not self._relabel_a
-        transpose_b = spec.trans_b and not self._relabel_b
-        tr = self._ops.trace
-        with self._lock:
-            if self._debug:
-                if self._poisoned:
-                    check_quiescent(self._ws, "batch-workspace")
-            fused0 = self._ops.fused_adds
-            if tr is not None and tr.enabled:
-                if self._relabel_a:
-                    tr.emit("relabel", label="batch-a", items=n_items)
-                if self._relabel_b:
-                    tr.emit("relabel", label="batch-b", items=n_items)
-            t0 = time.perf_counter()
-            dense_to_morton_batch(
-                [p.a for p in problems], self._a, transpose=transpose_a
-            )
-            dense_to_morton_batch(
-                [p.b for p in problems], self._b, transpose=transpose_b
-            )
-            t1 = time.perf_counter()
-            if tr is not None and tr.enabled:
-                tr.emit(
-                    "convert", label="batch-in", seconds=t1 - t0,
-                    items=n_items,
-                )
-            if self._debug:
-                # Phase boundary: every occupied stack row's pad must be
-                # exactly zero before the shared recursion runs over it.
-                for i in range(n_items):
-                    check_pad_zero(self._a.item(i), f"a[{indices[i]}]")
-                    check_pad_zero(self._b.item(i), f"b[{indices[i]}]")
-            self._run(n_items)
-            t2 = time.perf_counter()
-            if spec.beta == 0.0:
-                # Stacked copy to fresh dense arrays; per-item beta (a
-                # directly-invoked batch may carry one) is applied in the
-                # post-lock epilogue below.
-                outs = morton_to_dense_batch(self._c, n_items)
-                results = first_err = None
-            else:
-                # The spec's accumulate: each item's product is folded
-                # into its caller C in one fused scale-and-add sweep of
-                # the conversion — never a separate full-matrix pass.
-                outs = None
-                results, first_err = self._fused_convert_out(
-                    problems, cs, indices
-                )
-            t3 = time.perf_counter()
-            if tr is not None and tr.enabled:
-                tr.emit(
-                    "convert", label="batch-out", seconds=t3 - t2,
-                    items=n_items,
-                )
-                if spec.beta != 0.0:
-                    tr.emit(
-                        "accumulate", label="batch-c",
-                        beta=float(spec.beta), items=n_items,
-                    )
-            fused_delta = self._ops.fused_adds - fused0
-            if self._debug:
-                self._ws.poison()
-                self._poisoned = True
-        rec.to_morton = t1 - t0
-        rec.compute = t2 - t1
-        rec.from_morton = t3 - t2
-        if timings is not None:
-            timings.to_morton += rec.to_morton
-            timings.compute += rec.compute
-            timings.from_morton += rec.from_morton
-        self.session._record_batch_execution(
-            self, n_items, rec, fused_delta,
-        )
-        if results is None:
-            # beta == 0 epilogue: alpha is already folded into the
-            # recursion, so only the per-item beta/copy-back remains.
-            results = []
-            first_err = None
-            for i, (p, c, d) in enumerate(zip(problems, cs, outs)):
-                try:
-                    if p.beta != 0.0:
-                        c *= p.beta
-                        c += d
-                        r = c
-                    elif c is not None:
-                        c[...] = d
-                        r = c
-                    else:
-                        r = d
-                except Exception as exc:  # noqa: BLE001 - re-raised with index
-                    # Finish the remaining items (their outputs are
-                    # already computed) before reporting the smallest
-                    # failing index.
-                    if first_err is None:
-                        err = BatchItemError(indices[i], exc)
-                        err.__cause__ = exc
-                        first_err = err
-                    results.append(None)
-                    continue
-                results.append(r)
-        if first_err is not None:
-            raise first_err
-        return results
-
-    def _fused_convert_out(self, problems, cs, indices):
-        """Per-item fused beta conversion (lock held); returns results/error.
-
-        Items whose ``beta`` is 0 (or whose C cannot take the computation
-        dtype directly) fall back to a fresh gather plus copy-back; a
-        failing item (e.g. a read-only C) is recorded and the rest still
-        convert, keeping the pooled stacks quiescent.
-        """
-        dt = self.key.spec.np_dtype
-        results = []
-        first_err: BatchItemError | None = None
-        for i, p in enumerate(problems):
-            c = cs[i]
-            try:
-                if c is not None and (p.beta != 0.0 or c.dtype == dt):
-                    r = morton_to_dense(self._c.item(i), out=c, beta=p.beta)
-                else:
-                    d = morton_to_dense(self._c.item(i))
-                    if c is not None:
-                        c[...] = d
-                        r = c
-                    else:
-                        r = d
-            except Exception as exc:  # noqa: BLE001 - re-raised with index
-                if first_err is None:
-                    err = BatchItemError(indices[i], exc)
-                    err.__cause__ = exc
-                    first_err = err
-                results.append(None)
-                continue
-            results.append(r)
-        return results, first_err
-
-    # ----------------------------------------------------------- accounting
-
-    @property
-    def scratch_bytes(self) -> int:
-        """Recursion scratch bytes the stacked workspace holds."""
-        return self._ws.nbytes
-
-    @property
-    def _own_scratch_bytes(self) -> int:
-        return self.scratch_bytes
-
-    @property
-    def pooled_bytes(self) -> int:
-        """Bytes held by the stacked operand/product buffers and scratch."""
-        return (
-            self._a.nbytes + self._b.nbytes + self._c.nbytes + self._ws.nbytes
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        key = self.key
-        return (
-            f"BatchPlan({key.m}x{key.k}x{key.n} x{self.cap}, {key.spec}, "
-            f"{key.variant}, {key.memory})"
+            f"CompiledPlan({key.m}x{key.k}x{key.n}{stack}, {key.spec}, "
+            f"{key.variant}, {key.memory}, {shape})"
         )

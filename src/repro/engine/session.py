@@ -49,7 +49,6 @@ from ..observe.trace import Tracer
 from ..tune.store import UNSET, PlanStore
 from .plan import (
     BATCH_CAP_MAX,
-    BatchPlan,
     CompiledPlan,
     PlanKey,
     _step_table,
@@ -109,7 +108,7 @@ class SessionStats:
     (``add3`` passes executed by low-memory schedules).
 
     The stacked-batch path adds ``batched_executes`` (whole batches run
-    through a :class:`BatchPlan`'s single recursion), ``batch_items``
+    through a stacked plan's single recursion), ``batch_items``
     (items those batches contained — each also counts in ``executes``),
     ``batch_fallbacks`` (same-geometry groups of two or more items that
     had to fall back to the per-item thread pool — panelled geometry or
@@ -150,8 +149,9 @@ class GemmSession:
     Parameters
     ----------
     capacity:
-        Maximum number of cached plans (and, separately, pooled Morton
-        workspaces).  Least-recently-used entries are evicted beyond it.
+        Maximum number of cached plans — single-item and stacked
+        together — and, separately, of pooled Morton workspaces.
+        Least-recently-used entries are evicted beyond it.
     policy, kernel, variant, memory:
         Session-wide defaults for :meth:`multiply` /:meth:`plan`; each call
         may override them.  They accept the same string-or-object forms as
@@ -241,8 +241,8 @@ class GemmSession:
         except ValueError as exc:
             raise PlanError(str(exc)) from None
         self._lock = threading.RLock()
-        self._plans: "OrderedDict[PlanKey, CompiledPlan]" = OrderedDict()
-        self._batch_plans: "OrderedDict[tuple, BatchPlan]" = OrderedDict()
+        # (PlanKey, cap) -> plan; cap is None for a single-item plan.
+        self._plans: "OrderedDict[tuple, CompiledPlan]" = OrderedDict()
         self._workspaces: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._hits = 0
         self._misses = 0
@@ -333,82 +333,45 @@ class GemmSession:
         )
         return self._plan_from_key(key)
 
-    def _plan_key_label(self, key: PlanKey) -> str:
-        return f"{key.m}x{key.k}x{key.n}:{key.variant}:{key.memory}"
+    def _plan_label(self, key: PlanKey, cap: int | None = None) -> str:
+        label = f"{key.m}x{key.k}x{key.n}:{key.variant}:{key.memory}"
+        return label if cap is None else f"{label}x{cap}"
 
-    def _plan_from_key(self, key: PlanKey) -> CompiledPlan:
+    def _plan_from_key(self, key: PlanKey, cap: int | None = None) -> CompiledPlan:
+        """The cached plan for ``(key, cap)``, compiling on a miss.
+
+        Single-item and stacked plans share one LRU of ``capacity``
+        entries, and with it the hit/miss/eviction counters and the byte
+        accounting.
+        """
+        ckey = (key, cap)
         tr = self.trace
         with self._lock:
-            plan = self._plans.get(key)
+            plan = self._plans.get(ckey)
             if plan is not None:
-                self._plans.move_to_end(key)
+                self._plans.move_to_end(ckey)
                 self._hits += 1
                 plan._cache_hit = True
                 if tr.enabled:
-                    tr.emit("plan_hit", label=self._plan_key_label(key))
+                    tr.emit("plan_hit", label=self._plan_label(key, cap))
                 return plan
             self._misses += 1
-            plan = CompiledPlan(key, self)
-            plan._cache_hit = False
+            plan = CompiledPlan(key, self, cap)
             self._buffers_allocated += plan.buffers_allocated
             self._track_scratch_alloc(plan._own_scratch_bytes)
-            self._plans[key] = plan
+            self._plans[ckey] = plan
             if tr.enabled:
                 tr.emit(
-                    "plan_compile", label=self._plan_key_label(key),
+                    "plan_compile", label=self._plan_label(key, cap),
                     buffers=plan.buffers_allocated,
                 )
             while len(self._plans) > self.capacity:
-                ekey, evicted = self._plans.popitem(last=False)
+                (ekey, ecap), evicted = self._plans.popitem(last=False)
                 self._scratch_live -= evicted._own_scratch_bytes
                 self._evictions += 1
                 if tr.enabled:
-                    tr.emit("plan_evict", label=self._plan_key_label(ekey))
+                    tr.emit("plan_evict", label=self._plan_label(ekey, ecap))
             return plan
-
-    def _batch_plan(self, key: PlanKey, cap: int) -> BatchPlan:
-        """The cached stacked plan for ``(key, cap)``, compiling on a miss.
-
-        Batch plans live in their own LRU (bounded by the same
-        ``capacity``) but share the session's hit/miss/eviction counters
-        and byte accounting with :meth:`plan` — ``plans_cached`` counts
-        both kinds.
-        """
-        bkey = (key, cap)
-        tr = self.trace
-        with self._lock:
-            bp = self._batch_plans.get(bkey)
-            if bp is not None:
-                self._batch_plans.move_to_end(bkey)
-                self._hits += 1
-                bp._cache_hit = True
-                if tr.enabled:
-                    tr.emit(
-                        "plan_hit",
-                        label=f"{self._plan_key_label(key)}x{cap}",
-                    )
-                return bp
-            self._misses += 1
-            bp = BatchPlan(key, cap, self)
-            self._buffers_allocated += bp.buffers_allocated
-            self._track_scratch_alloc(bp._own_scratch_bytes)
-            self._batch_plans[bkey] = bp
-            if tr.enabled:
-                tr.emit(
-                    "plan_compile",
-                    label=f"{self._plan_key_label(key)}x{cap}",
-                    buffers=bp.buffers_allocated,
-                )
-            while len(self._batch_plans) > self.capacity:
-                (ekey, ecap), evicted = self._batch_plans.popitem(last=False)
-                self._scratch_live -= evicted._own_scratch_bytes
-                self._evictions += 1
-                if tr.enabled:
-                    tr.emit(
-                        "plan_evict",
-                        label=f"{self._plan_key_label(ekey)}x{ecap}",
-                    )
-            return bp
 
     def _track_scratch_alloc(self, nbytes: int) -> None:
         """Record newly allocated recursion scratch (caller holds the lock)."""
@@ -576,8 +539,9 @@ class GemmSession:
 
         With ``batch="auto"`` (default) items are grouped by their full
         plan key; every group of two or more well-behaved same-geometry
-        problems executes through one stacked :class:`BatchPlan` — a
-        *single* Winograd recursion over ``(B, ...)`` Morton stacks —
+        problems executes through one stacked plan (a
+        :class:`CompiledPlan` with an integer ``cap``) — a *single* Winograd
+        recursion over ``(B, ...)`` Morton stacks —
         bit-identical to per-item results.  Groups that cannot
         stack (singletons, panelled geometries, ``memory="ip_overwrite"``)
         fall back to the per-item thread pool (BLAS leaf kernels and
@@ -678,8 +642,10 @@ class GemmSession:
             for lo in range(0, len(idxs), BATCH_CAP_MAX):
                 chunk = idxs[lo : lo + BATCH_CAP_MAX]
                 try:
-                    bp = self._batch_plan(key, batch_size_class(len(chunk)))
-                    outs = bp.execute_batch(
+                    plan = self._plan_from_key(
+                        key, batch_size_class(len(chunk))
+                    )
+                    outs = plan.execute_batch(
                         [specs[i][0] for i in chunk],
                         [specs[i][2] for i in chunk],
                         timings=specs[chunk[0]][3],
@@ -944,20 +910,27 @@ class GemmSession:
     # --------------------------------------------------------- bookkeeping
 
     def _record_execution(
-        self, plan: CompiledPlan, rec: PhaseTimings, extras=None
+        self, plan: CompiledPlan, rec: PhaseTimings, extras=None, items: int = 1,
     ) -> None:
-        """Fold one plan execution into the session counters (plan calls this)."""
+        """Fold one plan execution into the session counters (plan calls
+        this).  A stacked plan's execution of ``items`` problems also
+        counts as one batch."""
         tr = self.trace
         if tr.enabled:
+            batch = {} if plan.cap is None else {"items": items}
             tr.emit(
                 "exec",
-                label=self._plan_key_label(plan.key),
+                label=self._plan_label(plan.key, plan.cap),
                 seconds=rec.to_morton + rec.compute + rec.from_morton,
+                **batch,
             )
         with self._lock:
-            self._executes += 1
+            self._executes += items
+            if plan.cap is not None:
+                self._batched_executes += 1
+                self._batch_items += items
             if plan._cache_hit:
-                self._buffers_reused += 1
+                self._buffers_reused += items
             self._timings.to_morton += rec.to_morton
             self._timings.compute += rec.compute
             self._timings.from_morton += rec.from_morton
@@ -965,35 +938,10 @@ class GemmSession:
             if extras is not None:
                 self._fused_adds += extras.fused_adds
 
-    def _record_batch_execution(
-        self, plan: BatchPlan, n_items: int, rec: PhaseTimings,
-        fused_adds: int,
-    ) -> None:
-        """Fold one stacked-batch execution into the session counters."""
-        tr = self.trace
-        if tr.enabled:
-            tr.emit(
-                "exec",
-                label=f"{self._plan_key_label(plan.key)}x{plan.cap}",
-                seconds=rec.to_morton + rec.compute + rec.from_morton,
-                items=n_items,
-            )
-        with self._lock:
-            self._executes += n_items
-            self._batched_executes += 1
-            self._batch_items += n_items
-            if plan._cache_hit:
-                self._buffers_reused += n_items
-            self._timings.to_morton += rec.to_morton
-            self._timings.compute += rec.compute
-            self._timings.from_morton += rec.from_morton
-            self._fused_adds += fused_adds
-
     def stats(self) -> SessionStats:
         """A consistent snapshot of the instrumentation counters."""
         with self._lock:
             pooled = sum(p.pooled_bytes for p in self._plans.values())
-            pooled += sum(bp.pooled_bytes for bp in self._batch_plans.values())
             for ws, _, c_buf in self._workspaces.values():
                 pooled += c_buf.nbytes + ws.nbytes
             agg = PhaseTimings(
@@ -1011,7 +959,7 @@ class GemmSession:
                 plan_hits=self._hits,
                 plan_misses=self._misses,
                 plan_evictions=self._evictions,
-                plans_cached=len(self._plans) + len(self._batch_plans),
+                plans_cached=len(self._plans),
                 executes=self._executes,
                 buffers_reused=self._buffers_reused,
                 buffers_allocated=self._buffers_allocated,
@@ -1034,7 +982,6 @@ class GemmSession:
         """Drop every cached plan and pooled workspace (counters survive)."""
         with self._lock:
             self._plans.clear()
-            self._batch_plans.clear()
             self._workspaces.clear()
             self._expr_pool.clear()
             self._scratch_live = 0

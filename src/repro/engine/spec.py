@@ -114,18 +114,12 @@ class GemmSpec:
         ``trans_b`` wins over the corresponding op keyword.  Anything
         malformed raises :class:`~repro.errors.PlanError`.
         """
-        if value is None:
-            spec = cls()
-        elif isinstance(value, cls):
-            spec = value
-        elif isinstance(value, dict):
+        if isinstance(value, dict):
             try:
-                spec = cls(**value)
-            except PlanError:
-                raise
+                value = cls(**value)
             except TypeError as exc:
                 raise PlanError(f"malformed GemmSpec dict {value!r}: {exc}") from exc
-        else:
+        elif value is not None and not isinstance(value, cls):
             raise PlanError(
                 f"cannot coerce {value!r} into a GemmSpec; expected None, "
                 "a GemmSpec, or a dict of its fields"
@@ -153,7 +147,10 @@ class GemmSpec:
             changes["trans_b"] = _parse_trans("trans_b", trans_b)
         if dtype is not None:
             changes["dtype"] = _coerce_dtype(dtype)
-        return replace(spec, **changes) if changes else spec
+        # The keyword-only path (every multiply) constructs one spec.
+        if value is None:
+            return cls(**changes)
+        return replace(value, **changes) if changes else value
 
     # --------------------------------------------------------- convenience
 

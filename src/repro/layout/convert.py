@@ -17,7 +17,7 @@ block.  :func:`_blocks` covers the logical region with whole aligned
 blocks plus single tiles clipped along a padded edge, once per geometry:
 one block at 1024x1024 (tile 32, depth 5), 79 at 513x513 (tile 33,
 depth 4).  Both views carry an optional leading stack axis, which the
-batch forms use.
+batch forms use on a stacked :class:`MortonMatrix`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matrix import BatchMortonMatrix, MortonMatrix
+from .matrix import MortonMatrix
 
 __all__ = [
     "dense_to_morton",
@@ -149,6 +149,7 @@ def dense_to_morton(
     exactly this invariant, so repeated conversions touch only the logical
     elements).
     """
+    out._single("dense_to_morton()")
     src = _op_source(a, out.buf.dtype, out.shape, transpose)
     if zero_pad and out.size != out.rows * out.cols:
         out.buf.fill(0.0)  # the block copies write logical elements only
@@ -172,6 +173,7 @@ def morton_to_dense(
     whole-matrix two-pass would, but the destination is traversed in one
     sweep of blocks.  Requires ``out``.
     """
+    m._single("morton_to_dense()")
     if out is None:
         if beta != 0.0:
             raise ValueError("beta != 0 requires an existing out array")
@@ -188,19 +190,19 @@ def morton_to_dense(
 
 
 def dense_to_morton_batch(
-    arrs, out: BatchMortonMatrix, transpose: bool = False,
-) -> BatchMortonMatrix:
+    arrs, out: MortonMatrix, transpose: bool = False,
+) -> MortonMatrix:
     """Convert ``len(arrs)`` same-geometry dense arrays into a Morton stack.
 
-    Item ``i`` fills row ``i`` of ``out``.  ``out``'s rows must already
+    Item ``i`` fills row ``i`` of the stacked ``out``.  Its rows must already
     have zeroed pads (the pooled batch stacks maintain this invariant: the
     batched recursion never writes operand stacks); only logical elements
     are written.  The stack's block views are built once per call, so
     each item costs one view and one copy per block.
     """
     n = len(arrs)
-    if n > out.batch:
-        raise ValueError(f"{n} items exceed batch capacity {out.batch}")
+    if n > (out.batch or 0):
+        raise ValueError(f"{n} items exceed the stack's {out.batch or 0} rows")
     stack = out.buf[:n]
     blocks = [(b, _morton_view(stack, b)) for b in _blocks(*_geometry(out))]
     for i in range(n):
@@ -210,7 +212,7 @@ def dense_to_morton_batch(
     return out
 
 
-def morton_to_dense_batch(m: BatchMortonMatrix, n_items: int) -> list:
+def morton_to_dense_batch(m: MortonMatrix, n_items: int) -> list:
     """Convert the first ``n_items`` rows of a Morton stack back to dense.
 
     Returns one Fortran-order array per item (the BLAS interface layout):

@@ -11,14 +11,14 @@ matrix additions reduce to 1-D vector operations on whole buffers, and leaf
 tiles are contiguous no matter which tile size the truncation search picked.
 
 The same property makes a *batch* of same-geometry problems stackable:
-:class:`BatchMortonMatrix` stores ``batch`` Morton images as the rows of
-one ``(batch, padded_elems)`` array.  Every quadrant of the stack is then
-a ``(batch, quarter)`` column slice whose rows stay contiguous, so the
-Winograd additions remain single ufunc calls — now over the whole batch —
-and the stacked leaf tiles form a ``(batch, T, T)`` array that one batched
-``np.matmul`` multiplies in a single call.  The step-table executor
-(:meth:`repro.core.winograd.StepTable.execute`) takes those slices and
-views straight from the raw buffers.
+a stacked :class:`MortonMatrix` holds ``batch`` Morton images as the rows
+of one ``(batch, padded_elems)`` buffer.  Every quadrant of the stack is
+then a ``(batch, quarter)`` column slice whose rows stay contiguous, so
+the Winograd additions remain single ufunc calls — now over the whole
+batch — and the stacked leaf tiles form a ``(batch, T, T)`` array that
+one batched ``np.matmul`` multiplies in a single call.  The step-table
+executor (:meth:`repro.core.winograd.StepTable.execute`) takes those
+slices and views straight from the raw buffers.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .padding import TileRange, Tiling
 
-__all__ = ["MortonMatrix", "BatchMortonMatrix", "staggered_buffer"]
+__all__ = ["MortonMatrix", "staggered_buffer"]
 
 #: Base-address offset between sibling staggered allocations, in bytes:
 #: an odd multiple of the 64-byte cache line (65 lines), so that buffers
@@ -42,26 +42,23 @@ __all__ = ["MortonMatrix", "BatchMortonMatrix", "staggered_buffer"]
 STAGGER_BYTES = 65 * 64
 
 
-def staggered_buffer(
-    shape: tuple, dtype, stagger: int = 0, zeros: bool = False,
-) -> np.ndarray:
+def staggered_buffer(shape: tuple, dtype, stagger: int = 0) -> np.ndarray:
     """Allocate a C-contiguous array offset by ``stagger * STAGGER_BYTES``.
 
     The returned array is a view into a slightly larger allocation (kept
     alive through ``.base``) whose start is shifted by the stagger index —
     give sibling buffers distinct indices and their base addresses can
     never be mutually cache-set-congruent, whatever the allocator does.
-    ``stagger=0`` is a plain allocation.
+    ``stagger=0`` is a plain ``np.empty``.
     """
     dt = np.dtype(dtype)
     offset = stagger * STAGGER_BYTES // dt.itemsize
     if offset == 0:
-        return (np.zeros if zeros else np.empty)(shape, dtype=dt)
+        return np.empty(shape, dtype=dt)
     n = 1
     for dim in shape:
         n *= dim
-    raw = (np.zeros if zeros else np.empty)(n + offset, dtype=dt)
-    return raw[offset : offset + n].reshape(shape)
+    return np.empty(n + offset, dtype=dt)[offset : offset + n].reshape(shape)
 
 
 @dataclass
@@ -72,7 +69,10 @@ class MortonMatrix:
     ----------
     buf:
         Flat float64 array of length ``padded_rows * padded_cols``.  May be
-        a view into a larger buffer (quadrants are such views).
+        a view into a larger buffer (quadrants are such views).  A *stack*
+        of same-geometry matrices has a ``(batch, padded_rows *
+        padded_cols)`` buffer, one item per row (:attr:`batch`,
+        :meth:`item`); the single-matrix methods reject stacks.
     rows, cols:
         Logical (unpadded) dimensions.  The padded region, when present,
         holds zeros so that redundant arithmetic on it is harmless
@@ -109,15 +109,20 @@ class MortonMatrix:
 
     @property
     def size(self) -> int:
-        """Buffer length (padded element count)."""
+        """Buffer length (padded element count) of one item."""
         return self.padded_rows * self.padded_cols
 
+    @property
+    def batch(self) -> int | None:
+        """Number of stacked items, or ``None`` for a single matrix."""
+        return self.buf.shape[0] if self.buf.ndim == 2 else None
+
     def __post_init__(self) -> None:
-        if self.buf.ndim != 1:
-            raise ValueError("MortonMatrix buffer must be 1-D")
-        if self.buf.size != self.size:
+        if self.buf.ndim not in (1, 2):
+            raise ValueError("MortonMatrix buffer must be 1-D, or 2-D for a stack")
+        if self.buf.shape[-1] != self.size:
             raise ValueError(
-                f"buffer has {self.buf.size} elements; tiling "
+                f"buffer has {self.buf.shape[-1]} elements per item; tiling "
                 f"({self.tile_r}x{self.tile_c}, depth {self.depth}) needs {self.size}"
             )
         if not (0 < self.rows <= self.padded_rows):
@@ -125,37 +130,50 @@ class MortonMatrix:
         if not (0 < self.cols <= self.padded_cols):
             raise ValueError(f"cols={self.cols} not in (0, {self.padded_cols}]")
 
+    def _single(self, what: str) -> None:
+        """Reject a stack where one matrix is meant."""
+        if self.buf.ndim != 1:
+            raise ValueError(
+                f"{what} needs a single Morton matrix, not a stack of "
+                f"{self.batch}; take item(i) first"
+            )
+
     # ------------------------------------------------------------ factories
 
     @classmethod
     def empty(
         cls, rows: int, cols: int, tiling_r: Tiling, tiling_c: Tiling,
-        dtype=np.float64,
+        dtype=np.float64, cap: int | None = None, stagger: int = 0,
     ) -> "MortonMatrix":
-        """Uninitialised Morton matrix for the given per-dimension tilings."""
+        """Uninitialised Morton matrix for the given per-dimension tilings.
+
+        ``cap`` makes it a stack of ``cap`` items; ``stagger`` offsets its
+        buffer (:func:`staggered_buffer`).
+        """
         if tiling_r.depth != tiling_c.depth:
             raise ValueError(
                 f"row depth {tiling_r.depth} != column depth {tiling_c.depth}; "
                 "use layout.padding.select_common_tiling"
             )
-        depth = tiling_r.depth
-        buf = np.empty((tiling_r.padded * tiling_c.padded,), dtype=dtype)
+        size = tiling_r.padded * tiling_c.padded
         return cls(
-            buf=buf,
+            buf=staggered_buffer(
+                (size,) if cap is None else (cap, size), dtype, stagger
+            ),
             rows=rows,
             cols=cols,
             tile_r=tiling_r.tile,
             tile_c=tiling_c.tile,
-            depth=depth,
+            depth=tiling_r.depth,
         )
 
     @classmethod
     def zeros(
         cls, rows: int, cols: int, tiling_r: Tiling, tiling_c: Tiling,
-        dtype=np.float64,
+        dtype=np.float64, cap: int | None = None, stagger: int = 0,
     ) -> "MortonMatrix":
-        out = cls.empty(rows, cols, tiling_r, tiling_c, dtype=dtype)
-        out.buf[:] = 0.0
+        out = cls.empty(rows, cols, tiling_r, tiling_c, dtype, cap, stagger)
+        out.buf[...] = 0.0
         return out
 
     @classmethod
@@ -217,6 +235,19 @@ class MortonMatrix:
 
     # ------------------------------------------------------------ structure
 
+    def item(self, i: int) -> "MortonMatrix":
+        """Item ``i`` of a stack: a single-matrix view of buffer row ``i``."""
+        if self.buf.ndim != 2:
+            raise ValueError("item() needs a stacked Morton matrix")
+        return MortonMatrix(
+            buf=self.buf[i],
+            rows=self.rows,
+            cols=self.cols,
+            tile_r=self.tile_r,
+            tile_c=self.tile_c,
+            depth=self.depth,
+        )
+
     def quadrant(self, qr: int, qc: int) -> "MortonMatrix":
         """Zero-copy view of quadrant ``(qr, qc)`` (0=N/W, 1=S/E).
 
@@ -226,6 +257,7 @@ class MortonMatrix:
         zeros and participates harmlessly in the arithmetic, so recursion
         levels treat quadrants as dense.
         """
+        self._single("quadrant()")
         if self.depth == 0:
             raise ValueError("a leaf tile has no quadrants")
         if qr not in (0, 1) or qc not in (0, 1):
@@ -253,6 +285,7 @@ class MortonMatrix:
 
     def leaf_view(self) -> np.ndarray:
         """2-D Fortran-order view of a leaf tile (depth must be 0)."""
+        self._single("leaf_view()")
         if self.depth != 0:
             raise ValueError(f"leaf_view requires depth 0, got {self.depth}")
         return self.buf.reshape(self.tile_c, self.tile_r).T
@@ -269,6 +302,7 @@ class MortonMatrix:
         """
         from .tiles import iter_tiles
 
+        self._single("pad_is_zero()")
         tr, tc = self.tile_r, self.tile_c
         tile_elems = tr * tc
         for t in iter_tiles(self.depth, tr, tc):
@@ -292,6 +326,7 @@ class MortonMatrix:
         """Element access by logical (row, col) — for tests and debugging."""
         from .morton import element_offsets
 
+        self._single("element access")
         i, j = idx
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i}, {j}) outside logical shape {self.shape}")
@@ -300,126 +335,9 @@ class MortonMatrix:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        stack = "" if self.batch is None else f"batch={self.batch}, "
         return (
-            f"MortonMatrix({self.rows}x{self.cols}, padded "
+            f"MortonMatrix({stack}{self.rows}x{self.cols}, padded "
             f"{self.padded_rows}x{self.padded_cols}, tile "
-            f"{self.tile_r}x{self.tile_c}, depth {self.depth})"
-        )
-
-
-@dataclass
-class BatchMortonMatrix:
-    """A stack of same-geometry Morton matrices, one per buffer row.
-
-    ``buf`` is ``(batch, padded_elems)`` with each row holding one item's
-    Morton image.  Because a quadrant is a contiguous element range of every
-    item, the stacked quadrant is the column slice ``buf[:, lo:hi]`` — still
-    a single strided array, so the Winograd additions stay single ufunc
-    calls over the whole batch.  Shares :class:`MortonMatrix`'s geometry
-    attributes (``depth``, ``size``, tiles); the executor reads ``buf``.
-    """
-
-    buf: np.ndarray  # (batch, padded_elems), rows contiguous
-    rows: int
-    cols: int
-    tile_r: int
-    tile_c: int
-    depth: int
-
-    # ---------------------------------------------------------------- shape
-
-    @property
-    def batch(self) -> int:
-        return self.buf.shape[0]
-
-    @property
-    def padded_rows(self) -> int:
-        return self.tile_r << self.depth
-
-    @property
-    def padded_cols(self) -> int:
-        return self.tile_c << self.depth
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Logical (unpadded) per-item shape."""
-        return (self.rows, self.cols)
-
-    @property
-    def size(self) -> int:
-        """Per-item buffer length (padded element count)."""
-        return self.padded_rows * self.padded_cols
-
-    @property
-    def nbytes(self) -> int:
-        return self.buf.shape[0] * self.buf.shape[1] * self.buf.itemsize
-
-    def __post_init__(self) -> None:
-        if self.buf.ndim != 2:
-            raise ValueError("BatchMortonMatrix buffer must be 2-D")
-        if self.buf.shape[1] != self.size:
-            raise ValueError(
-                f"buffer rows have {self.buf.shape[1]} elements; tiling "
-                f"({self.tile_r}x{self.tile_c}, depth {self.depth}) needs {self.size}"
-            )
-
-    # ------------------------------------------------------------ factories
-
-    @classmethod
-    def zeros(
-        cls, batch: int, rows: int, cols: int,
-        tiling_r: Tiling, tiling_c: Tiling, dtype=np.float64,
-        stagger: int = 0,
-    ) -> "BatchMortonMatrix":
-        if tiling_r.depth != tiling_c.depth:
-            raise ValueError(
-                f"row depth {tiling_r.depth} != column depth {tiling_c.depth}; "
-                "use layout.padding.select_common_tiling"
-            )
-        buf = staggered_buffer(
-            (batch, tiling_r.padded * tiling_c.padded), dtype, stagger,
-            zeros=True,
-        )
-        return cls(
-            buf=buf,
-            rows=rows,
-            cols=cols,
-            tile_r=tiling_r.tile,
-            tile_c=tiling_c.tile,
-            depth=tiling_r.depth,
-        )
-
-    # ------------------------------------------------------------ structure
-
-    def item(self, i: int) -> MortonMatrix:
-        """Per-item :class:`MortonMatrix` view of row ``i`` (zero-copy when
-        the batch rows are themselves contiguous)."""
-        row = self.buf[i]
-        if not row.flags.c_contiguous:  # pragma: no cover - defensive
-            row = np.ascontiguousarray(row)
-        return MortonMatrix(
-            buf=row,
-            rows=self.rows,
-            cols=self.cols,
-            tile_r=self.tile_r,
-            tile_c=self.tile_c,
-            depth=self.depth,
-        )
-
-    def stripe(self, lo: int, hi: int) -> "BatchMortonMatrix":
-        """Zero-copy view of batch rows ``[lo, hi)``."""
-        return BatchMortonMatrix(
-            buf=self.buf[lo:hi],
-            rows=self.rows,
-            cols=self.cols,
-            tile_r=self.tile_r,
-            tile_c=self.tile_c,
-            depth=self.depth,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"BatchMortonMatrix(batch={self.batch}, {self.rows}x{self.cols}, "
-            f"padded {self.padded_rows}x{self.padded_cols}, tile "
             f"{self.tile_r}x{self.tile_c}, depth {self.depth})"
         )

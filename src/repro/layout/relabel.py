@@ -60,12 +60,12 @@ def quadrant_slices(buf: np.ndarray, relabeled: bool = False) -> tuple:
 
 
 class TransposedView:
-    """Zero-copy logical transpose of a Morton(-batch) matrix.
+    """Zero-copy logical transpose of a (possibly stacked) Morton matrix.
 
     Presents the transposed geometry — swapped ``rows``/``cols``/
-    ``tile_r``/``tile_c``, forwarded ``buf``/``size``/``depth``/``batch``
-    — plus the ``transposed`` marker the step-table executor keys its
-    relabeled descent on.
+    ``tile_r``/``tile_c``, forwarded ``buf``/``size``/``depth`` — plus
+    the ``transposed`` marker the step-table executor keys its relabeled
+    descent on.
     """
 
     __slots__ = ("base",)
@@ -116,11 +116,6 @@ class TransposedView:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.base.cols, self.base.rows)
-
-    @property
-    def batch(self):
-        """Batch size when wrapping a batch stack, else ``None``."""
-        return getattr(self.base, "batch", None)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TransposedView({self.base!r})"

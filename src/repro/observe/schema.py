@@ -35,7 +35,7 @@ TRACE_SCHEMA_VERSION = 3
 
 #: The closed vocabulary of event kinds (the schema rejects others).
 EVENT_KINDS = (
-    "plan_compile",   # a CompiledPlan/BatchPlan/workspace entry was built
+    "plan_compile",   # a CompiledPlan (any cap) or workspace entry was built
     "plan_hit",       # a cache lookup was served from the LRU
     "plan_evict",     # an LRU entry (and its pooled buffers) was dropped
     "convert",        # one dense<->Morton conversion site ran

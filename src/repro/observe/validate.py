@@ -59,10 +59,9 @@ def check_pad_zero(mm, name: str) -> None:
 def check_quiescent(scratch, name: str) -> None:
     """Raise unless a poisoned scratch object is still wholly poisoned.
 
-    ``scratch`` is anything exposing ``poison_intact()`` —
-    :class:`~repro.core.workspace.Workspace` or
-    :class:`~repro.core.workspace.BatchWorkspace`.  Call only after the owner
-    has ``poison()``-ed it at the end of the previous execution.
+    ``scratch`` is anything exposing ``poison_intact()`` — a single or
+    stacked :class:`~repro.core.workspace.Workspace`.  Call only after the
+    owner has ``poison()``-ed it at the end of the previous execution.
     """
     if not scratch.poison_intact():
         raise InvariantError(

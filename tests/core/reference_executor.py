@@ -14,10 +14,32 @@ buffer, leaf products its leaf view.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.winograd import SCRATCH_SLOTS, bind_pass
-from repro.layout.matrix import BatchMortonMatrix, MortonMatrix
+from repro.layout.matrix import MortonMatrix
+
+
+@dataclass
+class Stacked:
+    """A stack of same-geometry Morton views: ``buf`` is ``(B, elems)``."""
+
+    buf: np.ndarray
+    rows: int
+    cols: int
+    tile_r: int
+    tile_c: int
+    depth: int
+
+
+def own(m):
+    """The reference's view of a library Morton matrix (stacks as
+    :class:`Stacked`)."""
+    if m.buf.ndim == 2:
+        return Stacked(m.buf, m.rows, m.cols, m.tile_r, m.tile_c, m.depth)
+    return m
 
 
 class Transposed:
@@ -32,12 +54,12 @@ class Transposed:
         self.tile_r, self.tile_c = base.tile_c, base.tile_r
 
 
-def _batch_view(m: BatchMortonMatrix, z: int) -> BatchMortonMatrix:
-    quarter = m.size // 4
-    return BatchMortonMatrix(
+def _batch_view(m: Stacked, z: int) -> Stacked:
+    quarter = m.buf.shape[1] // 4
+    return Stacked(
         buf=m.buf[:, z * quarter : (z + 1) * quarter],
-        rows=m.padded_rows // 2,
-        cols=m.padded_cols // 2,
+        rows=(m.tile_r << m.depth) // 2,
+        cols=(m.tile_c << m.depth) // 2,
         tile_r=m.tile_r,
         tile_c=m.tile_c,
         depth=m.depth - 1,
@@ -49,7 +71,7 @@ def quadrants(m) -> tuple:
     if isinstance(m, Transposed):
         q11, q12, q21, q22 = quadrants(m.base)
         return Transposed(q11), Transposed(q21), Transposed(q12), Transposed(q22)
-    if isinstance(m, BatchMortonMatrix):
+    if isinstance(m, Stacked):
         return tuple(_batch_view(m, z) for z in range(4))
     return m.quadrants()
 
@@ -59,7 +81,7 @@ def leaf_view(m) -> np.ndarray:
     if isinstance(m, Transposed):
         lv = leaf_view(m.base)
         return lv.T if lv.ndim == 2 else lv.transpose(0, 2, 1)
-    if isinstance(m, BatchMortonMatrix):
+    if isinstance(m, Stacked):
         return m.buf.reshape(m.buf.shape[0], m.tile_c, m.tile_r)
     return m.leaf_view()
 
@@ -107,8 +129,6 @@ def reference_run(table, a, b, c, ops, workspace=None, alpha=1.0) -> None:
             a.depth, a.tile_r, a.tile_c, b.tile_c,
             dtype=np.result_type(a.buf.dtype, b.buf.dtype), cap=batch,
         )
-        if batch is not None:
-            workspace = workspace.view(0, batch)
     flip = {
         kind for kind, m in (("A", a), ("B", b))
         if getattr(m, "transposed", False)
@@ -118,10 +138,10 @@ def reference_run(table, a, b, c, ops, workspace=None, alpha=1.0) -> None:
         if not table.scratch:
             return ()
         lv = workspace.at(depth)
+        slots = [own(getattr(lv, s.lower())) for s in table.scratch]
         return tuple(
-            relabel_scratch(getattr(lv, s.lower()))
-            if SCRATCH_SLOTS[s] in flip else getattr(lv, s.lower())
-            for s in table.scratch
+            relabel_scratch(m) if SCRATCH_SLOTS[s] in flip else m
+            for s, m in zip(table.scratch, slots)
         )
 
     levels = [level_slots(d) for d in range(a.depth)]
@@ -162,7 +182,7 @@ def reference_run(table, a, b, c, ops, workspace=None, alpha=1.0) -> None:
 
 
 def morton(buf, tile_r, tile_c, depth):
-    """A plain or batch Morton view over ``buf`` (padded geometry)."""
-    cls = MortonMatrix if buf.ndim == 1 else BatchMortonMatrix
+    """A plain or stacked Morton view over ``buf`` (padded geometry)."""
+    cls = MortonMatrix if buf.ndim == 1 else Stacked
     return cls(buf=buf, rows=tile_r << depth, cols=tile_c << depth,
                tile_r=tile_r, tile_c=tile_c, depth=depth)

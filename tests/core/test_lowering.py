@@ -62,8 +62,6 @@ def test_bit_identical_to_view_reference(name, depth, tiles, alpha, trans,
         c = morton(np.empty((*lead, (tm << depth) * (tn << depth)), dtype),
                    tm, tn, depth)
         ws = table.workspace(depth, tm, tk, tn, dtype=dtype, cap=batch)
-        if batch is not None:
-            ws = ws.view(0, batch)
         executor(a, b, c, ws)
         return c.buf
 
@@ -119,12 +117,13 @@ def test_workspace_checked_once_at_entry():
 
 
 class _Counted:
-    """Counts constructions of the three Morton view classes."""
+    """Counts constructions of the Morton view classes (single or stacked
+    :class:`MortonMatrix`, and :class:`TransposedView`)."""
 
     def __init__(self, monkeypatch):
         self.n = 0
-        for cls in (matrix.MortonMatrix, matrix.BatchMortonMatrix):
-            monkeypatch.setattr(cls, "__post_init__", self._wrap(cls.__post_init__))
+        cls = matrix.MortonMatrix
+        monkeypatch.setattr(cls, "__post_init__", self._wrap(cls.__post_init__))
         monkeypatch.setattr(
             relabel.TransposedView, "__init__",
             self._wrap(relabel.TransposedView.__init__),

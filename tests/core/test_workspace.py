@@ -39,8 +39,8 @@ class TestGeometry:
         ws = Workspace(depth=4, tile_m=8, tile_k=8, tile_n=8, with_q=True)
         # 4 quarter buffers per level: total < 4/3 of a full matrix.
         full = (8 << 4) * (8 << 4) * 8
-        assert ws.total_bytes < 4 * full // 3 + 1
-        assert ws.total_bytes > 0
+        assert ws.nbytes < 4 * full // 3 + 1
+        assert ws.nbytes > 0
 
 
 class TestSchedules:
@@ -73,7 +73,6 @@ class TestSchedules:
         ws = Workspace(3, 4, 4, 4, schedule="ip_overwrite")
         assert ws.levels == []
         assert ws.nbytes == 0
-        assert ws.total_bytes == 0
 
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError, match="unknown workspace schedule"):
@@ -113,9 +112,8 @@ class TestPoisonQuiescence:
         assert ws.poison_intact()
 
     def test_batch_workspace_round_trip(self):
-        from repro.core.workspace import BatchWorkspace
-
-        ws = BatchWorkspace(4, 2, 4, 4, 4, with_q=True)
+        ws = Workspace(2, 4, 4, 4, with_q=True, cap=4)
+        assert next(ws._buffers()).shape[0] == 4
         ws.poison()
         assert ws.poison_intact()
         next(ws._buffers())[2, 5] = 0.0

@@ -1,8 +1,8 @@
 """Tests for the stacked-Morton batched execution path.
 
-The central invariant: routing same-geometry problems through one
-:class:`BatchPlan` recursion over ``(B, ...)`` stacks is **bit-identical**
-to executing each item through its per-item :class:`CompiledPlan` — the
+The central invariant: routing same-geometry problems through one stacked
+:class:`CompiledPlan` recursion over ``(B, ...)`` stacks is
+**bit-identical** to executing each item through its per-item plan — the
 recursion code and addition order are literally shared, only the leading
 batch axis differs.
 """
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro import BatchItemError
 from repro.engine import (
     BATCH_CAP_MAX,
-    BatchPlan,
+    CompiledPlan,
     GemmSession,
     batch_size_class,
 )
@@ -108,6 +108,22 @@ class TestBitIdentity:
             assert np.array_equal(out, ref)
         assert stats.batched_executes == 2
         assert stats.batch_items == count
+
+    def test_one_item_last_chunk_runs_stacked(self, rng):
+        """A group of 32k+1 items ends in a one-item chunk, which still
+        runs on a (one-row) stacked plan, not the single-item plan."""
+        count = BATCH_CAP_MAX + 1
+        pairs = _pairs(rng, 40, count)
+        refs = _reference_outputs(pairs)
+        with GemmSession() as s:
+            outs = s.multiply_many(pairs)
+            stats = s.stats()
+            caps = sorted(cap for _, cap in s._plans)
+        for out, ref in zip(outs, refs):
+            assert np.array_equal(out, ref)
+        assert stats.batched_executes == 2
+        assert stats.batch_items == count
+        assert caps == [1, BATCH_CAP_MAX]
 
     def test_strassen_variant_batches(self, rng):
         pairs = _pairs(rng, 64, 3)
@@ -388,12 +404,12 @@ class TestExecutionFailureIndex:
             assert np.array_equal(out, ref)
 
     def test_execute_batch_maps_indices_argument(self, rng, session):
-        """BatchPlan honours the caller's index mapping directly."""
+        """A stacked plan honours the caller's index mapping directly."""
         import repro
 
         pairs = _pairs(rng, 64, 3)
         session.multiply_many(pairs)  # compile the (key, 4) batch plan
-        ((_, bp),) = session._batch_plans.items()
+        ((_, bp),) = session._plans.items()
         bad_c = rng.standard_normal((64, 64))
         bad_c.flags.writeable = False
         probs = [
@@ -457,7 +473,7 @@ class TestBatchPlanCache:
         for _ in range(3):
             session.multiply_many(_pairs(rng, 64, 5))
         s = session.stats()
-        assert s.plan_misses == 1  # one BatchPlan compile
+        assert s.plan_misses == 1  # one stacked-plan compile
         assert s.plan_hits == 2
         assert s.plans_cached == 1
         assert s.batched_executes == 3
@@ -497,22 +513,43 @@ class TestBatchPlanCache:
     def test_batch_plan_rejects_ip_overwrite(self, session):
         key = session.plan(64, 64, 64, memory="ip_overwrite").key
         with pytest.raises(PlanError, match="ip_overwrite"):
-            BatchPlan(key, 4, session)
+            CompiledPlan(key, session, cap=4)
 
     def test_batch_plan_rejects_panelled_geometry(self, session):
         key = session.plan(32, 2048, 32).key
         with pytest.raises(PlanError, match="panelled"):
-            BatchPlan(key, 4, session)
+            CompiledPlan(key, session, cap=4)
 
     def test_capacity_guard(self, rng, session):
         pairs = _pairs(rng, 64, 3)
         session.multiply_many(pairs)
-        ((_, bp),) = session._batch_plans.items()
+        ((_, bp),) = session._plans.items()
         probs = [
             __import__("repro").GemmProblem.create(a, b) for a, b in pairs
         ]
         with pytest.raises(PlanError, match="capacity"):
             bp.execute_batch(probs * 2, [None] * 6)
+        # A single-item plan has no batch axis, and a stacked plan runs
+        # no single item.
+        single = session.plan(64, 64, 64)
+        assert single.cap is None
+        with pytest.raises(PlanError, match="no batch axis"):
+            single.execute_batch(probs[:1], [None])
+        with pytest.raises(PlanError, match="execute_batch"):
+            bp.execute_problem(probs[0])
+
+    def test_single_and_stacked_plans_share_one_lru(self, rng):
+        # capacity bounds every cached plan together: compiling the
+        # stacked plan evicts the single-item one.
+        (a, b), = _pairs(rng, 64, 1)
+        with GemmSession(capacity=1) as s:
+            s.multiply(a, b)
+            s.multiply_many(_pairs(rng, 64, 2))
+            stats = s.stats()
+            ((_, cap),) = s._plans
+        assert cap == 2
+        assert stats.plans_cached == 1
+        assert stats.plan_evictions == 1
 
 
 class TestBatchStats:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.layout.convert import dense_to_morton, morton_to_dense
 from repro.layout.matrix import MortonMatrix
 from repro.layout.padding import TileRange, Tiling, select_common_tiling
 
@@ -31,10 +32,14 @@ class TestConstruction:
             )
 
     def test_requires_1d_buffer(self):
-        with pytest.raises(ValueError):
-            MortonMatrix(
-                buf=np.zeros((4, 4)), rows=4, cols=4, tile_r=2, tile_c=2, depth=1
-            )
+        # 1-D for one matrix, 2-D (one item per row) for a stack; a stack's
+        # rows must each hold one padded item.
+        for shape in ((4, 4), (2, 2, 16)):
+            with pytest.raises(ValueError):
+                MortonMatrix(
+                    buf=np.zeros(shape), rows=4, cols=4, tile_r=2, tile_c=2,
+                    depth=1,
+                )
 
     def test_logical_dims_within_padded(self):
         with pytest.raises(ValueError):
@@ -153,3 +158,40 @@ class TestCopy:
         c = m.copy()
         c.buf[:] = 1.0
         assert np.all(m.buf == 0.0)
+
+
+class TestStack:
+    """A ``(batch, size)`` buffer stacks same-geometry items, one per row."""
+
+    def stack(self, cap=3):
+        tr, tc = select_common_tiling((40, 30))
+        return MortonMatrix.zeros(40, 30, tr, tc, cap=cap, stagger=2)
+
+    def test_item_aliases_its_row(self):
+        s = self.stack()
+        assert s.batch == 3 and s.buf.shape == (3, s.size)
+        assert make(40, 30).batch is None
+        item = s.item(1)
+        assert item.batch is None and item.shape == (40, 30)
+        item.buf[:] = 7.0
+        assert np.all(s.buf[1] == 7.0)
+        assert not s.buf[0].any() and not s.buf[2].any()
+
+    @pytest.mark.parametrize("call", [
+        lambda m: m.quadrant(0, 0),
+        lambda m: m.quadrants(),
+        lambda m: m.leaf_view(),
+        lambda m: m.pad_is_zero(),
+        lambda m: m[0, 0],
+        lambda m: m.to_dense(),
+        lambda m: dense_to_morton(np.ones((40, 30)), m),
+        lambda m: morton_to_dense(m),
+    ], ids=["quadrant", "quadrants", "leaf_view", "pad_is_zero", "getitem",
+            "to_dense", "dense_to_morton", "morton_to_dense"])
+    def test_single_item_methods_reject_a_stack(self, call):
+        with pytest.raises(ValueError, match="stack"):
+            call(self.stack())
+
+    def test_item_needs_a_stack(self):
+        with pytest.raises(ValueError, match="stack"):
+            make(8, 8).item(0)

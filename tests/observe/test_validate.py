@@ -78,9 +78,9 @@ class TestWorkspaceQuiescence:
         pairs = [_square(rng, 64) for _ in range(4)]
         with GemmSession(debug=True) as s:
             s.multiply_many(pairs)
-            ((_, bp),) = s._batch_plans.items()
+            ((_, bp),) = s._plans.items()
             assert bp._poisoned
-            next(bp._ws._buffers())[0] = 0.0
+            next(bp._workspace._buffers())[0] = 0.0
             with pytest.raises(BatchItemError) as excinfo:
                 s.multiply_many(pairs)
         assert isinstance(excinfo.value.__cause__, InvariantError)

@@ -9,7 +9,7 @@ from repro.layout.convert import (
     morton_to_dense,
     morton_to_dense_batch,
 )
-from repro.layout.matrix import BatchMortonMatrix, MortonMatrix
+from repro.layout.matrix import MortonMatrix
 from repro.layout.morton import (
     compact_bits,
     deinterleave2,
@@ -184,9 +184,8 @@ def test_conversions_match_offset_gather(depth, tiles, fill, source,
                 want[...] = m.buf[offs]
         assert np.array_equal(_bits(got), _bits(want))
         return
-    bm = BatchMortonMatrix(buf=np.zeros((batch, padded), dtype=dtype),
-                           rows=rows, cols=cols, tile_r=tr, tile_c=tc,
-                           depth=depth)
+    bm = MortonMatrix(buf=np.zeros((batch, padded), dtype=dtype),
+                      rows=rows, cols=cols, tile_r=tr, tile_c=tc, depth=depth)
     for arrs in ([src_of(x) for x in xs], np.stack([src_of(x) for x in xs])):
         bm.buf[:] = 0.0
         dense_to_morton_batch(arrs, bm, transpose=transpose)
