@@ -43,8 +43,8 @@ FUSE_CHUNK_ELEMS = 1 << 14
 class WinogradOps(Protocol):
     """Operations the step tables name, over raw ndarrays.
 
-    The addition passes take same-shape flat quadrant buffers: 1-D for
-    one product, ``(B, elems)`` for a stacked batch.  ``leaf_mult`` takes
+    The addition passes take same-length flat quadrant buffers, of one
+    product or of a whole interleaved batch.  ``leaf_mult`` takes
     leaf-kernel tile views: 2-D ``(m, k)``/``(k, n)``/``(m, n)`` tiles,
     or ``(B, k, m)``/``(B, n, k)``/``(B, n, m)`` stacks of transposed
     tiles for a batch (see :mod:`repro.blas.kernels`).
@@ -82,19 +82,16 @@ class WinogradOps(Protocol):
 _fuse_scratch = threading.local()
 
 
-def _fuse_chunk(dtype: np.dtype, elems: int = FUSE_CHUNK_ELEMS) -> np.ndarray:
-    """Per-thread cache-sized staging chunk for fused addition passes.
-
-    One grow-only buffer per dtype; ``elems`` may exceed the default when a
-    batched pass needs at least one full batch column per chunk.
-    """
+def _fuse_chunk(dtype: np.dtype) -> np.ndarray:
+    """Per-thread cache-sized staging chunk for fused addition passes
+    (one buffer per dtype)."""
     bufs = getattr(_fuse_scratch, "bufs", None)
     if bufs is None:
         bufs = _fuse_scratch.bufs = {}
     key = np.dtype(dtype).str
     buf = bufs.get(key)
-    if buf is None or buf.size < elems:
-        buf = bufs[key] = np.empty(max(elems, FUSE_CHUNK_ELEMS), dtype=dtype)
+    if buf is None:
+        buf = bufs[key] = np.empty(FUSE_CHUNK_ELEMS, dtype=dtype)
     return buf
 
 
@@ -107,7 +104,8 @@ class NumpyOps:
 
     ``trace`` is an optional :class:`repro.observe.Tracer`: when set and
     enabled, every addition pass emits exactly one ``"add"`` event (its
-    ``elems`` is the per-item element count, also for a batch slab) and
+    ``elems`` is the per-item element count: the pass's length over
+    :attr:`items`, the number of items an interleaved batch stacks) and
     every leaf product one ``"leaf"`` event (a batched stack is one event
     carrying ``items``).  The disabled cost is one predicate check per
     operation — neither timestamps nor events are produced.
@@ -133,10 +131,13 @@ class NumpyOps:
             self.batch_kernel = guarded_kernel(self.batch_kernel)
         self.trace = trace
         self.fused_adds = 0
+        #: Items interleaved in the buffers the passes run over (set by a
+        #: stacked plan per batch); only the trace events read it.
+        self.items = 1
 
     def _emit(self, label: str, dst: np.ndarray) -> None:
         """Trace one addition pass (callers pre-check ``trace.enabled``)."""
-        self.trace.emit("add", label=label, elems=dst.shape[-1])
+        self.trace.emit("add", label=label, elems=dst.shape[-1] // self.items)
 
     def add(self, dst: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         """``dst = x + y`` as one flat vector operation."""
@@ -182,22 +183,20 @@ class NumpyOps:
                 f"operand shapes {dst.shape}, {x.shape}, {y.shape}, "
                 f"{z.shape} of a fused addition differ"
             )
-        # Chunk along the element axis (a flat buffer is a batch of one) so
-        # every pass covers the whole batch — chunk boundaries never change
-        # the elementwise arithmetic, only its staging granularity.
-        d, xb, yb, zb = (np.atleast_2d(m) for m in (dst, x, y, z))
-        bsz, elems = d.shape
-        step = max(1, FUSE_CHUNK_ELEMS // bsz)
-        tmp = _fuse_chunk(d.dtype, bsz * step)
+        # Chunk boundaries never change the elementwise arithmetic, only
+        # its staging granularity.
+        step = FUSE_CHUNK_ELEMS
+        tmp = _fuse_chunk(dst.dtype)
+        elems = dst.shape[0]
         for i in range(0, elems, step):
             j = min(i + step, elems)
-            t = tmp[: bsz * (j - i)].reshape(bsz, j - i)
-            np.add(xb[:, i:j], yb[:, i:j], out=t)
+            t = tmp[: j - i]
+            np.add(x[i:j], y[i:j], out=t)
             if alpha is None:
-                np.add(t, zb[:, i:j], out=d[:, i:j])
+                np.add(t, z[i:j], out=dst[i:j])
             else:
-                np.add(t, zb[:, i:j], out=t)
-                np.multiply(t, alpha, out=d[:, i:j])
+                np.add(t, z[i:j], out=t)
+                np.multiply(t, alpha, out=dst[i:j])
         self.fused_adds += 1
         tr = self.trace
         if tr is not None and tr.enabled:
@@ -273,11 +272,11 @@ class NumpyOps:
     ) -> None:
         """Multiply two leaf tile views (or stacked batches) with the kernel.
 
-        3-D stacks route to the batched kernel, so an entire
-        ``(B, T, T)`` leaf site is one call.  ``alpha`` scales the freshly
-        written tile in place — only a depth-0 recursion (the whole
-        product is one leaf) pays this, deeper plans fold alpha into the
-        final U-adds instead.
+        3-D stacks route to the batched kernel, so an entire ``(B, T, T)``
+        leaf site of an interleaved batch is one call.  ``alpha`` scales
+        the freshly written tile in place — only a depth-0 recursion (the
+        whole product is one leaf) pays this, deeper plans fold alpha into
+        the final U-adds instead.
         """
         batched = dst.ndim == 3
         (self.batch_kernel if batched else self.kernel)(a, b, dst)

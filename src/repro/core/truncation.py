@@ -14,7 +14,7 @@ Two policies reproduce the paper's comparison:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..errors import PlanError
 from ..layout.padding import TileRange, Tiling, select_common_tiling
@@ -43,6 +43,11 @@ class TruncationPolicy:
     #: returns these tilings without searching; otherwise the policy falls
     #: back to its dynamic range like any other dynamic policy.
     pinned: tuple[Tiling, Tiling, Tiling] | None = None
+    #: :meth:`plan`'s answers by ``(m, k, n)``: the policy is frozen, so
+    #: its plan is a pure function of the dimensions.
+    _plans: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def dynamic(cls, min_tile: int = 16, max_tile: int = 64) -> "TruncationPolicy":
@@ -182,7 +187,21 @@ class TruncationPolicy:
         single depth ``d`` forced by the largest dimension (a matrix no
         larger than T in every dimension is a single conventional leaf).
         Never None — static padding always "works", just expensively.
+        Answers are memoised per policy (at most :data:`_PLAN_MEMO` dims).
         """
+        dims = (m, k, n)
+        try:
+            return self._plans[dims]
+        except KeyError:
+            pass
+        tilings = self._search(m, k, n)
+        if len(self._plans) >= _PLAN_MEMO:
+            self._plans.clear()
+        self._plans[dims] = tilings
+        return tilings
+
+    def _search(self, m: int, k: int, n: int):
+        """:meth:`plan` without the memo."""
         if min(m, k, n) < 1:
             raise PlanError(f"GEMM dimensions must be >= 1, got {(m, k, n)}")
         if self.pinned is not None and (m, k, n) == tuple(
@@ -203,5 +222,8 @@ class TruncationPolicy:
             return tuple(Tiling(n=d, tile=d, depth=0) for d in dims)  # type: ignore[return-value]
         return tuple(Tiling(n=d, tile=t, depth=depth) for d in dims)  # type: ignore[return-value]
 
+
+#: Distinct dimension triples one policy memoises before starting over.
+_PLAN_MEMO = 1024
 
 DEFAULT_POLICY = TruncationPolicy.dynamic()

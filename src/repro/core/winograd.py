@@ -30,10 +30,12 @@ backend pass ``ops.<op>(dst, *srcs)``.  One executor
 (:meth:`StepTable.execute`) runs every table on raw buffers, deriving
 from the rows:
 
-* **lowering** — operands, products and scratch are plain ndarrays (1-D,
-  or ``(B, elems)`` for a stacked batch); a node's quadrants are slices
-  of the last axis, so the passes see flat arrays and the leaf kernel
-  sees tile views.  No per-node matrix object is built.
+* **lowering** — operands, products and scratch are flat ndarrays, of
+  one product or of ``n`` products interleaved tile by tile (the stacked
+  layout of :mod:`repro.layout.matrix`); a node's quadrants are
+  contiguous slices, so the passes see flat arrays and the leaf kernel
+  sees tile views — one ``(n, c, r)`` stack per leaf site when ``n >
+  1``.  No per-node matrix object is built.
 * **alpha** — each C quadrant's last write runs in its scaled form
   (``add_scale``, ``iadd_scale``, ``add3_scale``); a depth-0 product
   scales its leaf.  Sub-products are never scaled.
@@ -183,13 +185,13 @@ class StepTable:
             schedule=self.layout, dtype=dtype, cap=cap, stagger=stagger,
         )
 
-    def _scratch(self, workspace, depth: int, shapes: dict) -> tuple:
+    def _scratch(self, workspace, depth: int, sizes: dict, n: int) -> tuple:
         """The raw scratch buffers whose slots have depth ``depth``.
 
-        ``shapes`` maps each operand kind to the buffer shape its slots
-        must have; a stacked workspace serves a ``(B, elems)`` batch from
-        its first ``B`` rows.  A workspace of another layout or geometry
-        is rejected.
+        ``sizes`` maps each operand kind to one item's element count in
+        its slots; an ``n``-item batch takes each slot's first ``n`` item
+        lengths, from a workspace stacked for at least ``n`` items.  A
+        workspace of another layout or geometry is rejected.
         """
         if not self.scratch:
             return ()
@@ -203,15 +205,13 @@ class StepTable:
             )
         bufs = []
         for slot, view in zip(self.scratch, views):
-            want, buf = shapes[SCRATCH_SLOTS[slot]], view.buf
-            if buf.ndim == len(want) == 2:
-                buf = buf[: want[0]]
-            if buf.shape != want:
+            want, room = sizes[SCRATCH_SLOTS[slot]], view.batch or 1
+            if view.size != want or n > room:
                 raise ValueError(
-                    f"workspace slot {slot} at depth {depth} holds "
-                    f"{buf.shape} elements; the operands need {want}"
+                    f"workspace slot {slot} at depth {depth} holds {room} x "
+                    f"{view.size} elements; the operands need {n} x {want}"
                 )
-            bufs.append(buf)
+            bufs.append(view.buf[: n * want])
         return tuple(bufs)
 
     # ------------------------------------------------------------- executor
@@ -252,37 +252,38 @@ class StepTable:
         """The one executor: ``z = alpha . x . y`` with this table at every
         level, over raw Morton buffers.
 
-        ``x``/``y``/``z`` are the A/B/C buffers — 1-D for one product,
-        ``(B, elems)`` for a stacked batch — of a depth-``depth``
+        ``x``/``y``/``z`` are the flat A/B/C buffers of a depth-``depth``
         recursion over ``tiles = (tile_m, tile_k, tile_n)`` leaves (op
-        geometry).  ``relabeled`` marks A/B stored transposed: those
-        buffers, and the S/T scratch of their kind, descend in
+        geometry): of one product, or of ``n`` products interleaved tile
+        by tile (:mod:`repro.layout.matrix`), ``n`` being ``z.size`` over
+        one item's C elements.  ``relabeled`` marks A/B stored transposed:
+        those buffers, and the S/T scratch of their kind, descend in
         :data:`~repro.layout.relabel.RELABEL_ORDER` and yield transposed
-        leaf views.  Each node slices its buffers' last axis into
+        leaf views.  Each node slices its buffers into contiguous
         quadrants; a depth-1 node also views them as leaf tiles for the
         kernel (:func:`_leaves`).  Only the top level scales its final
         writes.  Without a ``workspace``, scratch is allocated in
         the operands' dtype.  Raises ``ValueError`` naming any op the
-        backend lacks, or when the workspace was built for another layout
-        or geometry.
+        backend lacks, when the buffers' lengths disagree, or when the
+        workspace was built for another layout or geometry.
         """
         tm, tk, tn = tiles
         geo = {"A": (tm, tk, relabeled[0]), "B": (tk, tn, relabeled[1]),
                "C": (tm, tn, False)}
+        n = _items(x, y, z, _level_sizes(tiles, depth))
         if depth == 0:
             bind_pass(ops, "leaf_mult", alpha)(*(
-                _leaves(buf, *geo[kind], 1)[0]
+                _leaves(buf, *geo[kind], 1, n)[0]
                 for buf, kind in ((x, "A"), (y, "B"), (z, "C"))
             ))
             return
-        lead = z.shape[:-1]
         if self.scratch and workspace is None:
             workspace = self.workspace(
                 depth, tm, tk, tn, dtype=np.result_type(x.dtype, y.dtype),
-                cap=lead[0] if lead else None,
+                cap=None if n == 1 else n,
             )
         levels = [
-            self._scratch(workspace, d, _level_shapes(tiles, d, lead))
+            self._scratch(workspace, d, _level_sizes(tiles, d), n)
             for d in range(depth)
         ]
         leaf = bind_pass(ops, "leaf_mult")
@@ -297,14 +298,10 @@ class StepTable:
         order = {k: RELABEL_ORDER if g[2] else PLAIN_ORDER for k, g in geo.items()}
 
         def cuts(kind: str, d: int) -> tuple:
-            """Index of each op-geometry quadrant of a depth-``d + 1`` node."""
+            """Slice of each op-geometry quadrant of a depth-``d + 1`` node."""
             r, c, _ = geo[kind]
-            q = (r << d) * (c << d)
-            return tuple(
-                (slice(None), slice(i * q, (i + 1) * q)) if lead
-                else slice(i * q, (i + 1) * q)
-                for i in order[kind]
-            )
+            q = (r << d) * (c << d) * n
+            return tuple(slice(i * q, (i + 1) * q) for i in order[kind])
 
         def run(program, v) -> None:
             for fn, i, j, k, l in program:
@@ -333,11 +330,13 @@ class StepTable:
             ga, gb, gc = geo["A"], geo["B"], geo["C"]
             (o0, o1, o2, o3), (p0, p1, p2, p3) = order["A"], order["B"]
             tiles0 = tuple(
-                _leaves(buf, *geo[kind], 1)[0] for buf, kind in zip(scratch, kinds)
+                _leaves(buf, *geo[kind], 1, n)[0]
+                for buf, kind in zip(scratch, kinds)
             )
 
             def rec(x, y, z) -> None:
-                ta, tb, tc = _leaves(x, *ga), _leaves(y, *gb), _leaves(z, *gc)
+                ta = _leaves(x, *ga, 4, n)
+                tb, tc = _leaves(y, *gb, 4, n), _leaves(z, *gc, 4, n)
                 run(program, (
                     x[a0], x[a1], x[a2], x[a3], y[b0], y[b1], y[b2], y[b3],
                     z[c0], z[c1], z[c2], z[c3], *scratch,
@@ -362,32 +361,55 @@ class StepTable:
         node(depth, bind(program, rec, finals))(x, y, z)
 
 
-def _level_shapes(tiles: tuple[int, int, int], depth: int, lead: tuple) -> dict:
-    """Buffer shape of a depth-``depth`` slot of each operand kind."""
+def _level_sizes(tiles: tuple[int, int, int], depth: int) -> dict:
+    """One item's element count in a depth-``depth`` slot of each kind."""
     tm, tk, tn = tiles
     return {
-        kind: (*lead, (r << depth) * (c << depth))
+        kind: (r << depth) * (c << depth)
         for kind, (r, c) in (("A", (tm, tk)), ("B", (tk, tn)), ("C", (tm, tn)))
     }
 
 
-def _leaves(buf: np.ndarray, r: int, c: int, relabeled: bool, n: int = 4):
-    """The ``n`` leaf tiles a buffer holds, as kernel views on axis 0.
+def _items(x: np.ndarray, y: np.ndarray, z: np.ndarray, sizes: dict) -> int:
+    """How many interleaved items the flat A/B/C buffers hold.
 
-    ``buf`` is ``n`` consecutive ``r x c`` (op geometry) Morton leaf
-    tiles.  A plain tile is stored column-major; a relabeled one is the
-    stored transpose, read row-major — either way the 2-D view is the
-    ``(r, c)`` op-geometry tile.  A ``(B, elems)`` batch stack yields
-    ``(B, c, r)`` views: each item's tile transposed, in C order, the
-    form the batched kernels take.
+    ``sizes`` is one item's element count per kind; the three buffers
+    must be flat and agree on the count.
     """
-    if buf.ndim == 1:
+    n = z.size // sizes["C"]
+    if not (
+        n >= 1 and x.ndim == y.ndim == z.ndim == 1
+        and (x.size, y.size, z.size)
+        == (n * sizes["A"], n * sizes["B"], n * sizes["C"])
+    ):
+        raise ValueError(
+            f"buffers of shapes {x.shape}, {y.shape}, {z.shape} are not "
+            f"flat stacks of one count of {sizes['A']}/{sizes['B']}/"
+            f"{sizes['C']}-element A/B/C items"
+        )
+    return n
+
+
+def _leaves(buf: np.ndarray, r: int, c: int, relabeled: bool, count: int = 4,
+            n: int = 1):
+    """The ``count`` leaf sites a buffer holds, as kernel views on axis 0.
+
+    ``buf`` is ``count`` consecutive leaf sites of ``n`` interleaved
+    ``r x c`` (op geometry) tiles each.  With ``n = 1`` a plain tile is
+    stored column-major and a relabeled one is the stored transpose, read
+    row-major — either way the 2-D view is the ``(r, c)`` op-geometry
+    tile.  With ``n > 1`` each site is one contiguous stack, viewed as
+    ``(n, c, r)``: each item's tile transposed, the form the batched
+    kernels take — a plain operand's site in C order as stored, a
+    relabeled one's the stored ``(n, r, c)``, transposed.
+    """
+    if n == 1:
         if relabeled:
-            return buf.reshape(n, r, c)
-        return buf.reshape(n, c, r).transpose(0, 2, 1)
+            return buf.reshape(count, r, c)
+        return buf.reshape(count, c, r).transpose(0, 2, 1)
     if relabeled:
-        return buf.reshape(-1, n, r, c).transpose(1, 0, 3, 2)
-    return buf.reshape(-1, n, c, r).transpose(1, 0, 2, 3)
+        return buf.reshape(count, n, r, c).transpose(0, 1, 3, 2)
+    return buf.reshape(count, n, c, r)
 
 
 CLASSIC = StepTable("classic", "classic", (
@@ -543,12 +565,14 @@ def winograd_multiply(
     **are destroyed** and no workspace is used.
 
     The operands may equally be same-shape stacked Morton matrices
-    (``(B, elems)`` buffers, with a workspace stacked to at least ``B``
-    rows): the executor slices the last axis of the buffers, so one call
-    then multiplies the whole batch — every addition a single ufunc over
-    ``(B, elems)`` slabs, every leaf product one batched ``matmul`` — with
-    per-item results bit-identical to the unbatched path (same addition
-    order throughout).
+    holding ``B`` items each (interleaved tile by tile, see
+    :mod:`repro.layout.matrix`, with a workspace stacked for at least
+    ``B`` items): every quadrant of a stack is one contiguous range, so
+    one call then multiplies the whole batch — every addition a single
+    1-D ufunc over all ``B`` items' parts, every leaf product one batched
+    ``matmul`` over a contiguous ``(B, T, T)`` stack — with per-item
+    results bit-identical to the unbatched path (same addition order
+    throughout).
     ``ip_overwrite`` is not offered for batches (the batched path never
     clobbers operands).
     """

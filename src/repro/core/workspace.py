@@ -23,11 +23,12 @@ The layouts (``schedule=``):
 * ``ip_overwrite`` — **no** scratch at all: the schedule clobbers the A
   and B quadrants themselves.
 
-A workspace built with ``cap`` stacks ``cap`` rows of every buffer for
-the batched path: each slot is then a stacked Morton view, and the
-executor runs a batch of ``B <= cap`` items on the first ``B`` rows.
-``Workspace.nbytes`` reports the true allocation (aliased views counted
-once).
+A workspace built with ``cap`` makes every buffer ``cap`` times longer
+for the batched path: each slot is then a stacked Morton view with room
+for ``cap`` items, and the executor runs a batch of ``n <= cap`` items,
+interleaved by ``n`` (:mod:`repro.layout.matrix`), on each slot's first
+``n`` item lengths.  ``Workspace.nbytes`` reports the true allocation
+(aliased views counted once).
 """
 
 from __future__ import annotations
@@ -65,16 +66,18 @@ def _layout(
     return tuple((elems(t), ((name, t),)) for name, t in slots)
 
 
-def _view(buf: np.ndarray, depth: int, tile_r: int, tile_c: int):
-    """Morton view of ``buf``'s leading elements (per row of a 2-D stack)."""
-    n = (tile_r << depth) * (tile_c << depth)
+def _view(buf: np.ndarray, depth: int, tile_r: int, tile_c: int, cap):
+    """Morton view (a stack with room for ``cap`` items, unless ``None``)
+    of ``buf``'s leading elements."""
+    n = (tile_r << depth) * (tile_c << depth) * (cap or 1)
     return MortonMatrix(
-        buf=buf[..., :n],
+        buf=buf[:n],
         rows=tile_r << depth,
         cols=tile_c << depth,
         tile_r=tile_r,
         tile_c=tile_c,
         depth=depth,
+        batch=cap,
     )
 
 
@@ -82,8 +85,8 @@ class _Level:
     """Scratch Morton matrices for one recursion level.
 
     ``s``/``t``/``p``/``q`` are views over ``bufs``, the level's distinct
-    backing arrays (1-D, or batch-stacked rows).  ``classic``: four
-    independent buffers (``q`` only with ``with_q``).  ``two_temp``: ``s``
+    backing arrays (``cap`` item lengths each for a stack).  ``classic``:
+    four independent buffers (``q`` only with ``with_q``).  ``two_temp``: ``s``
     and ``p`` view the *same* buffer (the schedule never needs both shapes
     live at once) and ``q`` is ``None``.  ``ip_overwrite`` levels are
     never built.
@@ -91,12 +94,12 @@ class _Level:
 
     __slots__ = ("s", "t", "p", "q", "bufs")
 
-    def __init__(self, depth: int, layout: tuple, bufs) -> None:
+    def __init__(self, depth: int, layout: tuple, bufs, cap=None) -> None:
         self.bufs = tuple(bufs)
         self.q = None
         for buf, (_, slots) in zip(self.bufs, layout):
             for name, tiles in slots:
-                setattr(self, name, _view(buf, depth, *tiles))
+                setattr(self, name, _view(buf, depth, *tiles, cap))
 
     @property
     def nbytes(self) -> int:
@@ -113,10 +116,10 @@ class Workspace:
 
     ``schedule`` selects the per-level layout (see module docstring); an
     ``ip_overwrite`` workspace owns no levels and no bytes.  ``cap``
-    stacks ``cap`` rows of every buffer; ``stagger > 0`` gives the
+    makes every buffer room for ``cap`` items; ``stagger > 0`` gives the
     buffers distinct stagger indices counting up from it
-    (:func:`~repro.layout.matrix.staggered_buffer`), so their rows never
-    share cache sets.
+    (:func:`~repro.layout.matrix.staggered_buffer`), so they never share
+    cache sets.
     """
 
     def __init__(
@@ -146,14 +149,13 @@ class Workspace:
         self.levels = []
         if schedule == "ip_overwrite":
             return
-        lead = () if cap is None else (cap,)
         for d in range(depth - 1, -1, -1):
             layout = _layout(schedule, with_q, d, tile_m, tile_k, tile_n)
             bufs = []
             for n, _ in layout:
-                bufs.append(staggered_buffer((*lead, n), dtype, stagger))
+                bufs.append(staggered_buffer((n * (cap or 1),), dtype, stagger))
                 stagger += 1 if stagger else 0
-            self.levels.append(_Level(d, layout, bufs))
+            self.levels.append(_Level(d, layout, bufs, cap))
 
     def at(self, child_depth: int) -> _Level:
         """Scratch whose matrices have the given (child) depth."""

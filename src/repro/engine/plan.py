@@ -16,9 +16,10 @@ recompute per call for a fixed problem geometry:
 
 ``plan.execute(a, b, ...)`` then runs the full BLAS contract against the
 frozen geometry, allocating only the dense output.  A plan compiled with
-an integer ``cap`` gives every pooled buffer a leading batch axis of
-``cap`` rows and runs up to ``cap`` same-geometry problems through one
-recursion (:meth:`CompiledPlan.execute_batch`).  Plans serialise their own
+an integer ``cap`` gives every pooled buffer room for ``cap`` items,
+interleaved tile by tile (:mod:`repro.layout.matrix`), and runs up to
+``cap`` same-geometry problems through one recursion
+(:meth:`CompiledPlan.execute_batch`).  Plans serialise their own
 executions with an internal lock, so one plan shared by many threads
 (e.g. via :meth:`GemmSession.multiply_many`) never corrupts its pooled
 buffers.
@@ -135,6 +136,16 @@ class PlanKey:
     memory: str = "classic"
     spec: GemmSpec = GemmSpec()
 
+    def __post_init__(self) -> None:
+        # Hashed once: a key is looked up per batch item and per cache probe.
+        object.__setattr__(self, "_hash", hash((
+            self.m, self.k, self.n, self.policy, self.kernel, self.variant,
+            self.memory, self.spec,
+        )))
+
+    def __hash__(self) -> int:
+        return self._hash
+
 
 class _ExecExtras:
     """Per-execution fused-pass count, folded into the session."""
@@ -153,16 +164,19 @@ class CompiledPlan:
 
     An integer ``cap`` (1 included) compiles a *stacked* plan, as
     :meth:`GemmSession.multiply_many` does per :func:`batch_size_class`:
-    the operand, product and scratch buffers gain a leading axis of
-    ``cap`` rows, and :meth:`execute_batch` runs up to ``cap`` problems
-    through **one** recursion — every addition a single ufunc over
-    ``(B, elems)`` slabs, every leaf product one batched ``matmul`` over a
-    ``(B, T, T)`` stack.  Results are bit-identical to executing the items
-    one by one: the table, the executor and the addition order are the
-    same, only the leading axis differs.  A stacked plan needs a
-    well-behaved tiling and a table that never writes its operands (not
-    ``ip_overwrite``), since the stacks' zero pads must survive across
-    executions.
+    the operand, product and scratch buffers grow to ``cap`` item
+    lengths, and :meth:`execute_batch` runs ``n <= cap`` problems,
+    interleaved by ``n`` over each buffer's first ``n`` item lengths,
+    through **one** recursion — every addition a single 1-D ufunc over a
+    contiguous range holding all ``n`` items' parts, every leaf product
+    one batched ``matmul`` over a contiguous ``(n, T, T)`` stack.
+    Results are bit-identical to executing the items one by one: the
+    table, the executor and the addition order are the same, only the
+    buffers are longer.  A stacked plan needs a well-behaved tiling and a
+    table that never writes its operands (not ``ip_overwrite``), since
+    the stacks' zero pads must survive across executions (pad positions
+    move with ``n``, so a padded stack re-zeros its operand prefix when
+    ``n`` changes).
     """
 
     def __init__(self, key: PlanKey, session, cap: int | None = None) -> None:
@@ -199,6 +213,8 @@ class CompiledPlan:
         self._relabeled = (False, False)
         self._workspace = None
         self._rezero_operands = False
+        self._padded_stacks: tuple = ()  # stacked operands with a pad
+        self._pad_n = None  # batch size their pads are zero for; None: all
         self._panels = None
         self._panel_plans = None
         if self.tilings is not None:
@@ -256,6 +272,11 @@ class CompiledPlan:
         self._rezero_operands = table.in_place and (
             self._a_mm.size > key.m * key.k or self._b_mm.size > key.k * key.n
         )
+        if self.cap is not None:
+            self._padded_stacks = tuple(
+                mm for mm in (self._a_mm, self._b_mm)
+                if mm.size > mm.rows * mm.cols
+            )
         self._tiles = (tm.tile, tk.tile, tn.tile)
         self._depth = tm.depth
         self._workspace = table.workspace(
@@ -489,8 +510,9 @@ class CompiledPlan:
     ) -> list[np.ndarray]:
         """Run validated same-geometry problems through one stacked recursion.
 
-        Needs a stacked plan and at most ``cap`` problems, which occupy
-        stack rows ``[0, n)``.  ``cs[i]`` is item ``i``'s output operand
+        Needs a stacked plan and at most ``cap`` problems, which are
+        interleaved by their count ``n`` over the first ``n`` item
+        lengths of each stack.  ``cs[i]`` is item ``i``'s output operand
         (or ``None``); results come back in input order with full
         per-item ``alpha``/``beta`` semantics applied.
 
@@ -547,12 +569,22 @@ class CompiledPlan:
             if self._debug:
                 self._debug_pre()
             fused0 = self._ops.fused_adds
+            self._ops.items = n_items
             if tr is not None and tr.enabled:
                 if relabel_a:
                     tr.emit("relabel", label="batch-a", items=n_items)
                 if relabel_b:
                     tr.emit("relabel", label="batch-b", items=n_items)
             t0 = time.perf_counter()
+            if self._padded_stacks and n_items != self._pad_n:
+                # Pad positions move with n (item i's tile at leaf l sits
+                # at (l*n + i)*T): re-zero the prefix this batch occupies,
+                # once per change of n; conversions write logical elements
+                # only.
+                if self._pad_n is not None:
+                    for mm in self._padded_stacks:
+                        mm.buf[: n_items * mm.size].fill(0.0)
+                self._pad_n = n_items
             dense_to_morton_batch(
                 [p.a for p in problems], self._a_mm,
                 transpose=spec.trans_a and not relabel_a,
@@ -568,15 +600,20 @@ class CompiledPlan:
                     items=n_items,
                 )
             if self._debug:
-                # Phase boundary: every occupied stack row's pad must be
+                # Phase boundary: every occupied item's pad must be
                 # exactly zero before the shared recursion runs over it.
                 for i in range(n_items):
-                    check_pad_zero(self._a_mm.item(i), f"a[{indices[i]}]")
-                    check_pad_zero(self._b_mm.item(i), f"b[{indices[i]}]")
+                    for mm, name in ((self._a_mm, "a"), (self._b_mm, "b")):
+                        check_pad_zero(
+                            mm, f"{name}[{indices[i]}]", item=i, n_items=n_items
+                        )
+            a, b, c = (
+                mm.buf[: n_items * mm.size]
+                for mm in (self._a_mm, self._b_mm, self._c_mm)
+            )
             self._table.execute(
-                self._a_mm.buf[:n_items], self._b_mm.buf[:n_items],
-                self._c_mm.buf[:n_items], self._tiles, self._depth,
-                self._ops, self._workspace, spec.alpha, self._relabeled,
+                a, b, c, self._tiles, self._depth, self._ops, self._workspace,
+                spec.alpha, self._relabeled,
             )
             t2 = time.perf_counter()
             if spec.beta == 0.0:
@@ -655,15 +692,18 @@ class CompiledPlan:
         convert, keeping the pooled stacks quiescent.
         """
         dt = self.key.spec.np_dtype
+        n = len(problems)
         results = []
         first_err: BatchItemError | None = None
         for i, p in enumerate(problems):
             c = cs[i]
             try:
                 if c is not None and (p.beta != 0.0 or c.dtype == dt):
-                    r = morton_to_dense(self._c_mm.item(i), out=c, beta=p.beta)
+                    r = morton_to_dense(
+                        self._c_mm, out=c, beta=p.beta, item=i, n_items=n
+                    )
                 else:
-                    d = morton_to_dense(self._c_mm.item(i))
+                    d = morton_to_dense(self._c_mm, item=i, n_items=n)
                     if c is not None:
                         c[...] = d
                         r = c

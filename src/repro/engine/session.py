@@ -521,6 +521,7 @@ class GemmSession:
         "alpha", "beta", "op_a", "op_b", "trans_a", "trans_b", "policy",
         "kernel", "variant", "schedule", "memory", "dtype", "timings",
     ))
+    _OPERANDS = frozenset(("a", "b", "c"))
 
     def multiply_many(
         self,
@@ -541,7 +542,7 @@ class GemmSession:
         plan key; every group of two or more well-behaved same-geometry
         problems executes through one stacked plan (a
         :class:`CompiledPlan` with an integer ``cap``) — a *single* Winograd
-        recursion over ``(B, ...)`` Morton stacks —
+        recursion over Morton stacks (the items interleaved tile by tile) —
         bit-identical to per-item results.  Groups that cannot
         stack (singletons, panelled geometries, ``memory="ip_overwrite"``)
         fall back to the per-item thread pool (BLAS leaf kernels and
@@ -567,14 +568,18 @@ class GemmSession:
             )
         items = list(problems)
         specs = []
+        # Items with no option of their own share one key per set of the
+        # problem fields a key reads, so each distinct key is built (and
+        # the plan store consulted) once per call.
+        shared: dict = {}
+        unknown_shared = set(kwargs) - self._MANY_OPTS
         for i, item in enumerate(items):
             try:
-                opts = dict(kwargs)
+                opts = kwargs
                 if isinstance(item, dict):
-                    opts.update(item)
-                    a = opts.pop("a")
-                    b = opts.pop("b")
-                    c = opts.pop("c", None)
+                    a, b, c = item["a"], item["b"], item.get("c")
+                    if item.keys() - self._OPERANDS:
+                        opts = {**kwargs, **item}
                 else:
                     if len(item) == 2:
                         (a, b), c = item, None
@@ -585,7 +590,10 @@ class GemmSession:
                             "expected an (a, b) or (a, b, c) item, got "
                             f"{len(item)} elements"
                         )
-                unknown = set(opts) - self._MANY_OPTS
+                unknown = (
+                    unknown_shared if opts is kwargs
+                    else set(opts) - self._MANY_OPTS - self._OPERANDS
+                )
                 if unknown:
                     raise ValueError(
                         f"unknown multiply_many option(s) {sorted(unknown)}"
@@ -597,15 +605,21 @@ class GemmSession:
                     c=c, dtype=opts.get("dtype"),
                     trans_a=opts.get("trans_a"), trans_b=opts.get("trans_b"),
                 )
-                key = self._make_key(
-                    p.m, p.k, p.n, policy=opts.get("policy"),
-                    kernel=opts.get("kernel"), variant=opts.get("variant"),
-                    schedule=opts.get("schedule"), memory=opts.get("memory"),
-                    spec=GemmSpec.coerce(
-                        alpha=p.alpha, beta=p.beta, op_a=p.op_a,
-                        op_b=p.op_b, dtype=opts.get("dtype"),
-                    ),
-                )
+                sig = (p.m, p.k, p.n, p.op_a, p.op_b, p.alpha, p.beta)
+                key = shared.get(sig) if opts is kwargs else None
+                if key is None:
+                    key = self._make_key(
+                        p.m, p.k, p.n, policy=opts.get("policy"),
+                        kernel=opts.get("kernel"), variant=opts.get("variant"),
+                        schedule=opts.get("schedule"),
+                        memory=opts.get("memory"),
+                        spec=GemmSpec.coerce(
+                            alpha=p.alpha, beta=p.beta, op_a=p.op_a,
+                            op_b=p.op_b, dtype=opts.get("dtype"),
+                        ),
+                    )
+                    if opts is kwargs:
+                        shared[sig] = key
                 specs.append((p, key, c, opts.get("timings")))
             except Exception as exc:
                 raise BatchItemError(i, exc) from exc

@@ -16,8 +16,16 @@ elements — so one ``np.copyto`` between the two views converts the whole
 block.  :func:`_blocks` covers the logical region with whole aligned
 blocks plus single tiles clipped along a padded edge, once per geometry:
 one block at 1024x1024 (tile 32, depth 5), 79 at 513x513 (tile 33,
-depth 4).  Both views carry an optional leading stack axis, which the
-batch forms use on a stacked :class:`MortonMatrix`.
+depth 4).
+
+The batch forms use the same block list on a stacked
+:class:`MortonMatrix`.  An ``n``-item stack holds each leaf position's
+``n`` tiles back to back, so its range of a block reads in C order as
+``(2,)*2k + (n, tile_c, tile_r)``: the item axis sits just above the
+tile axes.  Moved to the front, it lines up with the leading item axis
+of a dense stack, so a block costs one copy per item on the way in and
+one stacked copy on the way out; item ``i`` alone is slice ``i`` of the
+same view, its tiles ``n`` tiles apart.
 """
 
 from __future__ import annotations
@@ -95,9 +103,20 @@ def _blocks(rows: int, cols: int, tile_r: int, tile_c: int,
     return tuple(out)
 
 
-def _morton_view(buf: np.ndarray, b: _Block) -> np.ndarray:
-    """Block ``b`` of a Morton buffer (or ``(B, elems)`` stack) in C order."""
-    m = buf[..., b.span].reshape(buf.shape[:-1] + b.shape)
+def _morton_view(buf: np.ndarray, b: _Block, n: int | None = None) -> np.ndarray:
+    """Block ``b`` of a Morton buffer in C order.
+
+    With ``n``, ``buf`` is an ``n``-item stack, and the view gains a
+    leading item axis: the block's ``(2,)*2k + (n, tile_c, tile_r)``
+    range with its item axis moved first.
+    """
+    if n is None:
+        m = buf[b.span].reshape(b.shape)
+    else:
+        k2 = len(b.shape) - 2
+        m = buf[b.span.start * n : b.span.stop * n].reshape(
+            b.shape[:k2] + (n,) + b.shape[k2:]
+        ).transpose((k2, *range(k2), k2 + 1, k2 + 2))
     return m[(Ellipsis, *b.clip)] if b.clip else m
 
 
@@ -115,14 +134,30 @@ def _dense_view(dense: np.ndarray, b: _Block) -> np.ndarray:
     return d.transpose(b.order[len(lead)])
 
 
-def _block_views(dense: np.ndarray, buf: np.ndarray, geometry):
-    """``(dense view, Morton view)`` of every block of ``geometry``."""
+def _block_views(dense: np.ndarray, buf: np.ndarray, geometry,
+                 n: int | None = None, item: int | None = None):
+    """``(dense view, Morton view)`` of every block of ``geometry``.
+
+    ``n`` reads ``buf`` as an ``n``-item stack: its views pair with a
+    dense stack's, or, with ``item``, that item's with one dense matrix.
+    """
     for b in _blocks(*geometry):
-        yield _dense_view(dense, b), _morton_view(buf, b)
+        m = _morton_view(buf, b, n)
+        yield _dense_view(dense, b), (m if item is None else m[item])
 
 
 def _geometry(m) -> tuple[int, int, int, int, int]:
     return (m.rows, m.cols, m.tile_r, m.tile_c, m.depth)
+
+
+def _stack_items(m: MortonMatrix, n_items: int | None) -> int:
+    """How many items of stack ``m`` a call reads (default: all)."""
+    n = m.batch if n_items is None else n_items
+    if m.batch is None or not 0 <= n <= m.batch:
+        raise ValueError(
+            f"{n} items do not fit a stack with room for {m.batch or 0}"
+        )
+    return n
 
 
 def _op_source(a, dtype, shape, transpose: bool) -> np.ndarray:
@@ -160,6 +195,7 @@ def dense_to_morton(
 
 def morton_to_dense(
     m: MortonMatrix, out: np.ndarray | None = None, beta: float = 0.0,
+    item: int | None = None, n_items: int | None = None,
 ) -> np.ndarray:
     """Copy Morton matrix ``m`` back to a dense array of its logical shape.
 
@@ -172,15 +208,24 @@ def morton_to_dense(
     out += m`` — each element is scaled then added, exactly as a
     whole-matrix two-pass would, but the destination is traversed in one
     sweep of blocks.  Requires ``out``.
+
+    A stack converts ``item`` of its first ``n_items`` items (default
+    ``m.batch``) through the stack's own block views.
     """
-    m._single("morton_to_dense()")
+    if item is None:
+        m._single("morton_to_dense()")
+        n = None
+    else:
+        n = _stack_items(m, n_items)
+        if not 0 <= item < n:
+            raise ValueError(f"item {item} is not one of the stack's {n}")
     if out is None:
         if beta != 0.0:
             raise ValueError("beta != 0 requires an existing out array")
         out = np.empty((m.rows, m.cols), dtype=m.buf.dtype, order="F")
     elif out.shape != m.shape:
         raise ValueError(f"out shape {out.shape} != logical shape {m.shape}")
-    for d, v in _block_views(out, m.buf, _geometry(m)):
+    for d, v in _block_views(out, m.buf, _geometry(m), n, item):
         if beta != 0.0:
             d *= beta
             d += v
@@ -192,19 +237,19 @@ def morton_to_dense(
 def dense_to_morton_batch(
     arrs, out: MortonMatrix, transpose: bool = False,
 ) -> MortonMatrix:
-    """Convert ``len(arrs)`` same-geometry dense arrays into a Morton stack.
+    """Convert ``n = len(arrs)`` same-geometry dense arrays into a Morton stack.
 
-    Item ``i`` fills row ``i`` of the stacked ``out``.  Its rows must already
-    have zeroed pads (the pooled batch stacks maintain this invariant: the
-    batched recursion never writes operand stacks); only logical elements
-    are written.  The stack's block views are built once per call, so
-    each item costs one view and one copy per block.
+    The items are interleaved by ``n`` over the first ``n * out.size``
+    elements of the stacked ``out``: item ``i``'s tile at leaf ``l``
+    lands at ``(l * n + i) * tile_r * tile_c``.  The pad positions of
+    that ``n``-item layout must already be zero (the pooled stacks
+    re-zero their prefix whenever ``n`` changes; the batched recursion
+    never writes operand stacks); only logical elements are written.  The
+    stack's block views are built once per call, so each item costs one
+    view and one copy per block.
     """
-    n = len(arrs)
-    if n > (out.batch or 0):
-        raise ValueError(f"{n} items exceed the stack's {out.batch or 0} rows")
-    stack = out.buf[:n]
-    blocks = [(b, _morton_view(stack, b)) for b in _blocks(*_geometry(out))]
+    n = _stack_items(out, len(arrs))
+    blocks = [(b, _morton_view(out.buf, b, n)) for b in _blocks(*_geometry(out))]
     for i in range(n):
         src = _op_source(arrs[i], out.buf.dtype, out.shape, transpose)
         for b, m in blocks:
@@ -213,15 +258,15 @@ def dense_to_morton_batch(
 
 
 def morton_to_dense_batch(m: MortonMatrix, n_items: int) -> list:
-    """Convert the first ``n_items`` rows of a Morton stack back to dense.
+    """Convert the ``n_items`` items interleaved in a Morton stack to dense.
 
     Returns one Fortran-order array per item (the BLAS interface layout):
     F-contiguous views of one freshly allocated block, filled by one
     stacked copy per conversion block and owned by the caller (nothing
     aliases the stack).
     """
-    blk = np.empty((n_items, m.cols, m.rows), dtype=m.buf.dtype)
-    for d, v in _block_views(blk.transpose(0, 2, 1), m.buf[:n_items],
-                             _geometry(m)):
+    n = _stack_items(m, n_items)
+    blk = np.empty((n, m.cols, m.rows), dtype=m.buf.dtype)
+    for d, v in _block_views(blk.transpose(0, 2, 1), m.buf, _geometry(m), n):
         np.copyto(d, v)
-    return [blk[i].T for i in range(n_items)]
+    return [blk[i].T for i in range(n)]

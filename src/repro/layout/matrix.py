@@ -10,14 +10,20 @@ the buffer*.  ``quadrant()`` therefore returns a zero-copy view, Winograd's
 matrix additions reduce to 1-D vector operations on whole buffers, and leaf
 tiles are contiguous no matter which tile size the truncation search picked.
 
-The same property makes a *batch* of same-geometry problems stackable:
-a stacked :class:`MortonMatrix` holds ``batch`` Morton images as the rows
-of one ``(batch, padded_elems)`` buffer.  Every quadrant of the stack is
-then a ``(batch, quarter)`` column slice whose rows stay contiguous, so
-the Winograd additions remain single ufunc calls — now over the whole
-batch — and the stacked leaf tiles form a ``(batch, T, T)`` array that
-one batched ``np.matmul`` multiplies in a single call.  The step-table
-executor (:meth:`repro.core.winograd.StepTable.execute`) takes those
+The same property makes a *batch* of same-geometry problems stackable
+without giving it up.  A stack of ``n`` items is one flat buffer in
+Morton order whose leaf positions each hold the ``n`` items' tiles back
+to back: item ``i``'s tile at leaf ``l`` starts at ``(l * n + i) * T``
+(``T = tile_r * tile_c``).  Every quadrant of the stack at every level is
+then one contiguous range holding all ``n`` items' parts, so each
+Winograd addition is still a single 1-D ufunc — now over the whole batch
+— and each leaf site is one contiguous ``(n, tile_c, tile_r)`` stack that
+one batched ``np.matmul`` multiplies.  A single matrix is the ``n = 1``
+case of the same layout, bit for bit.  A stacked :class:`MortonMatrix`
+(``batch`` set) holds room for ``batch`` items; a call with ``n <=
+batch`` items interleaves them by ``n`` over the buffer's first ``n *
+size`` elements, so pad positions move with ``n``.  The step-table
+executor (:meth:`repro.core.winograd.StepTable.execute`) takes its
 slices and views straight from the raw buffers.
 """
 
@@ -68,11 +74,9 @@ class MortonMatrix:
     Attributes
     ----------
     buf:
-        Flat float64 array of length ``padded_rows * padded_cols``.  May be
-        a view into a larger buffer (quadrants are such views).  A *stack*
-        of same-geometry matrices has a ``(batch, padded_rows *
-        padded_cols)`` buffer, one item per row (:attr:`batch`,
-        :meth:`item`); the single-matrix methods reject stacks.
+        Flat float64 array of length ``padded_rows * padded_cols`` (times
+        ``batch`` for a stack).  May be a view into a larger buffer
+        (quadrants are such views).
     rows, cols:
         Logical (unpadded) dimensions.  The padded region, when present,
         holds zeros so that redundant arithmetic on it is harmless
@@ -83,6 +87,12 @@ class MortonMatrix:
     depth:
         Recursion depth; the padded matrix is ``tile_r * 2**depth`` by
         ``tile_c * 2**depth``.
+    batch:
+        ``None`` for a single matrix; for a *stack*, the number of
+        same-geometry items its buffer has room for.  A call with ``n``
+        items interleaves them by ``n`` over the first ``n * size``
+        elements (see the module docstring); :meth:`item` copies one item
+        out, and the single-matrix methods reject stacks.
     """
 
     buf: np.ndarray
@@ -91,6 +101,7 @@ class MortonMatrix:
     tile_r: int
     tile_c: int
     depth: int
+    batch: int | None = None
 
     # ---------------------------------------------------------------- shape
 
@@ -112,18 +123,17 @@ class MortonMatrix:
         """Buffer length (padded element count) of one item."""
         return self.padded_rows * self.padded_cols
 
-    @property
-    def batch(self) -> int | None:
-        """Number of stacked items, or ``None`` for a single matrix."""
-        return self.buf.shape[0] if self.buf.ndim == 2 else None
-
     def __post_init__(self) -> None:
-        if self.buf.ndim not in (1, 2):
-            raise ValueError("MortonMatrix buffer must be 1-D, or 2-D for a stack")
-        if self.buf.shape[-1] != self.size:
+        if self.buf.ndim != 1:
+            raise ValueError("MortonMatrix buffer must be 1-D")
+        if self.batch is not None and self.batch < 1:
+            raise ValueError(f"a stack needs batch >= 1, got {self.batch}")
+        if self.buf.size != self.size * (self.batch or 1):
+            stack = "" if self.batch is None else f" x {self.batch} items"
             raise ValueError(
-                f"buffer has {self.buf.shape[-1]} elements per item; tiling "
-                f"({self.tile_r}x{self.tile_c}, depth {self.depth}) needs {self.size}"
+                f"buffer has {self.buf.size} elements; tiling "
+                f"({self.tile_r}x{self.tile_c}, depth {self.depth}){stack} "
+                f"needs {self.size * (self.batch or 1)}"
             )
         if not (0 < self.rows <= self.padded_rows):
             raise ValueError(f"rows={self.rows} not in (0, {self.padded_rows}]")
@@ -132,11 +142,35 @@ class MortonMatrix:
 
     def _single(self, what: str) -> None:
         """Reject a stack where one matrix is meant."""
-        if self.buf.ndim != 1:
+        if self.batch is not None:
             raise ValueError(
                 f"{what} needs a single Morton matrix, not a stack of "
                 f"{self.batch}; take item(i) first"
             )
+
+    def tiles(self, item: int | None = None, n_items: int | None = None):
+        """One matrix's leaf tiles as a ``(leaves, tile_c, tile_r)`` view.
+
+        Slice ``l`` is the C-order transpose of the ``l``-th tile in
+        Morton order (``tiles()[l].T`` is the ``tile_r x tile_c`` tile).
+        A stack needs ``item``, counted among its first ``n_items`` items
+        (default :attr:`batch`): that item's tiles sit ``n_items`` tiles
+        apart, so the view is strided.
+        """
+        leaves = 1 << 2 * self.depth
+        if self.batch is None:
+            if item is not None:
+                raise ValueError("item= needs a stacked Morton matrix")
+            return self.buf.reshape(leaves, self.tile_c, self.tile_r)
+        if item is None:
+            self._single("tiles()")
+        n = self.batch if n_items is None else n_items
+        if not 0 <= item < n <= self.batch:
+            raise ValueError(
+                f"item {item} of {n} is outside a stack of {self.batch}"
+            )
+        stack = self.buf[: n * self.size]
+        return stack.reshape(leaves, n, self.tile_c, self.tile_r)[:, item]
 
     # ------------------------------------------------------------ factories
 
@@ -147,8 +181,8 @@ class MortonMatrix:
     ) -> "MortonMatrix":
         """Uninitialised Morton matrix for the given per-dimension tilings.
 
-        ``cap`` makes it a stack of ``cap`` items; ``stagger`` offsets its
-        buffer (:func:`staggered_buffer`).
+        ``cap`` makes it a stack with room for ``cap`` items; ``stagger``
+        offsets its buffer (:func:`staggered_buffer`).
         """
         if tiling_r.depth != tiling_c.depth:
             raise ValueError(
@@ -157,14 +191,13 @@ class MortonMatrix:
             )
         size = tiling_r.padded * tiling_c.padded
         return cls(
-            buf=staggered_buffer(
-                (size,) if cap is None else (cap, size), dtype, stagger
-            ),
+            buf=staggered_buffer((size * (cap or 1),), dtype, stagger),
             rows=rows,
             cols=cols,
             tile_r=tiling_r.tile,
             tile_c=tiling_c.tile,
             depth=tiling_r.depth,
+            batch=cap,
         )
 
     @classmethod
@@ -231,16 +264,23 @@ class MortonMatrix:
             tile_r=self.tile_r,
             tile_c=self.tile_c,
             depth=self.depth,
+            batch=self.batch,
         )
 
     # ------------------------------------------------------------ structure
 
-    def item(self, i: int) -> "MortonMatrix":
-        """Item ``i`` of a stack: a single-matrix view of buffer row ``i``."""
-        if self.buf.ndim != 2:
+    def item(self, i: int, n_items: int | None = None) -> "MortonMatrix":
+        """A single-matrix *copy* of item ``i`` of a stack.
+
+        The stack holds its first ``n_items`` items (default
+        :attr:`batch`) interleaved tile by tile, so one item's elements
+        are not a contiguous range and cannot be viewed as a flat buffer;
+        writes to the copy do not reach the stack.
+        """
+        if self.batch is None:
             raise ValueError("item() needs a stacked Morton matrix")
         return MortonMatrix(
-            buf=self.buf[i],
+            buf=self.tiles(i, n_items).flatten(),
             rows=self.rows,
             cols=self.cols,
             tile_r=self.tile_r,
@@ -290,7 +330,9 @@ class MortonMatrix:
             raise ValueError(f"leaf_view requires depth 0, got {self.depth}")
         return self.buf.reshape(self.tile_c, self.tile_r).T
 
-    def pad_is_zero(self) -> bool:
+    def pad_is_zero(
+        self, item: int | None = None, n_items: int | None = None
+    ) -> bool:
         """True iff every buffer element outside the logical region is 0.
 
         Holds for freshly *converted* matrices (the conversion zero-fills
@@ -298,17 +340,19 @@ class MortonMatrix:
         outputs of the Winograd recursion: the schedule's intermediates
         (e.g. ``T1 = B12 - B11``) are nonzero at pad positions, and the
         redundant pad arithmetic cancels only up to roundoff.  The residue
-        is discarded by ``to_dense()``.
+        is discarded by ``to_dense()``.  A stack checks ``item`` of its
+        first ``n_items`` items (:meth:`tiles`).
         """
         from .tiles import iter_tiles
 
-        self._single("pad_is_zero()")
+        if item is None:
+            self._single("pad_is_zero()")
         tr, tc = self.tile_r, self.tile_c
-        tile_elems = tr * tc
+        tiles = self.tiles(item, n_items)
         for t in iter_tiles(self.depth, tr, tc):
             r1 = min(t.row0 + tr, self.rows)
             c1 = min(t.col0 + tc, self.cols)
-            tile2d = self.buf[t.offset : t.offset + tile_elems].reshape(tc, tr).T
+            tile2d = tiles[t.z].T
             if r1 <= t.row0 or c1 <= t.col0:
                 if np.any(tile2d != 0.0):
                     return False

@@ -48,13 +48,13 @@ RELABEL_ORDER = (0, 2, 1, 3)
 def quadrant_slices(buf: np.ndarray, relabeled: bool = False) -> tuple:
     """The four op-geometry quadrants (11, 12, 21, 22) of a Morton buffer.
 
-    Zero-copy slices of the last axis, so a ``(B, elems)`` batch stack
-    yields ``(B, elems / 4)`` column slices.  ``relabeled`` descends a
-    transposed operand in :data:`RELABEL_ORDER`.
+    Zero-copy slices of a flat buffer; of a stack whose items interleave
+    tile by tile, each slice holds that quadrant of every item.
+    ``relabeled`` descends a transposed operand in :data:`RELABEL_ORDER`.
     """
-    q = buf.shape[-1] // 4
+    q = buf.size // 4
     return tuple(
-        buf[..., i * q : (i + 1) * q]
+        buf[i * q : (i + 1) * q]
         for i in (RELABEL_ORDER if relabeled else PLAIN_ORDER)
     )
 

@@ -7,8 +7,10 @@ used to assert and nothing checked:
   and convert with ``zero_pad=False`` forever after (PR 1); the
   ``ip_overwrite`` schedule re-zeros clobbered operand buffers between
   executions (PR 3); batch stacks rely on pads surviving across
-  executions (PR 4).  If any of that slips, results are silently wrong —
-  the redundant pad arithmetic only cancels when the pad is zero.
+  executions of the same batch size, and re-zero their prefix when the
+  size (and with it every pad position) changes.  If any of that slips,
+  results are silently wrong — the redundant pad arithmetic only cancels
+  when the pad is zero.
 * **Workspaces are quiescent between executions.**  Scratch buffers are
   write-before-read *within* one execution; nothing may touch them
   *between* executions (a stray concurrent writer means two executions
@@ -37,16 +39,18 @@ __all__ = ["POISON", "check_finite", "check_pad_zero", "check_quiescent"]
 POISON = -6.02214076e23
 
 
-def check_pad_zero(mm, name: str) -> None:
+def check_pad_zero(mm, name: str, item: int | None = None,
+                   n_items: int | None = None) -> None:
     """Raise unless every pad element of a Morton matrix is exactly zero.
 
     ``mm`` is a :class:`repro.layout.matrix.MortonMatrix` (its
     ``pad_is_zero`` walks the leaf tiles that straddle the logical
-    boundary).  Matrices with no pad pass trivially.
+    boundary); a stack checks ``item`` of its first ``n_items`` items.
+    Matrices with no pad pass trivially.
     """
     if mm.size == mm.rows * mm.cols:
         return
-    if not mm.pad_is_zero():
+    if not mm.pad_is_zero(item, n_items):
         raise InvariantError(
             f"operand pad corrupted: buffer {name!r} "
             f"({mm.rows}x{mm.cols} padded to "

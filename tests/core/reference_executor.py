@@ -7,9 +7,16 @@ programs and the same bound passes, so the lowering must reproduce its
 results bit for bit and its address stream access for access.  The view
 helpers it needs live here too, since the library no longer has them.
 
+Its batch stacks stay *item-major* — ``(B, elems)``, one item per row —
+while the library interleaves a stack's items tile by tile
+(:mod:`repro.layout.matrix`); :func:`interleave` and :func:`deinterleave`
+convert between the two, so the reference stays an independent check of
+the stacked layout.
+
 :class:`ViewOps` adapts an array-form backend (``NumpyOps``,
 ``TraceOps``) to the view vocabulary: additions receive each view's
-buffer, leaf products its leaf view.
+buffer (one pass per item of an item-major stack, since the backends
+take flat buffers), leaf products its leaf view.
 """
 
 from __future__ import annotations
@@ -35,11 +42,28 @@ class Stacked:
 
 
 def own(m):
-    """The reference's view of a library Morton matrix (stacks as
-    :class:`Stacked`)."""
-    if m.buf.ndim == 2:
-        return Stacked(m.buf, m.rows, m.cols, m.tile_r, m.tile_c, m.depth)
+    """The reference's view of a library Morton matrix.
+
+    A library stack becomes an item-major :class:`Stacked` over the same
+    bytes; only scratch is passed this way, which every schedule writes
+    before it reads.
+    """
+    if m.batch is not None:
+        buf = m.buf.reshape(m.batch, m.size)
+        return Stacked(buf, m.rows, m.cols, m.tile_r, m.tile_c, m.depth)
     return m
+
+
+def interleave(stack: np.ndarray, tile_elems: int) -> np.ndarray:
+    """An item-major ``(B, elems)`` stack in the library's stacked layout:
+    item ``i``'s tile at leaf ``l`` starts at ``(l * B + i) * tile_elems``."""
+    b = stack.shape[0]
+    return stack.reshape(b, -1, tile_elems).transpose(1, 0, 2).reshape(-1)
+
+
+def deinterleave(buf: np.ndarray, tile_elems: int, n: int) -> np.ndarray:
+    """The ``(n, elems)`` item-major form of an ``n``-item library stack."""
+    return buf.reshape(-1, n, tile_elems).transpose(1, 0, 2).reshape(n, -1)
 
 
 class Transposed:
@@ -111,7 +135,15 @@ class ViewOps:
             return lambda a, b, dst, **kw: fn(
                 leaf_view(a), leaf_view(b), leaf_view(dst), **kw
             )
-        return lambda *args, **kw: fn(*(m.buf for m in args), **kw)
+
+        def passes(*args, **kw):
+            bufs = [m.buf for m in args]
+            if bufs[0].ndim == 1:
+                return fn(*bufs, **kw)
+            for rows in zip(*bufs):
+                fn(*rows, **kw)
+
+        return passes
 
 
 def reference_run(table, a, b, c, ops, workspace=None, alpha=1.0) -> None:
@@ -181,8 +213,12 @@ def reference_run(table, a, b, c, ops, workspace=None, alpha=1.0) -> None:
     execute(top, (*quadrants(a), *quadrants(b), *quadrants(c), *levels[-1]))
 
 
-def morton(buf, tile_r, tile_c, depth):
-    """A plain or stacked Morton view over ``buf`` (padded geometry)."""
-    cls = MortonMatrix if buf.ndim == 1 else Stacked
-    return cls(buf=buf, rows=tile_r << depth, cols=tile_c << depth,
-               tile_r=tile_r, tile_c=tile_c, depth=depth)
+def morton(buf, tile_r, tile_c, depth, batch=None):
+    """A Morton view over ``buf`` (padded geometry): an item-major
+    :class:`Stacked` for a 2-D ``buf``, else a library matrix (a stack of
+    ``batch`` interleaved items when ``batch`` is set)."""
+    dims = dict(rows=tile_r << depth, cols=tile_c << depth, tile_r=tile_r,
+                tile_c=tile_c, depth=depth)
+    if buf.ndim == 2:
+        return Stacked(buf=buf, **dims)
+    return MortonMatrix(buf=buf, batch=batch, **dims)

@@ -22,7 +22,14 @@ from repro.layout import matrix, relabel
 from repro.layout.padding import select_common_tiling
 from repro.layout.relabel import transposed_view
 
-from .reference_executor import Transposed, ViewOps, morton, reference_run
+from .reference_executor import (
+    Transposed,
+    ViewOps,
+    deinterleave,
+    interleave,
+    morton,
+    reference_run,
+)
 
 TABLES = {**SCHEDULE_TABLES, "strassen": STRASSEN_TABLE}
 
@@ -51,35 +58,46 @@ def test_bit_identical_to_view_reference(name, depth, tiles, alpha, trans,
     def buf(r, c):
         return rng.standard_normal((*lead, (r << depth) * (c << depth))).astype(dtype)
 
-    # Relabeled operands are stored in native orientation.
+    # Relabeled operands are stored in native orientation.  A batch is
+    # drawn item-major, the reference's layout; the lowered executor gets
+    # the same items interleaved tile by tile.
     geo_a = (tk, tm) if trans[0] else (tm, tk)
     geo_b = (tn, tk) if trans[1] else (tk, tn)
     a0, b0 = buf(*geo_a), buf(*geo_b)
+    c_elems = (tm << depth) * (tn << depth)
 
-    def run(executor):
-        a = morton(a0.copy(), *geo_a, depth)
-        b = morton(b0.copy(), *geo_b, depth)
-        c = morton(np.empty((*lead, (tm << depth) * (tn << depth)), dtype),
-                   tm, tn, depth)
-        ws = table.workspace(depth, tm, tk, tn, dtype=dtype, cap=batch)
-        executor(a, b, c, ws)
-        return c.buf
+    def lowered():
+        def stacked(x, r, c):
+            x = x.copy() if batch is None else interleave(x, r * c)
+            return morton(x, r, c, depth, batch)
 
-    def lowered(a, b, c, ws):
+        a, b = stacked(a0, *geo_a), stacked(b0, *geo_b)
+        c = morton(np.empty(c_elems * (batch or 1), dtype), tm, tn, depth, batch)
         if trans[0]:
             a = transposed_view(a)
         if trans[1]:
             b = transposed_view(b)
+        ws = table.workspace(depth, tm, tk, tn, dtype=dtype, cap=batch)
         table.run(a, b, c, NumpyOps(), ws, alpha)
+        return c.buf if batch is None else deinterleave(c.buf, tm * tn, batch)
 
-    def reference(a, b, c, ws):
+    def reference():
+        a = morton(a0.copy(), *geo_a, depth)
+        b = morton(b0.copy(), *geo_b, depth)
+        c = morton(np.empty((*lead, c_elems), dtype), tm, tn, depth)
         if trans[0]:
             a = Transposed(a)
         if trans[1]:
             b = Transposed(b)
+        ws = table.workspace(depth, tm, tk, tn, dtype=dtype, cap=batch)
         reference_run(table, a, b, c, ViewOps(NumpyOps()), ws, alpha)
+        return c.buf
 
-    assert np.array_equal(run(lowered), run(reference))
+    got, want = lowered(), reference()
+    if batch is None:
+        assert np.array_equal(got, want)
+    for i in range(batch or 0):
+        assert np.array_equal(got[i], want[i])
 
 
 @pytest.mark.parametrize("name", ["classic", "strassen"])
@@ -159,3 +177,52 @@ def test_warm_execute_builds_no_view_objects(monkeypatch, rng, kind):
         counter = _Counted(monkeypatch)
         call()
     assert counter.n == 0
+
+
+class _ContiguityOps(NumpyOps):
+    """Asserts that every pass and leaf product gets C-contiguous arrays."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.passes = self.leaf_stacks = 0
+
+    def _check(self, *arrays) -> None:
+        assert all(x.flags.c_contiguous for x in arrays)
+        self.passes += 1
+
+    def add(self, dst, x, y):
+        self._check(dst, x, y)
+        super().add(dst, x, y)
+
+    def sub(self, dst, x, y):
+        self._check(dst, x, y)
+        super().sub(dst, x, y)
+
+    def iadd(self, dst, x):
+        self._check(dst, x)
+        super().iadd(dst, x)
+
+    def add3(self, dst, x, y, z):
+        self._check(dst, x, y, z)
+        super().add3(dst, x, y, z)
+
+    def leaf_mult(self, a, b, dst, alpha=1.0):
+        assert dst.ndim == 3 and all(x.flags.c_contiguous for x in (a, b, dst))
+        self.leaf_stacks += 1
+        super().leaf_mult(a, b, dst, alpha)
+
+
+@pytest.mark.parametrize("name", ["classic", "two_temp", "strassen"])
+def test_stacked_execute_runs_on_contiguous_operands(rng, name):
+    # Every quadrant of a stack, at every level, is one contiguous range
+    # holding all its items' parts, and every leaf site one contiguous
+    # (items, c, r) stack: no pass or leaf product sees a strided slab.
+    table = TABLES[name]
+    tr, tc = select_common_tiling((96, 96))
+    a, b, c = (matrix.MortonMatrix.zeros(96, 96, tr, tc, cap=3) for _ in "abc")
+    a.buf[...] = rng.standard_normal(a.buf.shape)
+    b.buf[...] = rng.standard_normal(b.buf.shape)
+    ws = table.workspace(tr.depth, tr.tile, tr.tile, tc.tile, cap=3)
+    ops = _ContiguityOps()
+    table.run(a, b, c, ops, ws)
+    assert tr.depth == 2 and ops.leaf_stacks == 7**2 and ops.passes > 0

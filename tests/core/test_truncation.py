@@ -20,6 +20,14 @@ class TestDynamic:
     def test_plan_returns_none_for_extreme_ratio(self):
         assert TruncationPolicy.dynamic().plan(2048, 256, 256) is None
 
+    def test_plan_is_memoised_per_policy(self):
+        p = TruncationPolicy.dynamic()
+        assert p.plan(513, 513, 513) is p.plan(513, 513, 513)
+        assert p.plan(2048, 256, 256) is None
+        # The memo is not part of the policy's identity.
+        assert p == TruncationPolicy.dynamic()
+        assert hash(p) == hash(TruncationPolicy.dynamic())
+
     def test_label(self):
         assert TruncationPolicy.dynamic(8, 32).label == "dynamic[8,32]"
 

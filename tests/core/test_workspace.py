@@ -112,11 +112,13 @@ class TestPoisonQuiescence:
         assert ws.poison_intact()
 
     def test_batch_workspace_round_trip(self):
+        # A stacked buffer is flat, with room for 4 interleaved items.
         ws = Workspace(2, 4, 4, 4, with_q=True, cap=4)
-        assert next(ws._buffers()).shape[0] == 4
+        s = ws.at(1).s
+        assert s.batch == 4 and next(ws._buffers()).shape == (4 * s.size,)
         ws.poison()
         assert ws.poison_intact()
-        next(ws._buffers())[2, 5] = 0.0
+        next(ws._buffers())[2 * s.size + 5] = 0.0
         assert not ws.poison_intact()
         ws.poison()
         assert ws.poison_intact()

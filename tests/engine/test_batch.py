@@ -1,10 +1,10 @@
 """Tests for the stacked-Morton batched execution path.
 
 The central invariant: routing same-geometry problems through one stacked
-:class:`CompiledPlan` recursion over ``(B, ...)`` stacks is
-**bit-identical** to executing each item through its per-item plan — the
-recursion code and addition order are literally shared, only the leading
-batch axis differs.
+:class:`CompiledPlan` recursion over Morton stacks (the items interleaved
+tile by tile) is **bit-identical** to executing each item through its
+per-item plan — the recursion code and addition order are literally
+shared, only the buffers are longer.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class TestBitIdentity:
 
     def test_one_item_last_chunk_runs_stacked(self, rng):
         """A group of 32k+1 items ends in a one-item chunk, which still
-        runs on a (one-row) stacked plan, not the single-item plan."""
+        runs on a (one-item) stacked plan, not the single-item plan."""
         count = BATCH_CAP_MAX + 1
         pairs = _pairs(rng, 40, count)
         refs = _reference_outputs(pairs)
@@ -124,6 +124,24 @@ class TestBitIdentity:
         assert stats.batched_executes == 2
         assert stats.batch_items == count
         assert caps == [1, BATCH_CAP_MAX]
+
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_padded_plan_rezeroes_when_batch_size_changes(self, rng, debug):
+        """Pad positions move with the item count, so one cap-8 plan on a
+        padded geometry runs 8, 5, 8 and 3 items bit-identically to
+        per-item multiplies (debug mode also checks every item's pad)."""
+        import repro
+
+        with GemmSession(debug=debug) as s:
+            plan = CompiledPlan(s.plan(150, 150, 150).key, s, cap=8)
+            tiling = plan.tilings[0]
+            assert (tiling.tile, tiling.depth, tiling.padded) == (38, 2, 152)
+            for count in (8, 5, 8, 3):
+                pairs = _pairs(rng, 150, count)
+                probs = [repro.GemmProblem.create(a, b) for a, b in pairs]
+                outs = plan.execute_batch(probs, [None] * count)
+                for out, ref in zip(outs, _reference_outputs(pairs)):
+                    assert np.array_equal(out, ref)
 
     def test_strassen_variant_batches(self, rng):
         pairs = _pairs(rng, 64, 3)
@@ -301,6 +319,24 @@ class TestMultiplyManyContract:
         outs = session.multiply_many(pairs, alpha=3.0)
         for (a, b), out in zip(pairs, outs):
             assert_gemm_close(out, 3.0 * (a @ b))
+
+    def test_each_distinct_key_built_once_per_call(self, rng, monkeypatch):
+        # Items without options of their own share a key per geometry and
+        # spec; an item with its own option builds its own.
+        s = GemmSession()
+        built = []
+        make_key = s._make_key
+        monkeypatch.setattr(
+            s, "_make_key", lambda *a, **kw: built.append(a) or make_key(*a, **kw)
+        )
+        (a, b), = _pairs(rng, 64, 1)
+        (a2, b2), = _pairs(rng, 40, 1)
+        items = [(a, b)] * 5 + [(a2, b2)] * 3 + [{"a": a, "b": b, "alpha": 2.0}] * 2
+        outs = s.multiply_many(items)
+        assert sorted(built) == [(40, 40, 40), (64, 64, 64), (64, 64, 64),
+                                 (64, 64, 64)]
+        assert s.stats().batched_executes == 3
+        assert np.array_equal(outs[8], 2.0 * outs[0])
 
 
 def _poisoned_items(rng, n, count, poison_at):

@@ -104,7 +104,10 @@ class TestFig56Modeled:
 
 class TestFig7:
     def test_fraction_decreases_with_size(self):
-        r = fig7_conversion.run(sizes=[128, 600], protocol=FAST)
+        # Best of 3 timed calls per size, as TestFig8 takes: one call per
+        # size let host load alone invert the ordering.
+        protocol = TimingProtocol(small_threshold=0, small_reps=1, trials=3)
+        r = fig7_conversion.run(sizes=[128, 600], protocol=protocol)
         pct = r.column("convert_pct")
         assert 0 < pct[1] < pct[0] < 100
 

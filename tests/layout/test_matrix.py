@@ -161,21 +161,46 @@ class TestCopy:
 
 
 class TestStack:
-    """A ``(batch, size)`` buffer stacks same-geometry items, one per row."""
+    """A stack interleaves same-geometry items tile by tile in one flat
+    buffer: item ``i``'s tile at leaf ``l`` starts at ``(l*n + i) * T``."""
 
     def stack(self, cap=3):
         tr, tc = select_common_tiling((40, 30))
         return MortonMatrix.zeros(40, 30, tr, tc, cap=cap, stagger=2)
 
     def test_item_aliases_its_row(self):
+        # item(i) reads item i's row of the stack — its tiles, n tiles
+        # apart — into a single-matrix copy.
         s = self.stack()
-        assert s.batch == 3 and s.buf.shape == (3, s.size)
+        tile = s.tile_r * s.tile_c
+        assert s.batch == 3 and s.buf.shape == (3 * s.size,)
         assert make(40, 30).batch is None
+        s.buf.reshape(-1, 3, tile)[:, 1] = 7.0
         item = s.item(1)
         assert item.batch is None and item.shape == (40, 30)
-        item.buf[:] = 7.0
-        assert np.all(s.buf[1] == 7.0)
-        assert not s.buf[0].any() and not s.buf[2].any()
+        assert np.all(item.buf == 7.0)
+        assert not s.item(0).buf.any() and not s.item(2).buf.any()
+        item.buf[:] = 0.0
+        assert np.all(s.buf.reshape(-1, 3, tile)[:, 1] == 7.0)
+
+    def test_fewer_items_interleave_over_a_prefix(self):
+        tr, tc = select_common_tiling((92, 92))
+        s = MortonMatrix.zeros(90, 90, tr, tc, cap=3)
+        tile = s.tile_r * s.tile_c
+        assert s.depth == 2 and s.size > 90 * 90
+        s.buf[: 2 * s.size].reshape(-1, 2, tile)[:, 1] = 5.0
+        assert np.all(s.item(1, n_items=2).buf == 5.0)
+        assert not s.item(0, n_items=2).buf.any()
+        assert not s.buf[2 * s.size:].any()
+        assert s.pad_is_zero(0, 2) and not s.pad_is_zero(1, 2)
+        with pytest.raises(ValueError, match="outside"):
+            s.item(2, n_items=2)
+
+    def test_buffer_must_hold_batch_items(self):
+        s = self.stack()
+        with pytest.raises(ValueError, match="needs"):
+            MortonMatrix(s.buf[: 2 * s.size], 40, 30, s.tile_r, s.tile_c,
+                         s.depth, batch=3)
 
     @pytest.mark.parametrize("call", [
         lambda m: m.quadrant(0, 0),

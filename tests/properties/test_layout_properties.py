@@ -17,7 +17,7 @@ from repro.layout.morton import (
     interleave2,
     spread_bits,
 )
-from repro.layout.padding import TileRange, feasible_depths, select_tiling
+from repro.layout.padding import TileRange, Tiling, feasible_depths, select_tiling
 
 coords = st.integers(min_value=0, max_value=(1 << 20) - 1)
 sizes = st.integers(min_value=1, max_value=700)
@@ -113,6 +113,12 @@ def _bits(x):
     return x.view(np.uint32 if x.dtype == np.float32 else np.uint64)
 
 
+def _item_offsets(offs, i, n, tile):
+    """Where an ``n``-item stack keeps item ``i``'s elements at Morton
+    offsets ``offs``: its tile at leaf ``l`` starts at ``(l*n + i) * tile``."""
+    return (offs // tile * n + i) * tile + offs % tile
+
+
 def _laid_out(x, layout):
     """``x`` as an array of the given storage layout (same values)."""
     if layout == "F":
@@ -184,15 +190,57 @@ def test_conversions_match_offset_gather(depth, tiles, fill, source,
                 want[...] = m.buf[offs]
         assert np.array_equal(_bits(got), _bits(want))
         return
-    bm = MortonMatrix(buf=np.zeros((batch, padded), dtype=dtype),
-                      rows=rows, cols=cols, tile_r=tr, tile_c=tc, depth=depth)
+    bm = MortonMatrix(buf=np.zeros(batch * padded, dtype=dtype), rows=rows,
+                      cols=cols, tile_r=tr, tile_c=tc, depth=depth, batch=batch)
+    at = [_item_offsets(offs, i, batch, tr * tc) for i in range(batch)]
     for arrs in ([src_of(x) for x in xs], np.stack([src_of(x) for x in xs])):
         bm.buf[:] = 0.0
         dense_to_morton_batch(arrs, bm, transpose=transpose)
         for i, x in enumerate(xs):
-            assert np.array_equal(_bits(bm.buf[i][offs]), _bits(x))
-            assert not bm.buf[i][pad].any()
+            assert np.array_equal(_bits(bm.buf[at[i]]), _bits(x))
+            assert not bm.item(i).buf[pad].any()
     outs = morton_to_dense_batch(bm, batch)
-    for got, row in zip(outs, bm.buf):
+    for got, where in zip(outs, at):
         assert got.flags.f_contiguous
-        assert np.array_equal(_bits(got), _bits(row[offs]))
+        assert np.array_equal(_bits(got), _bits(bm.buf[where]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    depth=st.integers(0, 3),
+    tiles=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    fill=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    cap=st.integers(1, 6),
+    transpose=st.booleans(),
+    beta=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_stack_round_trip_every_batch_size(depth, tiles, fill, cap, transpose,
+                                           beta, seed):
+    """Dense -> n-item stack -> dense is exact for every n up to the
+    stack's room, padded or not, from transposed sources too; every item's
+    pad stays zero and each item sits where the interleaved layout says."""
+    tr, tc = tiles
+    rows = 1 + int(fill[0] * ((tr << depth) - 1))
+    cols = 1 + int(fill[1] * ((tc << depth) - 1))
+    rng = np.random.default_rng(seed)
+    offs = element_offsets(np.arange(rows)[:, None], np.arange(cols)[None, :],
+                           tr, tc, depth)
+    stack = MortonMatrix.zeros(rows, cols, Tiling(rows, tr, depth),
+                               Tiling(cols, tc, depth), cap=cap)
+    for n in rng.permutation(np.arange(1, cap + 1)):
+        n = int(n)
+        stack.buf[: n * stack.size] = 0.0  # pad positions move with n
+        xs = [rng.standard_normal((rows, cols)) for _ in range(n)]
+        srcs = [np.ascontiguousarray(x.T) if transpose else x for x in xs]
+        dense_to_morton_batch(srcs, stack, transpose=transpose)
+        for i, (x, got) in enumerate(zip(xs, morton_to_dense_batch(stack, n))):
+            where = _item_offsets(offs, i, n, tr * tc)
+            assert np.array_equal(_bits(stack.buf[where]), _bits(x))
+            assert np.array_equal(_bits(got), _bits(x))
+            assert stack.pad_is_zero(i, n)
+            assert np.array_equal(stack.item(i, n).to_dense(), x)
+            c = rng.standard_normal((rows, cols))
+            want = c * beta + x if beta else x
+            out = morton_to_dense(stack, out=c, beta=beta, item=i, n_items=n)
+            assert out is c and np.array_equal(_bits(out), _bits(want))
